@@ -17,6 +17,14 @@ Representation:
   exactly the shape of the lifts w ^ (dx_v / x_v) used by the residue
   connecting maps, and it is closed under D_f.
 
+Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
+graded slice to a coefficient-degree cap.  D_f of every monomial form of a
+slice becomes a sparse row keyed by the (index tuple, exponent tuple) of
+the image's monomial forms, and ``linalg.rank`` computes exact ranks by
+fraction-free elimination over Z.  The image inside the cap is
+rank([A|B]) - rank(B), where the rows of the previous slice split into
+their parts A within the cap and B beyond it.
+
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
 recomputes those dimensions independently by exact truncated linear algebra
@@ -31,6 +39,7 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import DimensionError, Monomial, MultiPoly
+from .linalg import rank
 
 
 class MixedDegreeError(ValueError):
@@ -263,13 +272,12 @@ class ExtForm:
             raise DimensionError(f"variable index {v} out of range")
         out: Dict[IndexTuple, MultiPoly] = {}
         for indices, coeff in self.terms.items():
-            if v in indices:
+            inserted = _insert_index(indices, v)
+            if inserted is None:
                 raise ValueError(f"term already contains dx{v}; lift is not defined")
+            new_idx, _ = inserted
             # dx_I ^ dx_v: move dx_v left past the indices larger than v.
             larger = sum(1 for i in indices if i > v)
-            inserted = _insert_index(indices, v)
-            assert inserted is not None
-            new_idx, _ = inserted
             out[new_idx] = coeff if larger % 2 == 0 else -coeff
         return ExtForm(self.nvars, self.degree + 1, out, v)
 
@@ -431,50 +439,6 @@ def connecting_map(f: MultiPoly, form: ExtForm, lift: ExtForm) -> ExtForm:
 # -- exact truncated linear algebra --------------------------------------------
 
 
-def _row_reduce(rows: List[List[Fraction]]) -> Tuple[int, List[List[Fraction]]]:
-    """Gaussian elimination over the rationals.
-
-    Returns (rank, transform) where transform is a square matrix T with
-    T @ rows in echelon form; rows of T beyond the rank span the left null
-    space (the relations among the input rows).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    work = [list(map(Fraction, r)) for r in rows]
-    transform = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(nrows)]
-        for i in range(nrows)
-    ]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        transform[rank], transform[pivot] = transform[pivot], transform[rank]
-        inv = 1 / work[rank][col]
-        for i in range(nrows):
-            if i == rank or work[i][col] == 0:
-                continue
-            factor = work[i][col] * inv
-            row, prow = work[i], work[rank]
-            for j in range(col, ncols):
-                row[j] -= factor * prow[j]
-            trow, tprow = transform[i], transform[rank]
-            for j in range(nrows):
-                trow[j] -= factor * tprow[j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, transform
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return _row_reduce(rows)[0]
-
-
 def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
     """Cohomology basis of the twisted complex for g(z) = z^(m+1) on one
     variable, computed by independent truncated linear algebra.
@@ -488,39 +452,20 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
         raise ValueError(f"defined for m >= 1, got {m}")
     expected = m + 1 if log else m
 
-    def image_rows(cap: int) -> Tuple[List[List[Fraction]], int]:
-        # Domain: z^j for j <= cap.  Target coordinates: z^i dz for
-        # i = -1 (log only), 0 .. cap + m.
-        offset = 1 if log else 0
-        width = cap + m + 1 + offset
-        rows = []
-        for j in range(cap + 1):
-            row = [Fraction(0)] * width
-            if j >= 1:
-                row[j - 1 + offset] = Fraction(j)
-            row[j + m + offset] += Fraction(m + 1)
-            rows.append(row)
-        return rows, width
-
+    # Coordinates are keyed by the exponent i of z^i dz, with i = -1 for the
+    # log form dz/z.
+    low = -1 if log else 0
+    basis_rows = [{i: 1} for i in range(low, m)]
     dims = []
     for cap in (3 * (m + 1), 3 * (m + 1) + m + 1):
-        rows, width = image_rows(cap)
-        rank = _rank(rows)
-        if rank != len(rows):
+        # Domain: z^j for j <= cap, with D_g(z^j) = j z^(j-1) dz + (m+1) z^(j+m) dz.
+        rows = [{j - 1: j, j + m: m + 1} if j else {m: m + 1} for j in range(cap + 1)]
+        image_rank = rank(rows)
+        if image_rank != len(rows):
             raise CohomologyMismatchError("H^0 of the univariate complex is nonzero")
-        dims.append(width - rank)
+        dims.append(cap + m + 1 - low - image_rank)
         # The stated basis must be independent modulo the image.
-        basis_rows = []
-        offset = 1 if log else 0
-        if log:
-            row = [Fraction(0)] * width
-            row[0] = Fraction(1)
-            basis_rows.append(row)
-        for j in range(m):
-            row = [Fraction(0)] * width
-            row[j + offset] = Fraction(1)
-            basis_rows.append(row)
-        if _rank(rows + basis_rows) != rank + len(basis_rows):
+        if rank(rows + basis_rows) != image_rank + len(basis_rows):
             raise CohomologyMismatchError(
                 "stated univariate basis is dependent modulo the image"
             )
@@ -617,84 +562,43 @@ def _dims_at(
     f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
 ) -> Dict[int, int]:
     nvars = f.nvars
-    dims: Dict[int, int] = {}
 
-    def apply_rows(k: int, domain, coeff_cap: int):
-        """Images of the domain basis under D_f, as coordinate rows over the
-        (k+1)-form monomials of coefficient degree <= coeff_cap; entries
-        beyond the cap are returned separately."""
-        low_cols: Dict = {}
-        high_cols: Dict = {}
-        low_rows, high_rows = [], []
+    def image_rows(domain) -> List[Dict[Tuple[IndexTuple, Tuple[int, ...]], Fraction]]:
+        """D_f of each domain monomial form, as a sparse row keyed by the
+        (index tuple, exponent tuple) of the image's monomial forms."""
+        rows = []
         for indices, expo in domain:
             form = ExtForm.monomial_form(
                 nvars, indices, MultiPoly(nvars, {Monomial.from_dense(expo): Fraction(1)})
             )
-            image = d_f(f, form)
-            low: Dict[int, Fraction] = {}
-            high: Dict[int, Fraction] = {}
-            for idx, coeff in image.terms.items():
-                for mono, c in coeff.terms.items():
-                    key = (idx, mono.dense(nvars))
-                    if mono.degree() <= coeff_cap:
-                        col = low_cols.setdefault(key, len(low_cols))
-                        low[col] = low.get(col, Fraction(0)) + c
-                    else:
-                        col = high_cols.setdefault(key, len(high_cols))
-                        high[col] = high.get(col, Fraction(0)) + c
-            low_rows.append(low)
-            high_rows.append(high)
-        return low_rows, len(low_cols), high_rows, len(high_cols)
+            rows.append(
+                {
+                    (idx, mono.dense(nvars)): c
+                    for idx, coeff in d_f(f, form).terms.items()
+                    for mono, c in coeff.terms.items()
+                }
+            )
+        return rows
 
-    def densify(sparse_rows, width):
-        out = []
-        for sparse in sparse_rows:
-            row = [Fraction(0)] * width
-            for col, c in sparse.items():
-                row[col] = c
-            out.append(row)
-        return out
-
+    dims: Dict[int, int] = {}
     for k in wanted:
         domain = _class_basis(nvars, k, modulus, residue, cap)
         if not domain:
             dims[k] = 0
             continue
         # Kernel of D_f on the slice: full image, no truncation of the target.
-        low_rows, low_w, high_rows, high_w = apply_rows(k, domain, cap)
-        full_rows = []
-        for lr, hr in zip(low_rows, high_rows):
-            merged = dict(lr)
-            for c, v in hr.items():
-                merged[low_w + c] = v
-            full_rows.append(merged)
-        kernel_dim = len(domain) - _rank(densify(full_rows, low_w + high_w))
+        kernel_dim = len(domain) - rank(image_rows(domain))
 
-        # Image inside the truncation: combinations from one coefficient
-        # degree above the cap (the exterior derivative lowers coefficient
-        # degree by one) whose D_f has no component beyond the cap.
-        boundary_rank = 0
-        prev = (
-            _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
-        )
-        if prev:
-            plow, plow_w, phigh, phigh_w = apply_rows(k - 1, prev, cap)
-            if phigh_w == 0:
-                boundary_rank = _rank(densify(plow, plow_w)) if plow_w else 0
-            else:
-                rank_high, transform = _row_reduce(densify(phigh, phigh_w))
-                combos = transform[rank_high:]
-                projected = []
-                for combo in combos:
-                    row = [Fraction(0)] * plow_w
-                    for i, c in enumerate(combo):
-                        if c == 0:
-                            continue
-                        for col, v in plow[i].items():
-                            row[col] += c * v
-                    projected.append(row)
-                boundary_rank = _rank(projected) if projected and plow_w else 0
-        dims[k] = kernel_dim - boundary_rank
+        # Image inside the truncation: combinations of the (k-1)-forms one
+        # coefficient degree above the cap (the exterior derivative lowers
+        # coefficient degree by one) whose D_f has no part B beyond the cap.
+        # Their within-cap parts A span the projection onto A of
+        # rowspace[A|B] intersected with {B = 0}, of dimension
+        # rank([A|B]) - rank(B).
+        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
+        full = image_rows(prev)
+        beyond = [{key: c for key, c in row.items() if sum(key[1]) > cap} for row in full]
+        dims[k] = kernel_dim - (rank(full) - rank(beyond))
     return dims
 
 
@@ -707,7 +611,8 @@ def hankel_determinant_poly(n: int) -> MultiPoly:
     from .hankel import hankel_matrix
 
     det = poly_det(hankel_matrix(n))
-    assert det.power == 0
+    if det.power != 0:
+        raise RuntimeError(f"det H_{n} came out with a pole of order {det.power}")
     return det.num
 
 

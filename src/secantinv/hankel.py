@@ -40,6 +40,7 @@ from .exactalg import (
     PolyMatrix,
     poly_det,
 )
+from .linalg import det
 
 
 @dataclass(frozen=True)
@@ -318,29 +319,6 @@ def factorization_identity(r: BlockReduction) -> bool:
 # -- exact evaluation at rational points --------------------------------------
 
 
-def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a dense rational matrix by Gaussian elimination."""
-    size = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for c in range(size):
-        pivot_row = next((i for i in range(c, size) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, size):
-            if m[i][c] == 0:
-                continue
-            factor = m[i][c] * inv
-            for j in range(c, size):
-                m[i][j] -= factor * m[c][j]
-    return det
-
-
 def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:
     """A random rational point on the locus: x_j = 0 for j < k, x_k != 0.
 
@@ -384,13 +362,13 @@ def factorization_identity_at_point(
         yi = xk2 * p[i]
         y.append(yi if i <= k else -yi)
 
-    lhs = fraction_det(
+    lhs = det(
         [[x[i + j] for j in range(n + 1)] for i in range(n + 1)]
     )
     size = n - k
     rhs = y[0] ** (k + 1)
     if size:
-        rhs *= fraction_det(
+        rhs *= det(
             [[y[k + 2 + i + j] for j in range(size)] for i in range(size)]
         )
     if k % 4 in (1, 2):

@@ -1,0 +1,96 @@
+"""Exact linear algebra over Z for rational input: the rank of sparse rows
+and the determinant of a dense matrix, both by fraction-free elimination.
+
+Each row is first scaled to integers by the lcm of its denominators.  That
+leaves the rank unchanged and multiplies the determinant by a known
+integer, so all elimination runs on Python ints and builds no Fraction.
+
+* ``rank`` takes sparse rows {column key: value} and eliminates them one at
+  a time against the pivot rows found so far, with ``row = a*row - b*pivot``
+  (a, b coprime).  Every stored row is divided by its content, the gcd of
+  its entries, so entries stay small.  A row's pivot is its smallest
+  column key.
+* ``det`` is Bareiss's fraction-free Gaussian elimination (Bareiss 1968,
+  *Sylvester's identity and multistep integer-preserving Gaussian
+  elimination*): every intermediate entry is a minor of the integer
+  matrix, so each division is exact.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Union
+
+Number = Union[int, Fraction]
+
+
+def _denominator_lcm(values: Iterable[Number]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
+    """Drop zero entries and divide by the content."""
+    row = {key: v for key, v in row.items() if v}
+    content = math.gcd(*row.values())
+    if content > 1:
+        row = {key: v // content for key, v in row.items()}
+    return row
+
+
+def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
+    """Exact rank of sparse rational rows {column key: int | Fraction}.
+
+    Column keys must be mutually comparable; only their order matters.
+    """
+    pivots: Dict[Hashable, Dict[Hashable, int]] = {}
+    for sparse in rows:
+        scale = _denominator_lcm(sparse.values())
+        row = _primitive(
+            {key: v.numerator * (scale // v.denominator) for key, v in sparse.items()}
+        )
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = math.gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            if a != 1:
+                row = {key: a * v for key, v in row.items()}
+            for key, v in pivot.items():
+                row[key] = row.get(key, 0) - b * v
+            row = _primitive(row)
+    return len(pivots)
+
+
+def det(rows: Sequence[Sequence[Number]]) -> Fraction:
+    """Exact determinant of a dense square rational matrix."""
+    size = len(rows)
+    scale = 1
+    a: List[List[int]] = []
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("determinant of a non-square matrix")
+        row_scale = _denominator_lcm(row)
+        scale *= row_scale
+        a.append([v.numerator * (row_scale // v.denominator) for v in row])
+    if not size:
+        return Fraction(1)
+    sign = 1
+    prev = 1
+    for r in range(size - 1):
+        if a[r][r] == 0:
+            swap = next((i for i in range(r + 1, size) if a[i][r]), None)
+            if swap is None:
+                return Fraction(0)
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        pr, top = a[r], a[r][r]
+        for i in range(r + 1, size):
+            ri, lead = a[i], a[i][r]
+            for j in range(r + 1, size):
+                ri[j] = (top * ri[j] - lead * pr[j]) // prev
+        prev = top
+    return Fraction(sign * a[-1][-1], scale)

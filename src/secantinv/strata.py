@@ -28,6 +28,7 @@ from functools import reduce
 from typing import List, Sequence, Tuple
 
 from .compositions import Composition, iter_compositions
+from .linalg import det
 
 
 @dataclass(frozen=True)
@@ -86,34 +87,11 @@ class UnimodularChange:
         return len(self.matrix)
 
     def determinant(self) -> int:
-        return _int_det(self.matrix)
+        return int(det(self.matrix))
 
     def pullback_exponents(self) -> Tuple[int, ...]:
         """Exponent vector of the pullback of z^d (z = first new coordinate)."""
         return tuple(row[0] * self.exponent for row in self.matrix)
-
-
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            for i in range(r + 1, n):
-                if a[i][r] != 0:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                a[i][j] = (a[r][r] * a[i][j] - a[i][r] * a[r][j]) // prev
-            a[i][r] = 0
-        prev = a[r][r]
-    return sign * a[n - 1][n - 1]
 
 
 def stratum_coordinate_trace(n: int, composition: Composition) -> List[Tuple[int, int]]:
@@ -208,5 +186,6 @@ def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:
         exps[0], exps[target] = exps[target], exps[0]
         for row in u:
             row[0], row[target] = row[target], row[0]
-    assert exps[0] == d and all(e == 0 for e in exps[1:])
+    if exps[0] != d or any(exps[1:]):
+        raise RuntimeError(f"Euclidean reduction of {list(exponents)} stopped at {exps}")
     return UnimodularChange(tuple(tuple(row) for row in u), d)

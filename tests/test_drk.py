@@ -19,6 +19,7 @@ from secantinv.drk import (
     truncated_drk_dims,
     univariate_drk_cohomology,
 )
+from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import Monomial, MultiPoly
 
 
@@ -195,6 +196,21 @@ class TestTruncatedDims:
                 large = truncated_drk_dims(g, m + 1, a, 4 * (m + 1))
                 assert small.dims == large.dims
 
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_hankel_3x3_classes_match_the_eigentable(self, a):
+        # e^(2 pi i a/3) has multiplicity 1 on the Milnor fiber of det H_2;
+        # its class-a slice is one-dimensional, all in the top form degree.
+        multiplicity = sum(
+            mult
+            for lam, _, mult in monodromy_eigentable(2)
+            if lam == RootOfUnity(a, 3)
+        )
+        result = truncated_drk_dims(hankel_determinant_poly(2), 3, a, 3)
+        assert multiplicity == 1
+        assert result.dims == tuple((k, int(k == 5)) for k in range(6))
+        # Class 1 only stabilizes at truncation 6, too slow for this suite.
+        assert result.stabilized == (a == 2)
+
     def test_inhomogeneous_f_rejected(self):
         with pytest.raises(ValueError):
             truncated_drk_dims(p(1, "x0^2 + x0"), 2, 0, 6)
@@ -291,6 +307,11 @@ class TestExtFormBasics:
                 },
             )
             assert widened.log_lift(nvars - 1).residue() == widened
+
+    def test_log_lift_rejects_a_term_with_the_pole_differential(self):
+        form = ExtForm(3, 1, {(1,): MultiPoly.const(3, 1)})
+        with pytest.raises(ValueError):
+            form.log_lift(1)
 
     def test_json_round_trip(self):
         alpha1, _ = n2_eigenvectors()

@@ -1,0 +1,186 @@
+"""Exact sparse rank and dense determinant against a dense Fraction reference."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from secantinv.hankel import random_locus_point
+from secantinv.linalg import det, rank
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def gauss_jordan(rows):
+    """Dense Gauss-Jordan elimination over Q.
+
+    Returns (rank, transform, det): transform T is square with T @ rows in
+    reduced echelon form, so the rows of T beyond the rank span the left
+    null space; det is the determinant when rows is square.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    work = [[Fraction(v) for v in row] for row in rows]
+    transform = [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)]
+    r = 0
+    det_value = Fraction(1)
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            transform[r], transform[pivot] = transform[pivot], transform[r]
+            det_value = -det_value
+        det_value *= work[r][col]
+        inv = 1 / work[r][col]
+        work[r] = [v * inv for v in work[r]]
+        transform[r] = [v * inv for v in transform[r]]
+        for i in range(nrows):
+            factor = work[i][col]
+            if i == r or factor == 0:
+                continue
+            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+            transform[i] = [a - factor * b for a, b in zip(transform[i], transform[r])]
+        r += 1
+    if r < nrows:
+        det_value = Fraction(0)
+    return r, transform, det_value
+
+
+def sparse(rows, tag=None):
+    """Dense rows as sparse dicts, optionally tagging the column keys."""
+    return [
+        {(col if tag is None else (tag, col)): v for col, v in enumerate(row) if v != 0}
+        for row in rows
+    ]
+
+
+def matmul(u, v):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+
+
+rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.integers(1, 5)
+) | st.integers(-3, 3)
+
+
+def matrices(rows=None, cols=None):
+    """Rational matrices, of the given shape or of up to 7 x 7."""
+    nrows = st.integers(0, 7) if rows is None else st.just(rows)
+    ncols = st.integers(1, 7) if cols is None else st.just(cols)
+    return st.tuples(nrows, ncols).flatmap(
+        lambda shape: st.lists(
+            st.lists(rationals, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+class TestRank:
+    @SETTINGS
+    @given(matrices())
+    def test_matches_the_reference(self, rows):
+        assert rank(sparse(rows)) == gauss_jordan(rows)[0]
+
+    @SETTINGS
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.tuples(matrices(rows=6, cols=r), matrices(rows=r, cols=7))
+        )
+    )
+    def test_rank_deficient_products(self, factors):
+        u, v = factors
+        product = matmul(u, v)
+        expected = gauss_jordan(product)[0]
+        assert expected <= len(v)
+        assert rank(sparse(product)) == expected
+
+    @SETTINGS
+    @given(matrices(), st.lists(st.integers(0, 7), max_size=3))
+    def test_zero_rows_and_explicit_zeros_change_nothing(self, rows, positions):
+        padded = sparse(rows)
+        for pos in positions:
+            padded.insert(min(pos, len(padded)), {0: 0, 3: Fraction(0)})
+        assert rank(padded) == gauss_jordan(rows)[0]
+
+    def test_empty_input(self):
+        assert rank([]) == 0
+        assert rank([{}, {}]) == 0
+
+    def test_column_keys_need_only_an_order(self):
+        rows = [{("b", 1): 2, ("a", 7): Fraction(1, 3)}, {("a", 7): 1, ("b", 1): 6}]
+        assert rank(rows) == 1
+        assert rank(rows + [{("c", 0): -1}]) == 2
+
+    @SETTINGS
+    @given(
+        st.tuples(st.integers(1, 7), st.integers(1, 3)).flatmap(
+            lambda mr: st.tuples(
+                matrices(rows=mr[0], cols=4),
+                matrices(rows=mr[0], cols=mr[1]),
+                matrices(rows=mr[1], cols=3),
+            )
+        )
+    )
+    def test_boundary_rank_identity(self, blocks):
+        # rank([A|B]) - rank(B) is the rank of the A-parts of the row
+        # combinations that vanish on B, i.e. of leftnull(B) @ A.  B is a
+        # product through at most 3 dimensions, so it often has relations.
+        a, u, v = blocks
+        b = matmul(u, v)
+        rank_b, transform, _ = gauss_jordan(b)
+        projected = matmul(transform[rank_b:], a) if rank_b < len(b) else []
+        joined = [ra | rb for ra, rb in zip(sparse(a, "A"), sparse(b, "B"))]
+        assert rank(joined) - rank(sparse(b, "B")) == gauss_jordan(projected)[0]
+
+
+def hankel_point_matrix(n, rng):
+    x = random_locus_point(n, rng.randint(0, n - 1), rng)
+    return [[x[i + j] for j in range(n + 1)] for i in range(n + 1)]
+
+
+class TestDet:
+    @SETTINGS
+    @given(st.integers(0, 7).flatmap(lambda n: matrices(rows=n, cols=n)))
+    def test_matches_the_reference(self, rows):
+        assert det(rows) == gauss_jordan(rows)[2]
+
+    @SETTINGS
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.tuples(matrices(rows=5, cols=r), matrices(rows=r, cols=5))
+        )
+    )
+    def test_singular_products_vanish(self, factors):
+        assert det(matmul(*factors)) == 0
+
+    def test_integer_input_gives_an_integer(self):
+        value = det(((2, 1, 0), (1, 3, 1), (0, 1, 4)))
+        assert value == 18 and value.denominator == 1
+
+    def test_empty_and_non_square(self):
+        assert det([]) == 1
+        with pytest.raises(ValueError):
+            det([[1, 2]])
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32))
+    @example(16, 302)
+    def test_hankel_point_matrices_against_the_reference(self, n, seed):
+        rows = hankel_point_matrix(n, random.Random(seed))
+        assert det(rows) == gauss_jordan(rows)[2]
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32))
+    @example(16, 302)
+    def test_hankel_point_matrices_against_sympy(self, n, seed):
+        sympy = pytest.importorskip("sympy")
+        rows = hankel_point_matrix(n, random.Random(seed))
+        expected = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+        ).det(method="bareiss")
+        assert det(rows) == Fraction(int(expected.p), int(expected.q))
