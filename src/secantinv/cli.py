@@ -3,7 +3,7 @@
 Every subcommand prints a deterministic result on stdout: JSON (with a
 top-level "schema": "1" field), a plain text table, or a LaTeX tabular.
 Identical invocations produce byte-identical output; no environment
-variable affects results, and --jobs only controls internal parallelism.
+variable affects results.
 
 Exit codes: 0 success, 1 internal verification failure, 2 argument errors.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
@@ -31,7 +30,6 @@ class Command:
     subcommand: str
     params: Dict[str, int]
     fmt: str
-    jobs: int = 1
     flags: Dict[str, bool] = field(default_factory=dict)
 
 
@@ -77,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "secant varieties of rational normal curves"
         ),
     )
-    parser.add_argument("--jobs", type=int, default=1, help="internal parallelism only")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name: str, help_text: str, **params) -> argparse.ArgumentParser:
@@ -117,9 +114,7 @@ def parse_command(argv: Sequence[str]) -> Command:
         for key in ("milnor", "sec2", "gbundle")
         if getattr(ns, key, False)
     }
-    if ns.jobs < 1:
-        raise SystemExit(_usage_error("--jobs must be at least 1"))
-    return Command(ns.subcommand, params, ns.format, ns.jobs, flags)
+    return Command(ns.subcommand, params, ns.format, flags)
 
 
 def _usage_error(message: str) -> int:
@@ -315,14 +310,7 @@ def _cmd_verify(cmd: Command, out) -> int:
     else:
         ks = list(range(n))
 
-    def run_one(k: int):
-        return hankel.verify_block_reduction(hankel.block_reduce(n, k))
-
-    if cmd.jobs > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=cmd.jobs) as pool:
-            reports = list(pool.map(run_one, ks))
-    else:
-        reports = [run_one(k) for k in ks]
+    reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
 
     all_ok = all(r.all_ok for r in reports)
     if cmd.fmt == "json":

@@ -19,8 +19,8 @@ Representation:
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
 graded slice to a coefficient-degree cap.  D_f of every monomial form of a
-slice becomes a sparse row keyed by the (index tuple, exponent tuple) of
-the image's monomial forms, and ``linalg.rank`` computes exact ranks by
+slice becomes a sparse row keyed by the (index tuple, packed monomial key)
+of the image's monomial forms, and ``linalg.rank`` computes exact ranks by
 fraction-free elimination over Z.  The image inside the cap is
 rank([A|B]) - rank(B), where the rows of the previous slice split into
 their parts A within the cap and B beyond it.
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactalg import DimensionError, Monomial, MultiPoly
+from .exactalg import DimensionError, MultiPoly, key_degree, pack, unpack
 from .linalg import rank
 
 
@@ -114,10 +114,6 @@ class ExtForm:
     @staticmethod
     def zero(nvars: int, degree: int) -> "ExtForm":
         return ExtForm(nvars, degree)
-
-    @staticmethod
-    def monomial_form(nvars: int, indices: Sequence[int], coeff: MultiPoly) -> "ExtForm":
-        return ExtForm(nvars, len(tuple(indices)), {tuple(indices): coeff})
 
     # -- basics ---------------------------------------------------------------
 
@@ -200,11 +196,11 @@ class ExtForm:
         if set(self.terms) != set(other.terms) or self.log_var != other.log_var:
             return None
         idx = next(iter(self.terms))
-        mono, coeff = other.terms[idx].leading()
-        ratio = self.terms[idx].terms.get(mono)
-        if ratio is None:
+        mine, theirs = self.terms[idx].packed, other.terms[idx].packed
+        lead = max(theirs)
+        if lead not in mine:
             return None
-        c = ratio / coeff
+        c = Fraction(mine[lead], theirs[lead])
         return c if self == other.scale(c) else None
 
     # -- calculus ---------------------------------------------------------------
@@ -407,7 +403,7 @@ def homogeneous_class(form: ExtForm, modulus: int) -> GradedClass:
     pole_shift = -1 if form.log_var is not None else 0
     residues = set()
     for indices, coeff in form.terms.items():
-        for d in {m.degree() for m in coeff.terms}:
+        for d in {key_degree(k, form.nvars) for k in coeff.packed}:
             residues.add((d + len(indices) + pole_shift) % modulus)
     if len(residues) != 1:
         raise MixedDegreeError(
@@ -497,14 +493,14 @@ class TruncatedDims:
 
 def _class_basis(nvars: int, k: int, modulus: int, residue: int, cap: int):
     """Monomial k-form basis of the graded-class slice with coefficient
-    degree <= cap: pairs (index tuple, exponent tuple)."""
+    degree <= cap: pairs (index tuple, packed monomial key)."""
     out = []
     for indices in combinations(range(nvars), k):
         for total in range(cap + 1):
             if (total + k) % modulus != residue:
                 continue
             for expo in _exponents_of_degree(nvars, total):
-                out.append((indices, expo))
+                out.append((indices, pack(expo)))
     return out
 
 
@@ -562,22 +558,29 @@ def _dims_at(
     f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
 ) -> Dict[int, int]:
     nvars = f.nvars
+    var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
+    partials = [f.derivative(j).packed for j in range(nvars)]
 
-    def image_rows(domain) -> List[Dict[Tuple[IndexTuple, Tuple[int, ...]], Fraction]]:
-        """D_f of each domain monomial form, as a sparse row keyed by the
-        (index tuple, exponent tuple) of the image's monomial forms."""
+    def image_rows(domain) -> List[dict]:
+        """D_f of each domain monomial form x^e dx_I, as a sparse row keyed
+        by the (index tuple, packed key) of the image's monomial forms:
+        the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
+        Distinct j give distinct index tuples, and the two parts differ in
+        degree, so no two contributions share a key."""
         rows = []
-        for indices, expo in domain:
-            form = ExtForm.monomial_form(
-                nvars, indices, MultiPoly(nvars, {Monomial.from_dense(expo): Fraction(1)})
-            )
-            rows.append(
-                {
-                    (idx, mono.dense(nvars)): c
-                    for idx, coeff in d_f(f, form).terms.items()
-                    for mono, c in coeff.terms.items()
-                }
-            )
+        for indices, key in domain:
+            expo = unpack(key, nvars)
+            row = {}
+            for j in range(nvars):
+                inserted = _insert_index(indices, j)
+                if inserted is None:
+                    continue
+                new_idx, sign = inserted
+                if expo[j]:
+                    row[(new_idx, key - var_keys[j])] = sign * expo[j]
+                for k, c in partials[j].items():
+                    row[(new_idx, key + k)] = sign * c
+            rows.append(row)
         return rows
 
     dims: Dict[int, int] = {}
@@ -597,7 +600,10 @@ def _dims_at(
         # rank([A|B]) - rank(B).
         prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
         full = image_rows(prev)
-        beyond = [{key: c for key, c in row.items() if sum(key[1]) > cap} for row in full]
+        beyond = [
+            {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
+            for row in full
+        ]
         dims[k] = kernel_dim - (rank(full) - rank(beyond))
     return dims
 

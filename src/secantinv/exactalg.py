@@ -6,27 +6,46 @@ Representation conventions:
 * Rational numbers are ``fractions.Fraction`` (always reduced, positive
   denominator, zero is 0/1).  ``str(Fraction)`` already produces the
   canonical "p/q" (or "p" when q = 1) serialization.
-* A monomial is a sparse map {variable index: positive exponent}, stored as
-  a sorted tuple of (index, exponent) pairs with no zero exponents.
-* A polynomial is a map {Monomial: Fraction} with no zero coefficients,
-  together with a fixed variable count.  The canonical term order is graded
-  lexicographic (total degree first, then lexicographic with x0 > x1 > ...),
-  and all serialized output lists terms in descending graded-lex order.
+* A polynomial in n variables is a map {packed monomial key: coefficient}
+  with no zero coefficients.  The key of x0^e0 * ... * x_{n-1}^e_{n-1}
+  packs n + 1 fields of ``FIELD_BITS`` bits (Kronecker substitution): the
+  total degree in the top field, then e0, e1, ..., with e_{n-1} lowest.
+  Integer order of keys is therefore graded lexicographic order (total
+  degree first, then lexicographic with x0 > x1 > ...), the leading
+  monomial is the largest key, and the product of two monomials is the sum
+  of their keys.  A total degree above ``MAX_DEGREE`` would overflow a
+  field; every input or product that would need one raises OverflowError.
+* Coefficients are ``int``, and ``Fraction`` only where a division makes
+  them non-integral; an integral Fraction is stored as its ``int``.
+* ``Monomial`` (a tuple of (variable index, positive exponent) pairs,
+  strictly increasing in the index) is the boundary type only: the
+  validated constructor ``MultiPoly(nvars, {Monomial: coeff})`` takes it,
+  and the read-only ``MultiPoly.terms`` view gives it back with ``Fraction``
+  coefficients.  Internal results skip validation.  Serialized output lists
+  terms in descending graded-lex order.
 * A localized polynomial is numerator / x_k^power for one designated
   variable x_k, normalized so that x_k does not divide the numerator unless
   power = 0.
 
 All values are immutable after construction; every operation is a pure
-function, so callers may parallelize freely.
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Rational = Fraction
+
+#: Width of one exponent field of a packed monomial key.
+FIELD_BITS = 16
+#: Largest total degree (and so exponent) a packed key can hold.
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+Terms = Dict[int, "int | Fraction"]
 
 
 class DimensionError(ValueError):
@@ -43,20 +62,73 @@ def rational_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _rational(value) -> "int | Fraction":
+    """An exact rational, as ``int`` when integral."""
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(terms: Terms) -> Terms:
+    """Drop zero coefficients and store integral Fractions as ints."""
+    return {
+        k: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for k, c in terms.items()
+        if c
+    }
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds {MAX_DEGREE}, the packed monomial limit"
+        )
+
+
+def pack(exponents: Sequence[int]) -> int:
+    """Packed key of the monomial with the given dense exponent vector."""
+    key = sum(exponents)
+    _check_degree(key)
+    for e in exponents:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def unpack(key: int, nvars: int) -> Tuple[int, ...]:
+    """Dense exponent vector of a packed key."""
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        out[i] = key & MAX_DEGREE
+        key >>= FIELD_BITS
+    return tuple(out)
+
+
+def key_degree(key: int, nvars: int) -> int:
+    """Total degree of a packed key."""
+    return key >> (FIELD_BITS * nvars)
+
+
+def _var_key(nvars: int, idx: int) -> int:
+    """Packed key of x_idx; adding it to a key multiplies by x_idx."""
+    return (1 << (FIELD_BITS * nvars)) | (1 << (FIELD_BITS * (nvars - 1 - idx)))
+
+
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial, as a sorted tuple of (variable index, positive exponent)."""
+    """A monomial at the public boundary: (variable index, positive
+    exponent) pairs, strictly increasing in the index."""
 
     powers: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        prev = -1
         for idx, exp in self.powers:
             if exp <= 0:
                 raise ValueError("monomial exponents must be positive")
             if idx < 0:
                 raise ValueError("variable indices must be nonnegative")
-        if list(self.powers) != sorted(self.powers):
-            raise ValueError("monomial powers must be sorted by variable index")
+            if idx <= prev:
+                raise ValueError("monomial variable indices must be strictly increasing")
+            prev = idx
 
     @staticmethod
     def from_map(exponents: Mapping[int, int]) -> "Monomial":
@@ -66,15 +138,6 @@ class Monomial:
     def from_dense(exponents: Sequence[int]) -> "Monomial":
         return Monomial(tuple((i, e) for i, e in enumerate(exponents) if e != 0))
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.powers)
-
-    def exponent(self, idx: int) -> int:
-        for i, e in self.powers:
-            if i == idx:
-                return e
-        return 0
-
     def dense(self, nvars: int) -> Tuple[int, ...]:
         out = [0] * nvars
         for i, e in self.powers:
@@ -83,54 +146,34 @@ class Monomial:
             out[i] = e
         return tuple(out)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        merged: Dict[int, int] = dict(self.powers)
-        for i, e in other.powers:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial.from_map(merged)
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(other.exponent(i) >= e for i, e in self.powers)
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if not divisible."""
-        merged: Dict[int, int] = dict(self.powers)
-        for i, e in other.powers:
-            r = merged.get(i, 0) - e
-            if r < 0:
-                raise ValueError("monomial division is not exact")
-            merged[i] = r
-        return Monomial.from_map(merged)
-
-    def grlex_key(self, nvars: int) -> Tuple[int, Tuple[int, ...]]:
-        """Sort key for graded lexicographic order (larger key = leading)."""
-        return (self.degree(), self.dense(nvars))
-
-
-_MONOMIAL_ONE = Monomial()
+def _make(nvars: int, terms: Terms) -> "MultiPoly":
+    """Trusted constructor: ``terms`` must already be clean packed terms."""
+    p = object.__new__(MultiPoly)
+    p.nvars = nvars
+    p.packed = terms
+    return p
 
 
 class MultiPoly:
-    """Sparse exact-rational multivariate polynomial with a fixed arity."""
+    """Sparse exact-rational multivariate polynomial with a fixed arity.
 
-    __slots__ = ("nvars", "terms")
+    ``packed`` is the {packed key: int | Fraction} map; callers inside the
+    package read it directly and never mutate it.
+    """
+
+    __slots__ = ("nvars", "packed")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    for i, _ in mono.powers:
-                        if i >= nvars:
-                            raise DimensionError(
-                                f"monomial uses x{i} beyond {nvars} variables"
-                            )
-                    clean[mono] = c
+        clean: Terms = {}
+        for mono, coeff in (terms or {}).items():
+            c = _rational(coeff)
+            if c:
+                clean[pack(mono.dense(nvars))] = c
         self.nvars = nvars
-        self.terms = clean
+        self.packed = clean
 
     # -- constructors -----------------------------------------------------
 
@@ -140,58 +183,54 @@ class MultiPoly:
 
     @staticmethod
     def const(nvars: int, value) -> "MultiPoly":
-        return MultiPoly(nvars, {_MONOMIAL_ONE: Fraction(value)})
+        return MultiPoly(nvars, {Monomial(): value})
 
     @staticmethod
     def variable(nvars: int, idx: int) -> "MultiPoly":
         if not 0 <= idx < nvars:
             raise DimensionError(f"variable index {idx} out of range for {nvars} variables")
-        return MultiPoly(nvars, {Monomial(((idx, 1),)): Fraction(1)})
+        return _make(nvars, {_var_key(nvars, idx): 1})
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        """Read-only {Monomial: Fraction} view, for the public boundary."""
+        return MappingProxyType(
+            {
+                Monomial.from_dense(unpack(k, self.nvars)): Fraction(c)
+                for k, c in self.packed.items()
+            }
+        )
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; raises otherwise."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and _MONOMIAL_ONE in self.terms:
-            return self.terms[_MONOMIAL_ONE]
-        raise ValueError("polynomial is not constant")
+    def is_zero(self) -> bool:
+        return not self.packed
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(m.degree() for m in self.terms)
+        return key_degree(max(self.packed), self.nvars)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
+        return len({key_degree(k, self.nvars) for k in self.packed}) <= 1
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
-        return sorted(
-            self.terms.items(), key=lambda kv: kv[0].grlex_key(self.nvars), reverse=True
-        )
-
-    def leading(self) -> Tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=lambda m: m.grlex_key(self.nvars))
-        return mono, self.terms[mono]
+        return [
+            (Monomial.from_dense(unpack(k, self.nvars)), Fraction(self.packed[k]))
+            for k in sorted(self.packed, reverse=True)
+        ]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.packed.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -203,93 +242,86 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, Fraction(0)) + coeff
-            if c == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        return MultiPoly(self.nvars, out)
+        out = dict(self.packed)
+        get = out.get
+        for k, c in other.packed.items():
+            out[k] = get(k, 0) + c
+        return _make(self.nvars, _clean(out))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _make(self.nvars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check_arity(other)
+        out = dict(self.packed)
+        get = out.get
+        for k, c in other.packed.items():
+            out[k] = get(k, 0) - c
+        return _make(self.nvars, _clean(out))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
-        out: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                c = out.get(m, Fraction(0)) + c1 * c2
-                if c == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = c
-        return MultiPoly(self.nvars, out)
+        a, b = self.packed, other.packed
+        if not a or not b:
+            return _make(self.nvars, {})
+        _check_degree(key_degree(max(a) + max(b), self.nvars))
+        out: Terms = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _make(self.nvars, _clean(out))
 
     def scale(self, value) -> "MultiPoly":
-        c = Fraction(value)
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        c = _rational(value)
+        return _make(self.nvars, _clean({k: c * v for k, v in self.packed.items()}))
 
     def __pow__(self, exp: int) -> "MultiPoly":
         if exp < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = MultiPoly.const(self.nvars, 1)
+        result = _make(self.nvars, {0: 1})
         base = self
         e = exp
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # square only while bits remain: no product past x^exp
+                base = base * base
         return result
 
     # -- calculus and substitution ------------------------------------------
 
-    def derivative(self, idx: int) -> "MultiPoly":
-        """Partial derivative with respect to x_idx."""
+    def _exponent_field(self, idx: int) -> int:
         if not 0 <= idx < self.nvars:
             raise DimensionError(f"variable index {idx} out of range")
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(idx)
-            if e == 0:
-                continue
-            lowered = dict(mono.powers)
-            lowered[idx] = e - 1
-            m = Monomial.from_map(lowered)
-            c = out.get(m, Fraction(0)) + coeff * e
-            if c == 0:
-                out.pop(m, None)
-            else:
-                out[m] = c
-        return MultiPoly(self.nvars, out)
+        return FIELD_BITS * (self.nvars - 1 - idx)
+
+    def derivative(self, idx: int) -> "MultiPoly":
+        """Partial derivative with respect to x_idx."""
+        shift = self._exponent_field(idx)
+        step = _var_key(self.nvars, idx)
+        out: Terms = {}
+        for k, c in self.packed.items():
+            e = (k >> shift) & MAX_DEGREE
+            if e:
+                out[k - step] = c * e
+        return _make(self.nvars, _clean(out))
 
     def substitute(self, idx: int, value) -> "MultiPoly":
         """Substitute x_idx := value (an exact rational)."""
-        if not 0 <= idx < self.nvars:
-            raise DimensionError(f"variable index {idx} out of range")
-        val = Fraction(value)
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(idx)
+        shift = self._exponent_field(idx)
+        step = _var_key(self.nvars, idx)
+        val = _rational(value)
+        out: Terms = {}
+        for k, c in self.packed.items():
+            e = (k >> shift) & MAX_DEGREE
             if e:
-                if val == 0:
-                    continue
-                coeff = coeff * val**e
-                mono = Monomial.from_map({i: p for i, p in mono.powers if i != idx})
-            c = out.get(mono, Fraction(0)) + coeff
-            if c == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        return MultiPoly(self.nvars, out)
+                k -= e * step
+                c *= val**e
+            out[k] = out.get(k, 0) + c
+        return _make(self.nvars, _clean(out))
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point of matching arity."""
@@ -297,57 +329,46 @@ class MultiPoly:
             raise DimensionError(
                 f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
             )
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for i, e in mono.powers:
-                term *= vals[i] ** e
-            total += term
-        return total
+        vals = [_rational(v) for v in reversed(point)]
+        total = 0
+        for k, c in self.packed.items():
+            for v in vals:
+                e = k & MAX_DEGREE
+                if e:
+                    c *= v**e
+                k >>= FIELD_BITS
+            total += c
+        return Fraction(total)
 
     # -- divisibility -------------------------------------------------------
 
     def var_multiplicity(self, idx: int) -> int:
         """Largest e such that x_idx^e divides this polynomial (0 if zero poly)."""
-        if not self.terms:
-            return 0
-        return min(m.exponent(idx) for m in self.terms)
+        shift = self._exponent_field(idx)
+        return min(((k >> shift) & MAX_DEGREE for k in self.packed), default=0)
+
+    def _shift(self, idx: int, power: int) -> "MultiPoly":
+        """Product with x_idx^power, unchecked (power may be negative)."""
+        step = power * _var_key(self.nvars, idx)
+        return _make(self.nvars, {k + step: c for k, c in self.packed.items()})
+
+    def mul_var_power(self, idx: int, power: int) -> "MultiPoly":
+        """Product with x_idx^power, power >= 0."""
+        if power < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        self._exponent_field(idx)
+        if power == 0 or not self.packed:
+            return self
+        _check_degree(self.total_degree() + power)
+        return self._shift(idx, power)
 
     def div_var_power(self, idx: int, power: int) -> "MultiPoly":
         """Exact quotient by x_idx^power; raises if not divisible."""
         if power == 0:
             return self
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(idx)
-            if e < power:
-                raise ValueError(f"polynomial is not divisible by x{idx}^{power}")
-            lowered = dict(mono.powers)
-            lowered[idx] = e - power
-            out[Monomial.from_map(lowered)] = coeff
-        return MultiPoly(self.nvars, out)
-
-    def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / other; raises if the division is not exact.
-
-        Used by fraction-free elimination, where exactness is guaranteed.
-        """
-        self._check_arity(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead_mono, lead_coeff = other.leading()
-        remainder = self
-        quotient: Dict[Monomial, Fraction] = {}
-        while not remainder.is_zero():
-            mono, coeff = remainder.leading()
-            if not lead_mono.divides(mono):
-                raise ValueError("polynomial division is not exact")
-            qm = mono.div(lead_mono)
-            qc = coeff / lead_coeff
-            quotient[qm] = quotient.get(qm, Fraction(0)) + qc
-            remainder = remainder - MultiPoly(self.nvars, {qm: qc}) * other
-        return MultiPoly(self.nvars, quotient)
+        if self.packed and self.var_multiplicity(idx) < power:
+            raise ValueError(f"polynomial is not divisible by x{idx}^{power}")
+        return self._shift(idx, -power)
 
     # -- serialization -------------------------------------------------------
 
@@ -363,12 +384,12 @@ class MultiPoly:
         terms: Dict[Monomial, Fraction] = {}
         for rec in obj:
             mono = Monomial.from_dense(rec["exponents"])
-            terms[mono] = terms.get(mono, Fraction(0)) + rational_from_str(rec["coeff"])
+            terms[mono] = terms.get(mono, 0) + rational_from_str(rec["coeff"])
         return MultiPoly(nvars, terms)
 
     def to_str(self) -> str:
         """Canonical text form, e.g. "2*x1*x3 - 2*x2^2" (parseable back)."""
-        if not self.terms:
+        if not self.packed:
             return "0"
         pieces: List[str] = []
         for mono, coeff in self.sorted_terms():
@@ -394,16 +415,15 @@ class MultiPoly:
         text = text.strip()
         if text == "0":
             return MultiPoly.zero(nvars)
-        out = MultiPoly.zero(nvars)
+        terms: Dict[Monomial, Fraction] = {}
         # Normalize term separators, keeping fraction slashes intact.
         chunks = text.replace(" - ", " + -").split(" + ")
         for chunk in chunks:
             chunk = chunk.strip()
-            sign = Fraction(1)
-            if chunk.startswith("-"):
-                sign = Fraction(-1)
-                chunk = chunk[1:]
             coeff = Fraction(1)
+            if chunk.startswith("-"):
+                coeff = Fraction(-1)
+                chunk = chunk[1:]
             powers: Dict[int, int] = {}
             for factor in chunk.split("*"):
                 factor = factor.strip()
@@ -416,8 +436,9 @@ class MultiPoly:
                         powers[idx] = powers.get(idx, 0) + 1
                 else:
                     coeff *= Fraction(factor)
-            out = out + MultiPoly(nvars, {Monomial.from_map(powers): sign * coeff})
-        return out
+            mono = Monomial.from_map(powers)
+            terms[mono] = terms.get(mono, 0) + coeff
+        return MultiPoly(nvars, terms)
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()!r})"
@@ -436,18 +457,14 @@ class LocalizedPoly:
             raise DimensionError(f"inverted variable x{var} out of range")
         if num.is_zero():
             power = 0
-        else:
+        elif power:
             drop = min(power, num.var_multiplicity(var))
             if drop:
-                num = num.div_var_power(var, drop)
+                num = num._shift(var, -drop)
                 power -= drop
         self.num = num
         self.var = var
         self.power = power
-
-    @staticmethod
-    def from_poly(p: MultiPoly, var: int = 0) -> "LocalizedPoly":
-        return LocalizedPoly(p, var, 0)
 
     @staticmethod
     def const(nvars: int, value, var: int = 0) -> "LocalizedPoly":
@@ -478,9 +495,8 @@ class LocalizedPoly:
         self._check_compatible(other)
         var = self._common_var(other)
         common = max(self.power, other.power)
-        xv = MultiPoly.variable(self.nvars, var)
-        n1 = self.num * xv ** (common - self.power)
-        n2 = other.num * xv ** (common - other.power)
+        n1 = self.num.mul_var_power(var, common - self.power)
+        n2 = other.num.mul_var_power(var, common - other.power)
         return LocalizedPoly(n1 + n2, var, common)
 
     def __neg__(self) -> "LocalizedPoly":
@@ -500,11 +516,7 @@ class LocalizedPoly:
     def mul_var_power(self, e: int) -> "LocalizedPoly":
         """Multiply by x_var^e (e may be negative, deepening the localization)."""
         if e >= 0:
-            return LocalizedPoly(
-                self.num * MultiPoly.variable(self.nvars, self.var) ** e,
-                self.var,
-                self.power,
-            )
+            return LocalizedPoly(self.num.mul_var_power(self.var, e), self.var, self.power)
         return LocalizedPoly(self.num, self.var, self.power - e)
 
     def __pow__(self, exp: int) -> "LocalizedPoly":
@@ -540,7 +552,7 @@ class LocalizedPoly:
         if self.power == 0:
             return self.num.to_str()
         num_s = self.num.to_str()
-        if len(self.num.terms) > 1:
+        if len(self.num.packed) > 1:
             num_s = f"({num_s})"
         return f"{num_s} / x{self.var}^{self.power}"
 
@@ -598,9 +610,6 @@ class PolyMatrix:
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, out)
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
-
     def to_obj(self) -> List[List[str]]:
         return [
             [self.at(i, j).to_str() for j in range(self.cols)]
@@ -621,60 +630,36 @@ class PolyMatrix:
 
 # -- determinants -----------------------------------------------------------
 
-#: Largest size handled by cofactor expansion; beyond it, fraction-free
-#: elimination bounds intermediate growth.
-_COFACTOR_LIMIT = 6
 
-
-def _det_cofactor(mat: List[List[MultiPoly]], nvars: int) -> MultiPoly:
-    """Determinant by cofactor expansion with memoized minors."""
+def _det_cofactor(mat: List[List[Terms]]) -> Terms:
+    """Determinant of a matrix of packed terms by cofactor expansion along
+    the rows in order, memoizing the minor on each set of remaining columns."""
     n = len(mat)
-    memo: Dict[Tuple[int, ...], MultiPoly] = {}
+    memo: Dict[Tuple[int, ...], Terms] = {(): {0: 1}}
 
-    def minor(cols: Tuple[int, ...]) -> MultiPoly:
-        if not cols:
-            return MultiPoly.const(nvars, 1)
+    def minor(cols: Tuple[int, ...]) -> Terms:
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        row = n - len(cols)
-        acc = MultiPoly.zero(nvars)
+        row = mat[n - len(cols)]
+        acc: Terms = {}
+        get = acc.get
         for pos, c in enumerate(cols):
-            entry = mat[row][c]
-            if entry.is_zero():
+            entry = row[c]
+            if not entry:
                 continue
             sub = minor(cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
+            if pos % 2:
+                entry = {k: -v for k, v in entry.items()}
+            for k1, c1 in entry.items():
+                for k2, c2 in sub.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        acc = _clean(acc)
         memo[cols] = acc
         return acc
 
     return minor(tuple(range(n)))
-
-
-def _det_bareiss(mat: List[List[MultiPoly]], nvars: int) -> MultiPoly:
-    """Fraction-free (Bareiss) determinant; divisions are exact."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = MultiPoly.const(nvars, 1)
-    for r in range(n - 1):
-        if m[r][r].is_zero():
-            for i in range(r + 1, n):
-                if not m[i][r].is_zero():
-                    m[r], m[i] = m[i], m[r]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(nvars)
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = m[r][r] * m[i][j] - m[i][r] * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][r] = MultiPoly.zero(nvars)
-        prev = m[r][r]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def _clear_denominators(m: PolyMatrix) -> Tuple[List[List[MultiPoly]], int, int]:
@@ -686,42 +671,26 @@ def _clear_denominators(m: PolyMatrix) -> Tuple[List[List[MultiPoly]], int, int]
     total = 0
     cleared: List[List[MultiPoly]] = []
     for i in range(m.rows):
-        row_pow = max(m.at(i, j).power for j in range(m.cols))
+        row = [m.at(i, j) for j in range(m.cols)]
+        row_pow = max(e.power for e in row)
         total += row_pow
-        xv = MultiPoly.variable(m.entries[0].nvars, var) if row_pow else None
-        row: List[MultiPoly] = []
-        for j in range(m.cols):
-            e = m.at(i, j)
-            p = e.num
-            if row_pow and row_pow - e.power:
-                p = p * xv ** (row_pow - e.power)
-            row.append(p)
-        cleared.append(row)
+        cleared.append([e.num.mul_var_power(var, row_pow - e.power) for e in row])
     return cleared, var, total
 
 
-def poly_det(m: PolyMatrix, method: str | None = None) -> LocalizedPoly:
-    """Exact determinant of a square matrix of localized polynomials.
-
-    ``method`` forces "cofactor" or "bareiss"; by default small matrices use
-    cofactor expansion and larger ones fraction-free elimination.  The result
-    is identical either way.
-    """
+def poly_det(m: PolyMatrix) -> LocalizedPoly:
+    """Exact determinant of a square matrix of localized polynomials, by
+    memoized cofactor expansion after clearing each row's denominator."""
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     if m.rows == 0:
         raise DimensionError("determinant of an empty matrix")
     nvars = m.entries[0].nvars
     cleared, var, total = _clear_denominators(m)
-    if method is None:
-        method = "cofactor" if m.rows <= _COFACTOR_LIMIT else "bareiss"
-    if method == "cofactor":
-        det = _det_cofactor(cleared, nvars)
-    elif method == "bareiss":
-        det = _det_bareiss(cleared, nvars)
-    else:
-        raise ValueError(f"unknown determinant method {method!r}")
-    return LocalizedPoly(det, var, total)
+    # Every term of a minor has degree at most the sum of its rows' degrees.
+    _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
+    det = _det_cofactor([[p.packed for p in row] for row in cleared])
+    return LocalizedPoly(_make(nvars, det), var, total)
 
 
 def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
@@ -731,7 +700,7 @@ def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
 
 def homogeneous_components(p: MultiPoly) -> Dict[int, MultiPoly]:
     """Split into homogeneous parts, keyed by degree; their sum is p."""
-    buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-    for mono, coeff in p.terms.items():
-        buckets.setdefault(mono.degree(), {})[mono] = coeff
-    return {d: MultiPoly(p.nvars, t) for d, t in sorted(buckets.items())}
+    buckets: Dict[int, Terms] = {}
+    for k, c in p.packed.items():
+        buckets.setdefault(key_degree(k, p.nvars), {})[k] = c
+    return {d: _make(p.nvars, t) for d, t in sorted(buckets.items())}

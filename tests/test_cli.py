@@ -133,13 +133,6 @@ class TestExitCodes:
         assert json.loads(text)["all_ok"] is True
 
 
-class TestJobsFlag:
-    def test_jobs_does_not_change_output(self):
-        _, seq = run_cli("verify", "-n", "3")
-        _, par = run_cli("--jobs", "3", "verify", "-n", "3")
-        assert seq == par
-
-
 class TestRoundTrips:
     def test_betti_milnor(self):
         _, text = run_cli("betti", "--milnor", "-n", "3")

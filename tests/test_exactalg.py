@@ -18,6 +18,7 @@ from secantinv.exactalg import (
     rational_to_str,
 )
 from secantinv.hankel import hankel_matrix
+from secantinv.linalg import det
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
 
@@ -72,13 +73,6 @@ class TestPolyDet:
         with pytest.raises(DimensionError):
             poly_det(m)
 
-    def test_cofactor_and_bareiss_agree_on_random_4x4(self):
-        rng = random.Random(20)
-        for _ in range(8):
-            entries = [loc(random_poly(rng, 3, max_terms=2, max_exp=2)) for _ in range(16)]
-            m = PolyMatrix(4, 4, entries)
-            assert poly_det(m, method="cofactor") == poly_det(m, method="bareiss")
-
     def test_det_is_multiplicative_on_3x3(self):
         rng = random.Random(21)
         for _ in range(6):
@@ -90,20 +84,44 @@ class TestPolyDet:
         row = [loc(p(2, "x0")), loc(p(2, "x1"))]
         m = PolyMatrix(2, 2, row + row)
         assert poly_det(m).is_zero()
-        assert poly_det(m, method="bareiss").is_zero()
 
-    def test_default_method_switch_at_7x7(self):
-        # Above the cofactor limit the default path is fraction-free
-        # elimination; both must agree on a sparse 7x7.
-        rng = random.Random(26)
+    @pytest.mark.parametrize("size", [4, 5, 6, 7])
+    def test_random_matrices_against_rational_det_at_points(self, size):
+        # Independent oracle: evaluate first, then take the determinant of
+        # the rational matrix with linalg.det.  Some entries are localized
+        # at x0, so the row denominators are cleared as well.
+        rng = random.Random(40 + size)
         entries = []
-        for _ in range(49):
-            if rng.random() < 0.5:
-                entries.append(loc(MultiPoly.zero(2)))
-            else:
-                entries.append(loc(random_poly(rng, 2, max_terms=1, max_exp=2)))
-        m = PolyMatrix(7, 7, entries)
-        assert poly_det(m) == poly_det(m, method="cofactor")
+        for _ in range(size * size):
+            num = random_poly(rng, 3, max_terms=2, max_exp=2)
+            entries.append(loc(num, 0, rng.choice([0, 0, 1, 2])))
+        m = PolyMatrix(size, size, entries)
+        d = poly_det(m)
+        assert not d.is_zero()
+        for _ in range(3):
+            pt = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(3)]
+            at_pt = [[m.at(i, j).eval(pt) for j in range(size)] for i in range(size)]
+            assert d.eval(pt) == det(at_pt)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hankel_det_against_rational_det_at_points(self, n):
+        rng = random.Random(50 + n)
+        d = poly_det(hankel_matrix(n))
+        for _ in range(3):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2 * n + 1)]
+            assert d.eval(pt) == det([[pt[i + j] for j in range(n + 1)] for i in range(n + 1)])
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_hankel_det_against_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x0:{2 * n + 1}")
+        expected = sympy.Poly(
+            sympy.Matrix(n + 1, n + 1, lambda i, j: xs[i + j]).det(), *xs
+        )
+        got = poly_det(hankel_matrix(n)).num
+        assert {
+            m.dense(2 * n + 1): c for m, c in got.terms.items()
+        } == {e: Fraction(int(c)) for e, c in expected.terms()}
 
     def test_localized_entries_share_the_denominator_variable(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)
@@ -111,6 +129,16 @@ class TestPolyDet:
         m = PolyMatrix(2, 2, [a, a, b, b])
         with pytest.raises(DimensionError):
             poly_det(m)
+
+
+class TestMonomial:
+    def test_repeated_variable_index_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial(((0, 1), (0, 2)))
+
+    def test_unsorted_indices_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial(((1, 1), (0, 2)))
 
 
 class TestPolyEval:
@@ -243,14 +271,3 @@ class TestSerialization:
     def test_exact_fractions_survive(self):
         q = p(2, "1/3*x0 - 2/7")
         assert MultiPoly.from_str(2, q.to_str()) == q
-
-
-class TestExactDivision:
-    def test_exact_quotient(self):
-        a = p(2, "x0^2 - x1^2")
-        b = p(2, "x0 - x1")
-        assert a.exact_div(b) == p(2, "x0 + x1")
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(ValueError):
-            p(2, "x0^2 + x1").exact_div(p(2, "x0 - x1"))
