@@ -35,7 +35,6 @@ from .exactalg import (
     Monomial,
     MultiPoly,
     PolyMatrix,
-    Rational,
     homogeneous_components,
     poly_det,
     poly_eval,

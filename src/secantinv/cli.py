@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Every subcommand prints a deterministic result on stdout: JSON (with a
-top-level "schema": "1" field), a plain text table, or a LaTeX tabular.
-Identical invocations produce byte-identical output; no environment
-variable affects results.
+top-level "schema": "1" field), a plain text table, or, for the Betti
+tables of `betti` and `ih`, a LaTeX tabular.  Identical invocations produce
+byte-identical output; no environment variable affects results.  The
+parser rejects unknown formats and out-of-range sizes before any
+computation starts.
 
-Exit codes: 0 success, 1 internal verification failure, 2 argument errors.
+Exit codes: 0 success, 1 internal verification failure, 2 argument errors,
+3 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -13,24 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Optional, Sequence
 
 from . import cohomtables, drk, hankel, hodge, strata
 
 SCHEMA = "1"
 
-FORMATS = ("json", "table", "latex")
-
-
-@dataclass(frozen=True)
-class Command:
-    """A parsed invocation: subcommand, integer parameters, output format."""
-
-    subcommand: str
-    params: Dict[str, int]
-    fmt: str
-    flags: Dict[str, bool] = field(default_factory=dict)
+#: Size ceilings of the two subcommands whose cost explodes with -n:
+#: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 3 s,
+#: `verify -n 7` takes about 22 s.
+STRATA_MAX_N = 16
+VERIFY_MAX_N = 7
 
 
 def _json_dumps(obj: dict) -> str:
@@ -67,74 +63,14 @@ def _render_betti(table: hodge.BettiTable, fmt: str, extra: dict) -> str:
     return _json_dumps(obj)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="secantinv",
-        description=(
-            "Exact invariants of Hankel determinantal hypersurfaces and "
-            "secant varieties of rational normal curves"
-        ),
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str, **params) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=FORMATS, default="json")
-        for flag, (required, help_s) in params.items():
-            p.add_argument(flag, type=int, required=required, help=help_s)
-        return p
-
-    add("strata", "torus strata of the Hankel determinant", **{"-n": (True, "matrix size parameter")})
-
-    p = add("hodge", "Hodge polynomial of the Hankel Milnor fiber", **{"-n": (True, "matrix size parameter"), "-d": (False, "divisor of n+1 for the quotient fiber")})
-    p.add_argument("--gbundle", action="store_true", help="torus bundle over the quotient fiber")
-
-    p = add("betti", "Betti tables", **{"-n": (False, "Milnor fiber parameter"), "-g": (False, "curve genus")})
-    p.add_argument("--milnor", action="store_true", help="Milnor fiber Betti table")
-    p.add_argument("--sec2", action="store_true", help="second secant variety singular cohomology")
-
-    add("ih", "intersection cohomology of a secant variety", **{"-g": (True, "curve genus"), "-k": (True, "secant index")})
-    add("monodromy", "monodromy eigenvalue table", **{"-n": (True, "matrix size parameter")})
-    add("nearby", "nearby/vanishing cycle decomposition", **{"-n": (True, "matrix size parameter")})
-    add("eigenvectors", "explicit monodromy eigenvectors for the 3x3 case")
-    add("blockreduce", "block reduction data", **{"-n": (True, "matrix size parameter"), "-k": (True, "vanishing-order parameter")})
-    add("verify", "verify block-reduction identities", **{"-n": (True, "matrix size parameter"), "-k": (False, "single vanishing-order parameter")})
-    return parser
-
-
-def parse_command(argv: Sequence[str]) -> Command:
-    ns = _build_parser().parse_args(list(argv))
-    params = {
-        key: getattr(ns, key)
-        for key in ("n", "g", "k", "d")
-        if getattr(ns, key, None) is not None
-    }
-    flags = {
-        key: getattr(ns, key)
-        for key in ("milnor", "sec2", "gbundle")
-        if getattr(ns, key, False)
-    }
-    return Command(ns.subcommand, params, ns.format, flags)
-
-
 def _usage_error(message: str) -> int:
     print(f"secantinv: error: {message}", file=sys.stderr)
     return 2
 
 
-def _cmd_strata(cmd: Command, out) -> int:
-    n = cmd.params["n"]
-    if n < 0:
-        return _usage_error("-n must be nonnegative")
-    descriptors = strata.stratify(n)
-    if cmd.fmt == "json":
-        obj = {
-            "schema": SCHEMA,
-            "n": n,
-            "strata": [d.to_obj() for d in descriptors],
-        }
-        out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
+def _cmd_strata(args: argparse.Namespace, out) -> int:
+    descriptors = strata.stratify(args.n)
+    if args.format == "table":
         lines = ["composition  gcd  monomial"]
         for d in descriptors:
             mono = "*".join(
@@ -143,18 +79,19 @@ def _cmd_strata(cmd: Command, out) -> int:
             lines.append(f"{list(d.composition.parts)!s:<12} {d.gcd:>4}  {mono}")
         out.write("\n".join(lines) + "\n")
     else:
-        return _usage_error("latex output is only available for Betti tables")
+        obj = {
+            "schema": SCHEMA,
+            "n": args.n,
+            "strata": [d.to_obj() for d in descriptors],
+        }
+        out.write(_json_dumps(obj))
     return 0
 
 
-def _cmd_hodge(cmd: Command, out) -> int:
-    n = cmd.params["n"]
-    if n < 1:
-        return _usage_error("-n must be at least 1")
-    d = cmd.params.get("d")
-    gbundle = cmd.flags.get("gbundle", False)
+def _cmd_hodge(args: argparse.Namespace, out) -> int:
+    n, d = args.n, args.d
     try:
-        if gbundle:
+        if args.gbundle:
             poly = hodge.gbundle_hodge(n, d if d is not None else n + 1)
             subject = "gbundle"
         elif d is not None:
@@ -165,60 +102,48 @@ def _cmd_hodge(cmd: Command, out) -> int:
             subject = "milnor"
     except ValueError as exc:
         return _usage_error(str(exc))
-    if cmd.fmt == "json":
+    if args.format == "table":
+        out.write(f"{poly.to_str()}\n")
+    else:
         obj = {"schema": SCHEMA, "n": n, "subject": subject, "coeffs": poly.to_obj()}
         if d is not None:
             obj["d"] = d
         out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
-        out.write(f"{poly.to_str()}\n")
-    else:
-        return _usage_error("latex output is only available for Betti tables")
     return 0
 
 
-def _cmd_betti(cmd: Command, out) -> int:
-    milnor = cmd.flags.get("milnor", False)
-    sec2 = cmd.flags.get("sec2", False)
-    if milnor == sec2:
-        return _usage_error("choose exactly one of --milnor or --sec2")
-    if milnor:
-        if "n" not in cmd.params:
+def _cmd_betti(args: argparse.Namespace, out) -> int:
+    if args.milnor:
+        if args.n is None:
             return _usage_error("--milnor requires -n")
-        n = cmd.params["n"]
-        if n < 1:
-            return _usage_error("-n must be at least 1")
-        table = cohomtables.eigentable_betti(n)
-        out.write(_render_betti(table, cmd.fmt, {"n": n, "subject": "milnor"}))
-        return 0
-    if "g" not in cmd.params:
-        return _usage_error("--sec2 requires -g")
-    g = cmd.params["g"]
-    if g < 0:
-        return _usage_error("-g must be nonnegative")
-    table = cohomtables.sec2_singular_betti(g)
-    out.write(_render_betti(table, cmd.fmt, {"g": g, "subject": "sec2"}))
+        table = cohomtables.eigentable_betti(args.n)
+        extra = {"n": args.n, "subject": "milnor"}
+    else:
+        if args.g is None:
+            return _usage_error("--sec2 requires -g")
+        table = cohomtables.sec2_singular_betti(args.g)
+        extra = {"g": args.g, "subject": "sec2"}
+    out.write(_render_betti(table, args.format, extra))
     return 0
 
 
-def _cmd_ih(cmd: Command, out) -> int:
-    g, k = cmd.params["g"], cmd.params["k"]
-    if g < 0 or k < 1:
-        return _usage_error("require -g >= 0 and -k >= 1")
-    table = cohomtables.ih_betti(g, k)
-    out.write(_render_betti(table, cmd.fmt, {"g": g, "k": k, "subject": "ih"}))
+def _cmd_ih(args: argparse.Namespace, out) -> int:
+    table = cohomtables.ih_betti(args.g, args.k)
+    out.write(_render_betti(table, args.format, {"g": args.g, "k": args.k, "subject": "ih"}))
     return 0
 
 
-def _cmd_monodromy(cmd: Command, out) -> int:
-    n = cmd.params["n"]
-    if n < 1:
-        return _usage_error("-n must be at least 1")
-    rows = cohomtables.monodromy_eigentable(n)
-    if cmd.fmt == "json":
+def _cmd_monodromy(args: argparse.Namespace, out) -> int:
+    rows = cohomtables.monodromy_eigentable(args.n)
+    if args.format == "table":
+        lines = ["eigenvalue        degree  multiplicity"]
+        for lam, degree, mult in rows:
+            lines.append(f"{lam.label():<17} {degree:>5}  {mult}")
+        out.write("\n".join(lines) + "\n")
+    else:
         obj = {
             "schema": SCHEMA,
-            "n": n,
+            "n": args.n,
             "entries": [
                 {
                     "eigenvalue": lam.to_obj(),
@@ -229,29 +154,12 @@ def _cmd_monodromy(cmd: Command, out) -> int:
             ],
         }
         out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
-        lines = ["eigenvalue        degree  multiplicity"]
-        for lam, degree, mult in rows:
-            lines.append(f"{lam.label():<17} {degree:>5}  {mult}")
-        out.write("\n".join(lines) + "\n")
-    else:
-        return _usage_error("latex output is only available for Betti tables")
     return 0
 
 
-def _cmd_nearby(cmd: Command, out) -> int:
-    n = cmd.params["n"]
-    if n < 1:
-        return _usage_error("-n must be at least 1")
-    summands = cohomtables.nearby_vanishing_decomposition(n)
-    if cmd.fmt == "json":
-        obj = {
-            "schema": SCHEMA,
-            "n": n,
-            "summands": [s.to_obj() for s in summands],
-        }
-        out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
+def _cmd_nearby(args: argparse.Namespace, out) -> int:
+    summands = cohomtables.nearby_vanishing_decomposition(args.n)
+    if args.format == "table":
         lines = ["eigenvalue        support  rank  weight  kind"]
         for s in summands:
             lines.append(
@@ -259,13 +167,20 @@ def _cmd_nearby(cmd: Command, out) -> int:
             )
         out.write("\n".join(lines) + "\n")
     else:
-        return _usage_error("latex output is only available for Betti tables")
+        obj = {
+            "schema": SCHEMA,
+            "n": args.n,
+            "summands": [s.to_obj() for s in summands],
+        }
+        out.write(_json_dumps(obj))
     return 0
 
 
-def _cmd_eigenvectors(cmd: Command, out) -> int:
+def _cmd_eigenvectors(args: argparse.Namespace, out) -> int:
     alpha1, alpha2 = drk.n2_eigenvectors()
-    if cmd.fmt == "json":
+    if args.format == "table":
+        out.write(f"{alpha1.to_str()}\n{alpha2.to_str()}\n")
+    else:
         obj = {
             "schema": SCHEMA,
             "n": 2,
@@ -274,46 +189,42 @@ def _cmd_eigenvectors(cmd: Command, out) -> int:
             "modulus": 3,
         }
         out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
-        out.write(f"{alpha1.to_str()}\n{alpha2.to_str()}\n")
-    else:
-        return _usage_error("latex output is only available for Betti tables")
     return 0
 
 
-def _cmd_blockreduce(cmd: Command, out) -> int:
-    n, k = cmd.params["n"], cmd.params["k"]
+def _cmd_blockreduce(args: argparse.Namespace, out) -> int:
     try:
-        reduction = hankel.block_reduce(n, k)
+        reduction = hankel.block_reduce(args.n, args.k)
     except ValueError as exc:
         return _usage_error(str(exc))
-    if cmd.fmt == "json":
-        obj = {"schema": SCHEMA, **reduction.to_obj()}
-        out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
+    if args.format == "table":
         lines = [f"p_{i} = {p.to_str()}" for i, p in enumerate(reduction.p_seq)]
         lines += [f"y_{i} = {y.to_str()}" for i, y in enumerate(reduction.y_coords)]
         out.write("\n".join(lines) + "\n")
     else:
-        return _usage_error("latex output is only available for Betti tables")
+        out.write(_json_dumps({"schema": SCHEMA, **reduction.to_obj()}))
     return 0
 
 
-def _cmd_verify(cmd: Command, out) -> int:
-    n = cmd.params["n"]
-    if n < 1:
-        return _usage_error("-n must be at least 1")
-    if "k" in cmd.params:
-        ks = [cmd.params["k"]]
-        if not 0 <= ks[0] <= n - 1:
-            return _usage_error(f"-k must be in 0..{n - 1}")
-    else:
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    n = args.n
+    if args.k is None:
         ks = list(range(n))
+    elif 0 <= args.k <= n - 1:
+        ks = [args.k]
+    else:
+        return _usage_error(f"-k must be in 0..{n - 1}")
 
     reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
 
     all_ok = all(r.all_ok for r in reports)
-    if cmd.fmt == "json":
+    if args.format == "table":
+        lines = []
+        for r in reports:
+            status = "ok" if r.all_ok else "FAIL " + ",".join(r.failing_cases())
+            lines.append(f"n={r.n} k={r.k}: {status}")
+        out.write("\n".join(lines) + "\n")
+    else:
         obj = {
             "schema": SCHEMA,
             "n": n,
@@ -321,37 +232,96 @@ def _cmd_verify(cmd: Command, out) -> int:
             "reports": [r.to_obj() for r in reports],
         }
         out.write(_json_dumps(obj))
-    elif cmd.fmt == "table":
-        lines = []
-        for r in reports:
-            status = "ok" if r.all_ok else "FAIL " + ",".join(r.failing_cases())
-            lines.append(f"n={r.n} k={r.k}: {status}")
-        out.write("\n".join(lines) + "\n")
-    else:
-        return _usage_error("latex output is only available for Betti tables")
     return 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "strata": _cmd_strata,
-    "hodge": _cmd_hodge,
-    "betti": _cmd_betti,
-    "ih": _cmd_ih,
-    "monodromy": _cmd_monodromy,
-    "nearby": _cmd_nearby,
-    "eigenvectors": _cmd_eigenvectors,
-    "blockreduce": _cmd_blockreduce,
-    "verify": _cmd_verify,
-}
+def _bounded_int(lo: int, hi: Optional[int]):
+    """argparse type: an integer in lo..hi (no ceiling when hi is None)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi} (size ceiling), got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="secantinv",
+        description=(
+            "Exact invariants of Hankel determinantal hypersurfaces and "
+            "secant varieties of rational normal curves"
+        ),
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name: str, handler, help_text: str, latex: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        formats = ("json", "table", "latex") if latex else ("json", "table")
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(handler=handler)
+        return p
+
+    def int_arg(p, flag: str, help_text: str, lo=None, hi=None, required=True) -> None:
+        kind = int
+        if lo is not None:
+            kind = _bounded_int(lo, hi)
+            help_text += f" ({lo}..{hi})" if hi is not None else f" (at least {lo})"
+        p.add_argument(flag, type=kind, required=required, help=help_text)
+
+    p = add("strata", _cmd_strata, "torus strata of the Hankel determinant")
+    int_arg(p, "-n", "matrix size parameter", 0, STRATA_MAX_N)
+
+    p = add("hodge", _cmd_hodge, "Hodge polynomial of the Hankel Milnor fiber")
+    int_arg(p, "-n", "matrix size parameter", 1)
+    int_arg(p, "-d", "divisor of n+1 for the quotient fiber", required=False)
+    p.add_argument("--gbundle", action="store_true", help="torus bundle over the quotient fiber")
+
+    p = add("betti", _cmd_betti, "Betti tables", latex=True)
+    int_arg(p, "-n", "Milnor fiber parameter", 1, required=False)
+    int_arg(p, "-g", "curve genus", 0, required=False)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--milnor", action="store_true", help="Milnor fiber Betti table")
+    which.add_argument("--sec2", action="store_true", help="second secant variety singular cohomology")
+
+    p = add("ih", _cmd_ih, "intersection cohomology of a secant variety", latex=True)
+    int_arg(p, "-g", "curve genus", 0)
+    int_arg(p, "-k", "secant index", 1)
+
+    p = add("monodromy", _cmd_monodromy, "monodromy eigenvalue table")
+    int_arg(p, "-n", "matrix size parameter", 1)
+
+    p = add("nearby", _cmd_nearby, "nearby/vanishing cycle decomposition")
+    int_arg(p, "-n", "matrix size parameter", 1)
+
+    add("eigenvectors", _cmd_eigenvectors, "explicit monodromy eigenvectors for the 3x3 case")
+
+    p = add("blockreduce", _cmd_blockreduce, "block reduction data")
+    int_arg(p, "-n", "matrix size parameter")
+    int_arg(p, "-k", "vanishing-order parameter")
+
+    p = add("verify", _cmd_verify, "verify block-reduction identities")
+    int_arg(p, "-n", "matrix size parameter", 1, VERIFY_MAX_N)
+    int_arg(p, "-k", "single vanishing-order parameter", required=False)
+    return parser
 
 
 def run(argv: Sequence[str], out=None) -> int:
     """Execute one command line; returns the process exit code."""
     try:
-        cmd = parse_command(argv)
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return _DISPATCH[cmd.subcommand](cmd, out if out is not None else sys.stdout)
+    try:
+        return args.handler(args, out if out is not None else sys.stdout)
+    except Exception as exc:
+        print(f"secantinv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

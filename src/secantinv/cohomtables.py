@@ -32,10 +32,6 @@ class RootOfUnity:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"{self.p}/{self.q} is not reduced")
 
-    @property
-    def order(self) -> int:
-        return self.q
-
     def label(self) -> str:
         if self.q == 1:
             return "1"
@@ -45,10 +41,6 @@ class RootOfUnity:
 
     def to_obj(self) -> dict:
         return {"p": self.p, "q": self.q}
-
-    @staticmethod
-    def from_obj(obj: dict) -> "RootOfUnity":
-        return RootOfUnity(obj["p"], obj["q"])
 
 
 def primitive_roots(q: int) -> List[RootOfUnity]:
@@ -109,16 +101,6 @@ class NearbyCycleSummand:
             "weight": self.weight,
             "kind": self.kind,
         }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "NearbyCycleSummand":
-        return NearbyCycleSummand(
-            eigenvalue=RootOfUnity.from_obj(obj["eigenvalue"]),
-            support_index=obj["support_index"],
-            rank=obj["rank"],
-            weight=obj["weight"],
-            kind=obj["kind"],
-        )
 
 
 def ih_betti(g: int, k: int) -> BettiTable:

@@ -109,12 +109,6 @@ class ExtForm:
         # A zero form carries no pole; this keeps equality well behaved.
         self.log_var = log_var if clean else None
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int, degree: int) -> "ExtForm":
-        return ExtForm(nvars, degree)
-
     # -- basics ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -174,14 +168,6 @@ class ExtForm:
             self.nvars,
             self.degree,
             {i: coeff.scale(c) for i, coeff in self.terms.items()},
-            self.log_var,
-        )
-
-    def mul_poly(self, p: MultiPoly) -> "ExtForm":
-        return ExtForm(
-            self.nvars,
-            self.degree,
-            {i: coeff * p for i, coeff in self.terms.items()},
             self.log_var,
         )
 
@@ -338,14 +324,6 @@ class ExtForm:
         if self.log_var is not None:
             obj["log_var"] = self.log_var
         return obj
-
-    @staticmethod
-    def from_obj(nvars: int, obj: dict) -> "ExtForm":
-        terms = {
-            tuple(rec["indices"]): MultiPoly.from_obj(nvars, rec["coeff"])
-            for rec in obj["terms"]
-        }
-        return ExtForm(nvars, obj["degree"], terms, obj.get("log_var"))
 
     def to_str(self) -> str:
         if self.is_zero():

@@ -36,9 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-Rational = Fraction
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 #: Width of one exponent field of a packed monomial key.
 FIELD_BITS = 16
@@ -55,11 +53,6 @@ class DimensionError(ValueError):
 def rational_to_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(x))
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse the "p/q" (or "p") serialization of a rational."""
-    return Fraction(s)
 
 
 def _rational(value) -> "int | Fraction":
@@ -379,14 +372,6 @@ class MultiPoly:
             for m, c in self.sorted_terms()
         ]
 
-    @staticmethod
-    def from_obj(nvars: int, obj: Iterable[Mapping]) -> "MultiPoly":
-        terms: Dict[Monomial, Fraction] = {}
-        for rec in obj:
-            mono = Monomial.from_dense(rec["exponents"])
-            terms[mono] = terms.get(mono, 0) + rational_from_str(rec["coeff"])
-        return MultiPoly(nvars, terms)
-
     def to_str(self) -> str:
         """Canonical text form, e.g. "2*x1*x3 - 2*x2^2" (parseable back)."""
         if not self.packed:
@@ -555,20 +540,6 @@ class LocalizedPoly:
         if len(self.num.packed) > 1:
             num_s = f"({num_s})"
         return f"{num_s} / x{self.var}^{self.power}"
-
-    @staticmethod
-    def from_str(nvars: int, text: str, var: int = 0) -> "LocalizedPoly":
-        if " / " in text:
-            num_s, den_s = text.rsplit(" / ", 1)
-            den_s = den_s.strip()
-            if not den_s.startswith("x") or "^" not in den_s:
-                raise ValueError(f"malformed localized denominator: {den_s!r}")
-            num_s = num_s.strip()
-            if num_s.startswith("(") and num_s.endswith(")"):
-                num_s = num_s[1:-1]
-            var_s, pow_s = den_s[1:].split("^")
-            return LocalizedPoly(MultiPoly.from_str(nvars, num_s), int(var_s), int(pow_s))
-        return LocalizedPoly(MultiPoly.from_str(nvars, text), var, 0)
 
     def __repr__(self):
         return f"LocalizedPoly({self.to_str()!r})"

@@ -113,28 +113,6 @@ class BlockReduction:
             "factorization_sign": self.factorization_sign,
         }
 
-    @staticmethod
-    def from_obj(obj: dict) -> "BlockReduction":
-        n, k = obj["n"], obj["k"]
-        nvars = 2 * n + 1
-
-        def parse(s: str) -> LocalizedPoly:
-            return LocalizedPoly.from_str(nvars, s, var=k)
-
-        def parse_matrix(rows: List[List[str]]) -> PolyMatrix:
-            return PolyMatrix(
-                len(rows), len(rows[0]), [parse(s) for row in rows for s in row]
-            )
-
-        return BlockReduction(
-            n=n,
-            k=k,
-            p_seq=tuple(parse(s) for s in obj["p"]),
-            P_matrix=parse_matrix(obj["P"]),
-            N_matrix=parse_matrix(obj["N"]),
-            y_coords=tuple(parse(s) for s in obj["y"]),
-        )
-
 
 def block_reduce(n: int, k: int) -> BlockReduction:
     """Run the reduction of H_n on the locus {x_j = 0 for j < k, x_k != 0}.
@@ -196,16 +174,6 @@ class CheckResult:
             obj["detail"] = self.detail
         return obj
 
-    @staticmethod
-    def from_obj(obj: dict) -> "CheckResult":
-        entry = obj.get("offending_entry")
-        return CheckResult(
-            case=obj["case"],
-            ok=obj["ok"],
-            offending_entry=tuple(entry) if entry is not None else None,
-            detail=obj.get("detail", ""),
-        )
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -227,14 +195,6 @@ class VerificationReport:
             "all_ok": self.all_ok,
             "checks": [c.to_obj() for c in self.checks],
         }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "VerificationReport":
-        return VerificationReport(
-            n=obj["n"],
-            k=obj["k"],
-            checks=tuple(CheckResult.from_obj(rec) for rec in obj["checks"]),
-        )
 
 
 def verify_block_reduction(r: BlockReduction) -> VerificationReport:

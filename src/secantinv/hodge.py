@@ -114,10 +114,6 @@ class HodgePoly:
         """JSON-ready {degree: coefficient} map with string keys."""
         return {str(d): c for d, c in sorted(self.coeffs.items())}
 
-    @staticmethod
-    def from_obj(obj: Mapping[str, int]) -> "HodgePoly":
-        return HodgePoly({int(d): int(c) for d, c in obj.items()})
-
     def to_str(self, var: str = "t") -> str:
         if not self.coeffs:
             return "0"
@@ -194,18 +190,6 @@ class BettiTable:
         if self.eigenvalues:
             obj["eigenvalues"] = {str(j): list(lams) for j, lams in self.eigenvalues}
         return obj
-
-    @staticmethod
-    def from_obj(obj: Mapping) -> "BettiTable":
-        weights = tuple(
-            sorted((int(j), int(w)) for j, w in obj.get("weights", {}).items())
-        )
-        eigenvalues = tuple(
-            sorted(
-                (int(j), tuple(lams)) for j, lams in obj.get("eigenvalues", {}).items()
-            )
-        )
-        return BettiTable(tuple(obj["degrees"]), weights, eigenvalues)
 
 
 # -- Hodge polynomial atoms ---------------------------------------------------

@@ -57,19 +57,6 @@ class StratumDescriptor:
             "monomial": [{"var": q, "power": p} for q, p in self.monomial],
         }
 
-    @staticmethod
-    def from_obj(obj: dict, n: int) -> "StratumDescriptor":
-        comp = Composition(tuple(obj["composition"]))
-        monomial = tuple((rec["var"], rec["power"]) for rec in obj["monomial"])
-        return StratumDescriptor(
-            composition=comp,
-            torus_rank=len(comp),
-            affine_rank=n,
-            exponent_vector=comp.parts,
-            gcd=obj["gcd"],
-            monomial=monomial,
-        )
-
 
 @dataclass(frozen=True)
 class UnimodularChange:
@@ -82,9 +69,6 @@ class UnimodularChange:
 
     matrix: Tuple[Tuple[int, ...], ...]
     exponent: int
-
-    def size(self) -> int:
-        return len(self.matrix)
 
     def determinant(self) -> int:
         return int(det(self.matrix))

@@ -22,6 +22,7 @@ GOLDEN_COMMANDS = [
     ["hodge", "-n", "2"],
     ["hodge", "-n", "5", "-d", "3"],
     ["hodge", "-n", "5", "-d", "3", "--gbundle"],
+    ["hodge", "-n", "5", "-d", "3", "--format", "table"],
     ["betti", "--milnor", "-n", "2"],
     ["betti", "--milnor", "-n", "5"],
     ["betti", "--sec2", "-g", "2"],
@@ -34,8 +35,11 @@ GOLDEN_COMMANDS = [
     ["nearby", "-n", "2"],
     ["nearby", "-n", "3", "--format", "table"],
     ["eigenvectors"],
+    ["eigenvectors", "--format", "table"],
     ["blockreduce", "-n", "2", "-k", "1"],
+    ["blockreduce", "-n", "2", "-k", "1", "--format", "table"],
     ["verify", "-n", "3"],
+    ["verify", "-n", "3", "--format", "table"],
 ]
 
 

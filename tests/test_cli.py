@@ -1,33 +1,61 @@
-"""Command-line interface: golden outputs, determinism, round trips."""
+"""Command-line interface: golden outputs, determinism, exit codes, size
+ceilings, and CLI JSON against each library value's own `to_obj()`."""
 
 import io
 import json
 
 from secantinv import cli
+import pytest
+
 from secantinv.cohomtables import (
-    NearbyCycleSummand,
-    RootOfUnity,
     eigentable_betti,
     ih_betti,
     monodromy_eigentable,
     nearby_vanishing_decomposition,
     sec2_singular_betti,
 )
-from secantinv.drk import ExtForm, n2_eigenvectors
+from secantinv.drk import n2_eigenvectors
 from secantinv.hankel import (
-    BlockReduction,
+    CheckResult,
     VerificationReport,
     block_reduce,
     verify_block_reduction,
 )
-from secantinv.hodge import BettiTable, HodgePoly, milnor_hodge_closed
-from secantinv.strata import StratumDescriptor, stratify
+from secantinv.hodge import BettiTable, milnor_hodge_closed
+from secantinv.strata import stratify
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = cli.run(list(argv), out=out)
     return code, out.getvalue()
+
+
+def cli_json(*argv):
+    code, text = run_cli(*argv)
+    assert code == 0
+    return json.loads(text)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computation started")
+
+
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Make every computation a CLI handler can start raise, so a command
+    that gets past argument checking exits 3 instead of 2."""
+    for module, name in (
+        (cli.strata, "stratify"),
+        (cli.hankel, "block_reduce"),
+        (cli.hankel, "verify_block_reduction"),
+        (cli.hodge, "milnor_hodge_closed"),
+        (cli.hodge, "quotient_hodge"),
+        (cli.cohomtables, "monodromy_eigentable"),
+        (cli.cohomtables, "nearby_vanishing_decomposition"),
+        (cli.drk, "n2_eigenvectors"),
+    ):
+        monkeypatch.setattr(module, name, _must_not_run)
 
 
 class TestGoldenOutputs:
@@ -134,62 +162,153 @@ class TestExitCodes:
 
 
 class TestRoundTrips:
+    """Library value to CLI JSON: the output is exactly the value's own
+    `to_obj()`, inside the CLI's envelope keys.  Nothing parses it back."""
+
     def test_betti_milnor(self):
-        _, text = run_cli("betti", "--milnor", "-n", "3")
-        assert BettiTable.from_obj(json.loads(text)) == eigentable_betti(3)
+        assert cli_json("betti", "--milnor", "-n", "3") == {
+            "schema": "1",
+            "n": 3,
+            "subject": "milnor",
+            **eigentable_betti(3).to_obj(),
+        }
 
     def test_betti_sec2(self):
-        _, text = run_cli("betti", "--sec2", "-g", "2")
-        assert BettiTable.from_obj(json.loads(text)) == sec2_singular_betti(2)
+        assert cli_json("betti", "--sec2", "-g", "2") == {
+            "schema": "1",
+            "g": 2,
+            "subject": "sec2",
+            **sec2_singular_betti(2).to_obj(),
+        }
 
     def test_ih(self):
-        _, text = run_cli("ih", "-g", "1", "-k", "2")
-        assert BettiTable.from_obj(json.loads(text)) == ih_betti(1, 2)
+        assert cli_json("ih", "-g", "1", "-k", "2") == {
+            "schema": "1",
+            "g": 1,
+            "k": 2,
+            "subject": "ih",
+            **ih_betti(1, 2).to_obj(),
+        }
 
     def test_hodge(self):
-        _, text = run_cli("hodge", "-n", "3")
-        assert HodgePoly.from_obj(json.loads(text)["coeffs"]) == milnor_hodge_closed(3)
+        assert cli_json("hodge", "-n", "3") == {
+            "schema": "1",
+            "n": 3,
+            "subject": "milnor",
+            "coeffs": milnor_hodge_closed(3).to_obj(),
+        }
 
     def test_monodromy(self):
-        _, text = run_cli("monodromy", "-n", "4")
-        rows = [
-            (RootOfUnity.from_obj(rec["eigenvalue"]), rec["degree"], rec["multiplicity"])
-            for rec in json.loads(text)["entries"]
+        assert cli_json("monodromy", "-n", "4")["entries"] == [
+            {"eigenvalue": lam.to_obj(), "degree": degree, "multiplicity": mult}
+            for lam, degree, mult in monodromy_eigentable(4)
         ]
-        assert rows == monodromy_eigentable(4)
 
     def test_nearby(self):
-        _, text = run_cli("nearby", "-n", "3")
-        summands = [
-            NearbyCycleSummand.from_obj(rec) for rec in json.loads(text)["summands"]
+        assert cli_json("nearby", "-n", "3")["summands"] == [
+            s.to_obj() for s in nearby_vanishing_decomposition(3)
         ]
-        assert summands == nearby_vanishing_decomposition(3)
 
     def test_eigenvectors(self):
-        _, text = run_cli("eigenvectors")
-        obj = json.loads(text)
-        forms = [ExtForm.from_obj(5, rec) for rec in obj["forms"]]
-        assert tuple(forms) == n2_eigenvectors()
+        assert cli_json("eigenvectors")["forms"] == [
+            form.to_obj() for form in n2_eigenvectors()
+        ]
 
     def test_blockreduce(self):
-        _, text = run_cli("blockreduce", "-n", "2", "-k", "0")
-        obj = json.loads(text)
-        obj.pop("schema")
-        obj.pop("factorization_sign")
-        assert BlockReduction.from_obj(obj) == block_reduce(2, 0)
+        obj = cli_json("blockreduce", "-n", "2", "-k", "0")
+        assert obj.pop("schema") == "1"
+        reduction = block_reduce(2, 0)
+        assert obj == reduction.to_obj()
+        assert obj["factorization_sign"] == reduction.factorization_sign
 
     def test_strata(self):
-        _, text = run_cli("strata", "-n", "3")
-        obj = json.loads(text)
-        descriptors = [StratumDescriptor.from_obj(rec, 3) for rec in obj["strata"]]
-        assert descriptors == stratify(3)
+        assert cli_json("strata", "-n", "3")["strata"] == [
+            d.to_obj() for d in stratify(3)
+        ]
 
     def test_verify(self):
-        _, text = run_cli("verify", "-n", "3")
-        reports = [
-            VerificationReport.from_obj(rec) for rec in json.loads(text)["reports"]
+        assert cli_json("verify", "-n", "3")["reports"] == [
+            verify_block_reduction(block_reduce(3, k)).to_obj() for k in range(3)
         ]
-        expected = [
-            verify_block_reduction(block_reduce(3, k)) for k in range(3)
-        ]
-        assert reports == expected
+
+
+class TestFormatChoices:
+    """`--format` choices belong to each subcommand: latex exists only for
+    the Betti tables of `betti` and `ih`, and is refused before any
+    computation starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strata", "-n", "3"),
+            ("hodge", "-n", "2"),
+            ("monodromy", "-n", "3"),
+            ("nearby", "-n", "2"),
+            ("eigenvectors",),
+            ("blockreduce", "-n", "2", "-k", "1"),
+            ("verify", "-n", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_latex_refused_without_computing(self, no_computation, argv):
+        code, text = run_cli(*argv, "--format", "latex")
+        assert code == 2
+        assert text == ""
+
+    def test_latex_offered_only_by_betti_and_ih(self, capsys):
+        for name, offered in (("betti", True), ("ih", True), ("strata", False)):
+            assert run_cli(name, "--help")[0] == 0
+            assert ("latex" in capsys.readouterr().out) is offered
+
+
+class TestSizeCeilings:
+    def test_strata_above_ceiling_exits_2_without_computing(self, no_computation, capsys):
+        code, text = run_cli("strata", "-n", str(cli.STRATA_MAX_N + 1))
+        assert code == 2
+        assert text == ""
+        assert f"at most {cli.STRATA_MAX_N}" in capsys.readouterr().err
+
+    def test_verify_above_ceiling_exits_2_without_computing(self, no_computation, capsys):
+        code, text = run_cli("verify", "-n", str(cli.VERIFY_MAX_N + 1))
+        assert code == 2
+        assert text == ""
+        assert f"at most {cli.VERIFY_MAX_N}" in capsys.readouterr().err
+
+    def test_ceilings_are_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli.strata, "stratify", lambda n: [])
+        monkeypatch.setattr(cli.hankel, "block_reduce", lambda n, k: (n, k))
+        monkeypatch.setattr(
+            cli.hankel,
+            "verify_block_reduction",
+            lambda nk: VerificationReport(nk[0], nk[1], (CheckResult("determinant", True),)),
+        )
+        assert run_cli("strata", "-n", str(cli.STRATA_MAX_N))[0] == 0
+        assert run_cli("verify", "-n", str(cli.VERIFY_MAX_N))[0] == 0
+
+    def test_help_states_the_ceilings(self, capsys):
+        run_cli("strata", "--help")
+        assert f"0..{cli.STRATA_MAX_N}" in capsys.readouterr().out
+        run_cli("verify", "--help")
+        assert f"1..{cli.VERIFY_MAX_N}" in capsys.readouterr().out
+
+
+class TestFailureExitCodes:
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        def crash(args, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_nearby", crash)
+        code, _ = run_cli("nearby", "-n", "2")
+        assert code == 3
+        assert capsys.readouterr().err == "secantinv: internal error: RuntimeError: boom\n"
+
+    def test_failed_verification_exits_1(self, monkeypatch):
+        def failing(reduction):
+            return VerificationReport(
+                reduction.n, reduction.k, (CheckResult("determinant", False),)
+            )
+
+        monkeypatch.setattr(cli.hankel, "verify_block_reduction", failing)
+        code, text = run_cli("verify", "-n", "2", "--format", "table")
+        assert code == 1
+        assert text == "n=2 k=0: FAIL determinant\nn=2 k=1: FAIL determinant\n"

@@ -40,10 +40,6 @@ class TestRootOfUnity:
         for q in range(1, 20):
             assert len(primitive_roots(q)) == euler_phi(q)
 
-    def test_json_round_trip(self):
-        lam = RootOfUnity(2, 5)
-        assert RootOfUnity.from_obj(lam.to_obj()) == lam
-
 
 class TestIhBetti:
     def test_genus_zero_is_one_in_even_degrees(self):
@@ -221,7 +217,3 @@ class TestNearbyVanishing:
             NearbyCycleSummand(RootOfUnity(1, 3), 0, 2, 4, "IC_of_rank1_local_system")
         with pytest.raises(ValueError):
             NearbyCycleSummand(RootOfUnity(0, 1), 1, 1, 2, "mystery")
-
-    def test_json_round_trip(self):
-        for s in nearby_vanishing_decomposition(3):
-            assert NearbyCycleSummand.from_obj(s.to_obj()) == s

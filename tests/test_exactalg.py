@@ -14,7 +14,6 @@ from secantinv.exactalg import (
     homogeneous_components,
     poly_det,
     poly_eval,
-    rational_from_str,
     rational_to_str,
 )
 from secantinv.hankel import hankel_matrix
@@ -47,10 +46,6 @@ class TestRationalSerialization:
 
     def test_fraction_renders_with_slash(self):
         assert rational_to_str(Fraction(-3, 4)) == "-3/4"
-
-    def test_round_trip(self):
-        for s in ("0", "5", "-5", "3/7", "-22/7"):
-            assert rational_to_str(rational_from_str(s)) == s
 
 
 class TestPolyDet:
@@ -245,18 +240,8 @@ class TestLocalizedPoly:
         with pytest.raises(DimensionError):
             a + b
 
-    def test_string_round_trip(self):
-        q = LocalizedPoly(p(3, "x1^2 - x0*x2"), 0, 3)
-        assert LocalizedPoly.from_str(3, q.to_str()) == q
-        plain = loc(p(3, "2*x0 - 1/2"))
-        assert LocalizedPoly.from_str(3, plain.to_str()) == plain
-
 
 class TestSerialization:
-    def test_obj_round_trip(self):
-        q = p(3, "x0*x2 - x1^2 + 1/3")
-        assert MultiPoly.from_obj(3, q.to_obj()) == q
-
     def test_graded_lex_order_in_output(self):
         q = p(3, "x2 + x0 + x1^2")
         exps = [rec["exponents"] for rec in q.to_obj()]

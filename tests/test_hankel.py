@@ -7,7 +7,6 @@ import pytest
 
 from secantinv.exactalg import LocalizedPoly, MultiPoly, PolyMatrix, poly_det
 from secantinv.hankel import (
-    BlockReduction,
     HankelSpec,
     block_reduce,
     factorization_identity,
@@ -176,10 +175,3 @@ class TestFactorization:
     def test_point_off_locus_rejected(self):
         with pytest.raises(ValueError):
             factorization_identity_at_point(2, 1, [1, 1, 0, 0, 0])
-
-
-class TestSerialization:
-    def test_block_reduction_json_round_trip(self):
-        r = block_reduce(2, 1)
-        again = BlockReduction.from_obj(r.to_obj())
-        assert again == r

@@ -138,7 +138,6 @@ class TestAgainstReference:
     def test_text_round_trip(self, a):
         p = packed(a)
         assert MultiPoly.from_str(NVARS, p.to_str()) == p
-        assert MultiPoly.from_obj(NVARS, p.to_obj()) == p
 
     @SETTINGS
     @given(ref_polys, ref_polys, st.integers(0, 3))

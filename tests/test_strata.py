@@ -9,7 +9,6 @@ import pytest
 from secantinv.compositions import Composition
 from secantinv.hodge import HodgePoly, hodge_atom, milnor_hodge_bruteforce
 from secantinv.strata import (
-    StratumDescriptor,
     stratify,
     stratum_coordinate_trace,
     torus_normal_form,
@@ -37,10 +36,6 @@ class TestStratify:
     def test_counts_up_to_14(self):
         for n in range(0, 15):
             assert len(stratify(n)) == 2**n
-
-    def test_json_round_trip(self):
-        for d in stratify(2):
-            assert StratumDescriptor.from_obj(d.to_obj(), 2) == d
 
 
 class TestCoordinateTrace:
