@@ -37,11 +37,9 @@ from .exactalg import (
     PolyMatrix,
     homogeneous_components,
     poly_det,
-    poly_eval,
 )
 from .hankel import (
     BlockReduction,
-    HankelSpec,
     block_reduce,
     factorization_identity,
     hankel_matrix,
@@ -65,7 +63,6 @@ from .strata import (
     torus_normal_form,
 )
 from .cohomtables import (
-    GenusParams,
     NearbyCycleSummand,
     RootOfUnity,
     ih_betti,

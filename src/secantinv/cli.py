@@ -22,11 +22,18 @@ from . import cohomtables, drk, hankel, hodge, strata
 
 SCHEMA = "1"
 
-#: Size ceilings of the two subcommands whose cost explodes with -n:
+#: Size ceilings of the subcommands whose cost explodes with their size
+#: argument (one run each at the ceiling on a 2-core VM):
 #: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 3 s,
-#: `verify -n 7` takes about 22 s.
+#: `verify -n 7` takes about 22 s,
+#: `blockreduce -n 14 -k 0` takes about 3.7 s and writes 3.1 MB,
+#: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
+#: `nearby -n 500` takes about 0.8 s and writes 10.8 MB (quadratic in n).
 STRATA_MAX_N = 16
 VERIFY_MAX_N = 7
+BLOCKREDUCE_MAX_N = 14
+IH_MAX_K = 4000
+NEARBY_MAX_N = 500
 
 
 def _json_dumps(obj: dict) -> str:
@@ -291,18 +298,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("ih", _cmd_ih, "intersection cohomology of a secant variety", latex=True)
     int_arg(p, "-g", "curve genus", 0)
-    int_arg(p, "-k", "secant index", 1)
+    int_arg(p, "-k", "secant index", 1, IH_MAX_K)
 
     p = add("monodromy", _cmd_monodromy, "monodromy eigenvalue table")
     int_arg(p, "-n", "matrix size parameter", 1)
 
     p = add("nearby", _cmd_nearby, "nearby/vanishing cycle decomposition")
-    int_arg(p, "-n", "matrix size parameter", 1)
+    int_arg(p, "-n", "matrix size parameter", 1, NEARBY_MAX_N)
 
     add("eigenvectors", _cmd_eigenvectors, "explicit monodromy eigenvectors for the 3x3 case")
 
     p = add("blockreduce", _cmd_blockreduce, "block reduction data")
-    int_arg(p, "-n", "matrix size parameter")
+    int_arg(p, "-n", "matrix size parameter", 1, BLOCKREDUCE_MAX_N)
     int_arg(p, "-k", "vanishing-order parameter")
 
     p = add("verify", _cmd_verify, "verify block-reduction identities")

@@ -53,21 +53,6 @@ def primitive_roots(q: int) -> List[RootOfUnity]:
 
 
 @dataclass(frozen=True)
-class GenusParams:
-    """Genus of the curve; the first cohomology of the curve has rank 2g."""
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError("genus must be nonnegative")
-
-    @property
-    def h1_dim(self) -> int:
-        return 2 * self.g
-
-
-@dataclass(frozen=True)
 class NearbyCycleSummand:
     """One simple summand of the nearby-cycle decomposition.
 
@@ -115,7 +100,7 @@ def ih_betti(g: int, k: int) -> BettiTable:
         raise ValueError("genus must be nonnegative")
     if k < 1:
         raise ValueError("secant index must be at least 1")
-    h1 = GenusParams(g).h1_dim
+    h1 = 2 * g
     dims = [0] * (4 * k - 1)
     for j in range(2 * k):
         lo = max(j - k, 0)
@@ -149,7 +134,7 @@ def sym_power_betti(g: int, k: int, j: int) -> int:
         raise SymmetricPowerRangeError(
             f"degree {j} is outside the validity range 0..{k}"
         )
-    h1 = GenusParams(g).h1_dim
+    h1 = 2 * g
     return sum(math.comb(h1, j - 2 * i) for i in range(j // 2 + 1))
 
 
@@ -164,7 +149,7 @@ def sec2_singular_betti(g: int) -> BettiTable:
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    h1 = GenusParams(g).h1_dim
+    h1 = 2 * g
     sym2_h1 = h1 * (h1 + 1) // 2
     dims = (
         1,

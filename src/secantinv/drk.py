@@ -17,13 +17,16 @@ Representation:
   exactly the shape of the lifts w ^ (dx_v / x_v) used by the residue
   connecting maps, and it is closed under D_f.
 
-Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
-graded slice to a coefficient-degree cap.  D_f of every monomial form of a
-slice becomes a sparse row keyed by the (index tuple, packed monomial key)
-of the image's monomial forms, and ``linalg.rank`` computes exact ranks by
-fraction-free elimination over Z.  The image inside the cap is
-rank([A|B]) - rank(B), where the rows of the previous slice split into
-their parts A within the cap and B beyond it.
+D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
+x^e dx_I is a sparse row keyed by the (index tuple, packed monomial key)
+of the image's monomial forms.  ``d_f`` and ``connecting_map`` sum the
+rows of a form's monomial forms weighted by its coefficients, with or
+without a log pole.  Truncated cohomology dimensions (``truncated_drk_dims``)
+restrict each graded slice to a coefficient-degree cap and rank the rows of
+its monomial forms exactly with ``linalg.rank`` (fraction-free elimination
+over Z).  The image inside the cap is rank([A|B]) - rank(B), where the rows
+of the previous slice split into their parts A within the cap and B beyond
+it.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -38,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactalg import DimensionError, MultiPoly, key_degree, pack, unpack
+from .exactalg import DimensionError, MultiPoly, _clean, _make, key_degree, pack, unpack
 from .linalg import rank
 
 
@@ -131,35 +134,6 @@ class ExtForm:
             (self.nvars, self.degree, self.log_var, frozenset(self.terms.items()))
         )
 
-    def _check_combinable(self, other: "ExtForm") -> None:
-        if self.nvars != other.nvars:
-            raise DimensionError("variable count mismatch")
-        if self.degree != other.degree:
-            raise DimensionError("form degree mismatch")
-        if self.log_var != other.log_var and self.terms and other.terms:
-            raise DimensionError("cannot combine forms with different log poles")
-
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        self._check_combinable(other)
-        out = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            merged = out.get(idx)
-            merged = coeff if merged is None else merged + coeff
-            if merged.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = merged
-        log_var = self.log_var if self.terms else other.log_var
-        return ExtForm(self.nvars, self.degree, out, log_var)
-
-    def __neg__(self) -> "ExtForm":
-        return ExtForm(
-            self.nvars, self.degree, {i: -c for i, c in self.terms.items()}, self.log_var
-        )
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
     def scale(self, value) -> "ExtForm":
         c = Fraction(value)
         if c == 0:
@@ -188,60 +162,6 @@ class ExtForm:
             return None
         c = Fraction(mine[lead], theirs[lead])
         return c if self == other.scale(c) else None
-
-    # -- calculus ---------------------------------------------------------------
-
-    def exterior_derivative(self) -> "ExtForm":
-        """d(w); for a log form the pole variable derivative drops out."""
-        if self.degree >= self.nvars:
-            return ExtForm(self.nvars, self.nvars)
-        out: Dict[IndexTuple, MultiPoly] = {}
-        for indices, coeff in self.terms.items():
-            for j in range(self.nvars):
-                if j == self.log_var:
-                    continue
-                inserted = _insert_index(indices, j)
-                if inserted is None:
-                    continue
-                partial = coeff.derivative(j)
-                if partial.is_zero():
-                    continue
-                new_idx, sign = inserted
-                piece = partial if sign == 1 else -partial
-                merged = out.get(new_idx)
-                merged = piece if merged is None else merged + piece
-                if merged.is_zero():
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = merged
-        return ExtForm(self.nvars, self.degree + 1, out, self.log_var)
-
-    def wedge_with_differential_of(self, f: MultiPoly) -> "ExtForm":
-        """df ^ w, with df on the left."""
-        if f.nvars != self.nvars:
-            raise DimensionError("variable count mismatch")
-        if self.degree >= self.nvars:
-            return ExtForm(self.nvars, self.nvars)
-        out: Dict[IndexTuple, MultiPoly] = {}
-        partials = [f.derivative(j) for j in range(self.nvars)]
-        for indices, coeff in self.terms.items():
-            for j, df_j in enumerate(partials):
-                if df_j.is_zero():
-                    continue
-                inserted = _insert_index(indices, j)
-                if inserted is None:
-                    continue
-                new_idx, sign = inserted
-                piece = df_j * coeff
-                if sign == -1:
-                    piece = -piece
-                merged = out.get(new_idx)
-                merged = piece if merged is None else merged + piece
-                if merged.is_zero():
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = merged
-        return ExtForm(self.nvars, self.degree + 1, out, self.log_var)
 
     # -- log poles and residues ---------------------------------------------------
 
@@ -355,14 +275,60 @@ class GradedClass:
             raise ValueError("residue out of range")
 
 
+def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[dict]:
+    """D_f of each domain monomial form x^e dx_I, as a sparse row keyed
+    by the (index tuple, packed key) of the image's monomial forms:
+    the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
+    Distinct j give distinct index tuples, and the two parts differ in
+    degree, so no two contributions share a key.
+
+    This is the only place D_f is built.  It serves log forms unchanged:
+    their stored coefficient is x_v times the true one, and v is in every
+    index tuple, so j = v never contributes and d(c / x_v) = dc / x_v."""
+    nvars = f.nvars
+    var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
+    partials = [f.derivative(j).packed for j in range(nvars)]
+    rows = []
+    for indices, key in domain:
+        expo = unpack(key, nvars)
+        row = {}
+        for j in range(nvars):
+            inserted = _insert_index(indices, j)
+            if inserted is None:
+                continue
+            new_idx, sign = inserted
+            if expo[j]:
+                row[(new_idx, key - var_keys[j])] = sign * expo[j]
+            for k, c in partials[j].items():
+                row[(new_idx, key + k)] = sign * c
+        rows.append(row)
+    return rows
+
+
 def _d_f_any(f: MultiPoly, form: ExtForm) -> ExtForm:
-    return form.exterior_derivative() + form.wedge_with_differential_of(f)
+    """D_f of a form with or without a log pole: the coefficient-weighted
+    sum of the D_f rows of its monomial forms."""
+    if f.nvars != form.nvars:
+        raise DimensionError("variable count mismatch between f and the form")
+    if form.degree == form.nvars:
+        return ExtForm(form.nvars, form.nvars)
+    domain = [(idx, key) for idx, coeff in form.terms.items() for key in coeff.packed]
+    image: Dict[IndexTuple, dict] = {}
+    for (idx, key), row in zip(domain, _d_f_rows(f, domain)):
+        c = form.terms[idx].packed[key]
+        for (new_idx, new_key), r in row.items():
+            terms = image.setdefault(new_idx, {})
+            terms[new_key] = terms.get(new_key, 0) + c * r
+    return ExtForm(
+        form.nvars,
+        form.degree + 1,
+        {idx: _make(form.nvars, _clean(terms)) for idx, terms in image.items()},
+        form.log_var,
+    )
 
 
 def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
     """The twisted differential D_f(w) = dw + df ^ w on pole-free forms."""
-    if f.nvars != form.nvars:
-        raise DimensionError("variable count mismatch between f and the form")
     if form.has_log_pole():
         raise ValueError("log forms are handled by the connecting map")
     return _d_f_any(f, form)
@@ -536,31 +502,6 @@ def _dims_at(
     f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
 ) -> Dict[int, int]:
     nvars = f.nvars
-    var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
-    partials = [f.derivative(j).packed for j in range(nvars)]
-
-    def image_rows(domain) -> List[dict]:
-        """D_f of each domain monomial form x^e dx_I, as a sparse row keyed
-        by the (index tuple, packed key) of the image's monomial forms:
-        the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
-        Distinct j give distinct index tuples, and the two parts differ in
-        degree, so no two contributions share a key."""
-        rows = []
-        for indices, key in domain:
-            expo = unpack(key, nvars)
-            row = {}
-            for j in range(nvars):
-                inserted = _insert_index(indices, j)
-                if inserted is None:
-                    continue
-                new_idx, sign = inserted
-                if expo[j]:
-                    row[(new_idx, key - var_keys[j])] = sign * expo[j]
-                for k, c in partials[j].items():
-                    row[(new_idx, key + k)] = sign * c
-            rows.append(row)
-        return rows
-
     dims: Dict[int, int] = {}
     for k in wanted:
         domain = _class_basis(nvars, k, modulus, residue, cap)
@@ -568,7 +509,7 @@ def _dims_at(
             dims[k] = 0
             continue
         # Kernel of D_f on the slice: full image, no truncation of the target.
-        kernel_dim = len(domain) - rank(image_rows(domain))
+        kernel_dim = len(domain) - rank(_d_f_rows(f, domain))
 
         # Image inside the truncation: combinations of the (k-1)-forms one
         # coefficient degree above the cap (the exterior derivative lowers
@@ -577,7 +518,7 @@ def _dims_at(
         # rowspace[A|B] intersected with {B = 0}, of dimension
         # rank([A|B]) - rank(B).
         prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
-        full = image_rows(prev)
+        full = _d_f_rows(f, prev)
         beyond = [
             {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
             for row in full

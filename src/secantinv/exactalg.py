@@ -518,7 +518,7 @@ class LocalizedPoly:
         if self.nvars != other.nvars:
             return False
         # Normal form makes direct comparison valid when localized at the
-        # same variable; otherwise cross-multiply.
+        # same variable; poles at different variables are never equal.
         if self.power and other.power and self.var != other.var:
             return False
         return self.power == other.power and self.num == other.num
@@ -662,11 +662,6 @@ def poly_det(m: PolyMatrix) -> LocalizedPoly:
     _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
     det = _det_cofactor([[p.packed for p in row] for row in cleared])
     return LocalizedPoly(_make(nvars, det), var, total)
-
-
-def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
-    """Exact evaluation of a polynomial at a rational point."""
-    return p.eval(point)
 
 
 def homogeneous_components(p: MultiPoly) -> Dict[int, MultiPoly]:

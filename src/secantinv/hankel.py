@@ -43,20 +43,11 @@ from .exactalg import (
 from .linalg import det
 
 
-@dataclass(frozen=True)
-class HankelSpec:
-    """Size parameter: the matrix is (n+1) x (n+1) in x_0 .. x_{2n}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("Hankel size parameter must be nonnegative")
-
-
-def hankel_matrix(spec: HankelSpec | int) -> PolyMatrix:
-    """The generic Hankel matrix with entry (i, j) = x_{i+j}."""
-    n = spec.n if isinstance(spec, HankelSpec) else HankelSpec(spec).n
+def hankel_matrix(n: int) -> PolyMatrix:
+    """The generic (n+1) x (n+1) Hankel matrix in x_0 .. x_{2n}, with entry
+    (i, j) = x_{i+j}."""
+    if n < 0:
+        raise ValueError("Hankel size parameter must be nonnegative")
     nvars = 2 * n + 1
     entries = [
         LocalizedPoly(MultiPoly.variable(nvars, i + j), 0, 0)

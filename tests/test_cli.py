@@ -3,6 +3,7 @@ ceilings, and CLI JSON against each library value's own `to_obj()`."""
 
 import io
 import json
+from types import SimpleNamespace
 
 from secantinv import cli
 import pytest
@@ -51,6 +52,7 @@ def no_computation(monkeypatch):
         (cli.hankel, "verify_block_reduction"),
         (cli.hodge, "milnor_hodge_closed"),
         (cli.hodge, "quotient_hodge"),
+        (cli.cohomtables, "ih_betti"),
         (cli.cohomtables, "monodromy_eigentable"),
         (cli.cohomtables, "nearby_vanishing_decomposition"),
         (cli.drk, "n2_eigenvectors"),
@@ -274,22 +276,48 @@ class TestSizeCeilings:
         assert text == ""
         assert f"at most {cli.VERIFY_MAX_N}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, ceiling",
+        [
+            pytest.param(("blockreduce", "-k", "0", "-n"), cli.BLOCKREDUCE_MAX_N, id="blockreduce"),
+            pytest.param(("ih", "-g", "2", "-k"), cli.IH_MAX_K, id="ih"),
+            pytest.param(("nearby", "-n"), cli.NEARBY_MAX_N, id="nearby"),
+        ],
+    )
+    def test_above_ceiling_exits_2_without_computing(
+        self, no_computation, capsys, argv, ceiling
+    ):
+        code, text = run_cli(*argv, str(ceiling + 1))
+        assert code == 2
+        assert text == ""
+        assert f"at most {ceiling}" in capsys.readouterr().err
+
     def test_ceilings_are_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli.strata, "stratify", lambda n: [])
-        monkeypatch.setattr(cli.hankel, "block_reduce", lambda n, k: (n, k))
+        monkeypatch.setattr(cli.hankel, "block_reduce", lambda n, k: SimpleNamespace(n=n, k=k, to_obj=dict))
         monkeypatch.setattr(
             cli.hankel,
             "verify_block_reduction",
-            lambda nk: VerificationReport(nk[0], nk[1], (CheckResult("determinant", True),)),
+            lambda r: VerificationReport(r.n, r.k, (CheckResult("determinant", True),)),
         )
+        monkeypatch.setattr(cli.cohomtables, "ih_betti", lambda g, k: BettiTable((1,)))
+        monkeypatch.setattr(cli.cohomtables, "nearby_vanishing_decomposition", lambda n: [])
         assert run_cli("strata", "-n", str(cli.STRATA_MAX_N))[0] == 0
         assert run_cli("verify", "-n", str(cli.VERIFY_MAX_N))[0] == 0
+        assert run_cli("blockreduce", "-n", str(cli.BLOCKREDUCE_MAX_N), "-k", "0")[0] == 0
+        assert run_cli("ih", "-g", "2", "-k", str(cli.IH_MAX_K))[0] == 0
+        assert run_cli("nearby", "-n", str(cli.NEARBY_MAX_N))[0] == 0
 
     def test_help_states_the_ceilings(self, capsys):
-        run_cli("strata", "--help")
-        assert f"0..{cli.STRATA_MAX_N}" in capsys.readouterr().out
-        run_cli("verify", "--help")
-        assert f"1..{cli.VERIFY_MAX_N}" in capsys.readouterr().out
+        for name, stated in (
+            ("strata", f"0..{cli.STRATA_MAX_N}"),
+            ("verify", f"1..{cli.VERIFY_MAX_N}"),
+            ("blockreduce", f"1..{cli.BLOCKREDUCE_MAX_N}"),
+            ("ih", f"1..{cli.IH_MAX_K}"),
+            ("nearby", f"1..{cli.NEARBY_MAX_N}"),
+        ):
+            run_cli(name, "--help")
+            assert stated in capsys.readouterr().out
 
 
 class TestFailureExitCodes:

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from secantinv.cohomtables import (
-    GenusParams,
     NearbyCycleSummand,
     RootOfUnity,
     SymmetricPowerRangeError,
@@ -122,9 +121,11 @@ class TestSec2Betti:
             assert table.weight_of(j) == j
 
     def test_genus_params(self):
-        assert GenusParams(3).h1_dim == 6
+        assert sec2_singular_betti(3).dim(5) == 6
         with pytest.raises(ValueError):
-            GenusParams(-1)
+            sec2_singular_betti(-1)
+        with pytest.raises(ValueError):
+            sym_power_betti(-1, 2, 0)
 
 
 class TestMonodromyEigentable:

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from secantinv.drk import (
     ExtForm,
@@ -53,6 +56,100 @@ def random_form(rng, nvars, degree, coeff_degree=3):
         existing = terms.get(idx)
         terms[idx] = coeff if existing is None else existing + coeff
     return ExtForm(nvars, degree, terms)
+
+
+def reference_d_f(f, form):
+    """dw + df ^ w summed from MultiPoly.derivative, * and +: an oracle for
+    the packed D_f rows.  A log form stores c for the coefficient c / x_v;
+    d(c / x_v) and dc / x_v differ by a multiple of dx_v, which every term
+    already contains, so the same sum applies to the stored coefficients."""
+    nvars = form.nvars
+    if form.degree == nvars:
+        return ExtForm(nvars, nvars)
+    out = {}
+    for idx, coeff in form.terms.items():
+        for j in range(nvars):
+            if j in idx:
+                continue
+            sign = (-1) ** sum(i < j for i in idx)
+            piece = (coeff.derivative(j) + f.derivative(j) * coeff).scale(sign)
+            new_idx = tuple(sorted(idx + (j,)))
+            out[new_idx] = out.get(new_idx, MultiPoly.zero(nvars)) + piece
+    return ExtForm(nvars, form.degree + 1, out, form.log_var)
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+def polys(nvars, degree=None, free_of=None):
+    """Polynomials with at most four terms: homogeneous of ``degree`` if
+    given, else of degree at most 3 in each variable except x_free_of."""
+    if degree is None:
+        exponents = st.tuples(
+            *[st.just(0) if i == free_of else st.integers(0, 3) for i in range(nvars)]
+        )
+    else:
+        exponents = st.lists(
+            st.integers(0, nvars - 1), min_size=degree, max_size=degree
+        ).map(lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    return st.dictionaries(exponents, coefficients, max_size=4).map(
+        lambda d: MultiPoly(nvars, {Monomial.from_dense(e): c for e, c in d.items()})
+    )
+
+
+def forms(nvars, degree, free_of=None):
+    """Pole-free forms; with ``free_of = v`` no term has dx_v and no
+    coefficient involves x_v."""
+    slots = [idx for idx in combinations(range(nvars), degree) if free_of not in idx]
+    coeffs = polys(nvars, free_of=free_of)
+    return st.dictionaries(st.sampled_from(slots), coeffs, min_size=1, max_size=3).map(
+        lambda terms: ExtForm(nvars, degree, terms)
+    )
+
+
+@st.composite
+def twisted_cases(draw):
+    """(f, w): f homogeneous, w of any form degree 0..nvars."""
+    nvars = draw(st.integers(1, 4))
+    f = draw(polys(nvars, draw(st.integers(1, 3))))
+    return f, draw(forms(nvars, draw(st.integers(0, nvars))))
+
+
+@st.composite
+def log_lift_cases(draw):
+    """(f, w, v) with w = D_g(u) for g = f restricted to {x_v = 0} and u
+    free of x_v: w is D_g-closed, so D_f of its lift across {x_v = 0}
+    loses the pole."""
+    nvars = draw(st.integers(2, 4))
+    v = draw(st.integers(0, nvars - 1))
+    f = draw(polys(nvars, draw(st.integers(1, 3))))
+    u = draw(forms(nvars, draw(st.integers(0, nvars - 2)), free_of=v))
+    w = reference_d_f(f.substitute(v, 0), u)
+    assume(not w.is_zero())
+    return f, w, v
+
+
+class TestSingleKernelAgainstReference:
+    @ORACLE_SETTINGS
+    @given(twisted_cases())
+    def test_d_f_matches_the_reference(self, case):
+        f, form = case
+        assert d_f(f, form) == reference_d_f(f, form)
+
+    @ORACLE_SETTINGS
+    @given(twisted_cases())
+    def test_d_f_squares_to_zero(self, case):
+        f, form = case
+        assert d_f(f, d_f(f, form)).is_zero()
+
+    @ORACLE_SETTINGS
+    @given(log_lift_cases())
+    def test_connecting_map_strips_the_reference_image_of_the_lift(self, case):
+        f, form, v = case
+        lift = form.log_lift(v)
+        assert connecting_map(f, form, lift) == reference_d_f(f, lift).strip_pole()
 
 
 class TestTwistedDifferential:

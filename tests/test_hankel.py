@@ -7,7 +7,6 @@ import pytest
 
 from secantinv.exactalg import LocalizedPoly, MultiPoly, PolyMatrix, poly_det
 from secantinv.hankel import (
-    HankelSpec,
     block_reduce,
     factorization_identity,
     factorization_identity_at_point,
@@ -37,11 +36,11 @@ class TestHankelMatrix:
         ]
 
     def test_n2_corner(self):
-        assert hankel_matrix(HankelSpec(2)).at(2, 2).to_str() == "x4"
+        assert hankel_matrix(2).at(2, 2).to_str() == "x4"
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            HankelSpec(-1)
+            hankel_matrix(-1)
 
 
 class TestBlockReduceSmall:

@@ -5,6 +5,8 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantinv.compositions import Composition
 from secantinv.hodge import HodgePoly, hodge_atom, milnor_hodge_bruteforce
@@ -106,6 +108,14 @@ class TestTorusNormalForm:
             assert change.exponent == reduce(math.gcd, exps)
             assert change.determinant() in (-1, 1)
             assert change.pullback_exponents() == tuple(exps)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    def test_unimodular_on_arbitrary_positive_vectors(self, exps):
+        change = torus_normal_form(exps)
+        assert change.determinant() in (-1, 1)
+        assert change.exponent == reduce(math.gcd, exps)
+        assert change.pullback_exponents() == tuple(exps)
 
     def test_invalid_exponents(self):
         with pytest.raises(ValueError):
