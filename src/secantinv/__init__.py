@@ -47,7 +47,6 @@ from .hankel import (
 )
 from .hodge import (
     BettiTable,
-    HodgePoly,
     gbundle_hodge,
     hodge_atom,
     milnor_betti,

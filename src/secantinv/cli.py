@@ -19,6 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cohomtables, drk, hankel, hodge, strata
+from .exactalg import MAX_DEGREE, MultiPoly, key_degree
 
 SCHEMA = "1"
 
@@ -28,12 +29,18 @@ SCHEMA = "1"
 #: `verify -n 7` takes about 22 s,
 #: `blockreduce -n 14 -k 0` takes about 3.7 s and writes 3.1 MB,
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
+#: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
+#: C(2g, j) grow with g),
 #: `nearby -n 500` takes about 0.8 s and writes 10.8 MB (quadratic in n).
+#: `hodge -n` is capped by representation, not time: the torus-bundle
+#: polynomial has degree 2n + 1, which must fit a packed monomial key.
 STRATA_MAX_N = 16
 VERIFY_MAX_N = 7
 BLOCKREDUCE_MAX_N = 14
+IH_MAX_G = 100
 IH_MAX_K = 4000
 NEARBY_MAX_N = 500
+HODGE_MAX_N = (MAX_DEGREE - 1) // 2
 
 
 def _json_dumps(obj: dict) -> str:
@@ -95,24 +102,33 @@ def _cmd_strata(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _hodge_coeffs(poly: MultiPoly) -> dict:
+    """JSON map {"<degree>": coefficient} of a Hodge polynomial in t = x0."""
+    return {str(key_degree(k, 1)): c for k, c in poly.packed.items()}
+
+
+def _hodge_text(poly: MultiPoly) -> str:
+    """Text form of a Hodge polynomial in t, e.g. "t^3 - 2*t + 5"."""
+    return poly.to_str().replace("x0", "t")
+
+
 def _cmd_hodge(args: argparse.Namespace, out) -> int:
     n, d = args.n, args.d
-    try:
-        if args.gbundle:
-            poly = hodge.gbundle_hodge(n, d if d is not None else n + 1)
-            subject = "gbundle"
-        elif d is not None:
-            poly = hodge.quotient_hodge(n, d)
-            subject = "quotient"
-        else:
-            poly = hodge.milnor_hodge_closed(n)
-            subject = "milnor"
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if args.format == "table":
-        out.write(f"{poly.to_str()}\n")
+    if d is not None and (d < 1 or (n + 1) % d != 0):
+        return _usage_error(f"-d must be a positive divisor of n+1 = {n + 1}")
+    if args.gbundle:
+        poly = hodge.gbundle_hodge(n, d if d is not None else n + 1)
+        subject = "gbundle"
+    elif d is not None:
+        poly = hodge.quotient_hodge(n, d)
+        subject = "quotient"
     else:
-        obj = {"schema": SCHEMA, "n": n, "subject": subject, "coeffs": poly.to_obj()}
+        poly = hodge.milnor_hodge_closed(n)
+        subject = "milnor"
+    if args.format == "table":
+        out.write(f"{_hodge_text(poly)}\n")
+    else:
+        obj = {"schema": SCHEMA, "n": n, "subject": subject, "coeffs": _hodge_coeffs(poly)}
         if d is not None:
             obj["d"] = d
         out.write(_json_dumps(obj))
@@ -200,10 +216,9 @@ def _cmd_eigenvectors(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_blockreduce(args: argparse.Namespace, out) -> int:
-    try:
-        reduction = hankel.block_reduce(args.n, args.k)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    if not 0 <= args.k <= args.n - 1:
+        return _usage_error(f"-k must be in 0..{args.n - 1}")
+    reduction = hankel.block_reduce(args.n, args.k)
     if args.format == "table":
         lines = [f"p_{i} = {p.to_str()}" for i, p in enumerate(reduction.p_seq)]
         lines += [f"y_{i} = {y.to_str()}" for i, y in enumerate(reduction.y_coords)]
@@ -285,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     int_arg(p, "-n", "matrix size parameter", 0, STRATA_MAX_N)
 
     p = add("hodge", _cmd_hodge, "Hodge polynomial of the Hankel Milnor fiber")
-    int_arg(p, "-n", "matrix size parameter", 1)
+    int_arg(p, "-n", "matrix size parameter", 1, HODGE_MAX_N)
     int_arg(p, "-d", "divisor of n+1 for the quotient fiber", required=False)
     p.add_argument("--gbundle", action="store_true", help="torus bundle over the quotient fiber")
 
@@ -297,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--sec2", action="store_true", help="second secant variety singular cohomology")
 
     p = add("ih", _cmd_ih, "intersection cohomology of a secant variety", latex=True)
-    int_arg(p, "-g", "curve genus", 0)
+    int_arg(p, "-g", "curve genus", 0, IH_MAX_G)
     int_arg(p, "-k", "secant index", 1, IH_MAX_K)
 
     p = add("monodromy", _cmd_monodromy, "monodromy eigenvalue table")

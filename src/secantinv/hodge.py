@@ -1,8 +1,8 @@
 """Hodge-polynomial calculus and Milnor-fiber Betti tables.
 
 Every Hodge polynomial in scope depends only on the product uv, so the
-polynomials are stored in the single variable t = uv; a (u, v) renderer
-exists for display.  Coefficients are exact integers.
+polynomials are one-variable ``MultiPoly`` values in t = uv = x0, with
+integer coefficients.
 
 For the Hankel determinant f of the (n+1) x (n+1) generic Hankel matrix,
 the global Milnor fiber {f = 1} has Hodge polynomial
@@ -20,135 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .compositions import divisors, euler_phi, iter_compositions
+from .exactalg import Monomial, MultiPoly
 
 
-class HodgePoly:
-    """Integer polynomial in t = uv, stored as {degree: coefficient}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: Dict[int, int] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                if d < 0:
-                    raise ValueError("Hodge polynomials have nonnegative degrees")
-                if c != 0:
-                    clean[int(d)] = int(c)
-        self.coeffs = clean
-
-    @staticmethod
-    def zero() -> "HodgePoly":
-        return HodgePoly()
-
-    @staticmethod
-    def const(c: int) -> "HodgePoly":
-        return HodgePoly({0: c})
-
-    @staticmethod
-    def t_power(d: int, c: int = 1) -> "HodgePoly":
-        return HodgePoly({d: c})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HodgePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "HodgePoly") -> "HodgePoly":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            v = out.get(d, 0) + c
-            if v == 0:
-                out.pop(d, None)
-            else:
-                out[d] = v
-        return HodgePoly(out)
-
-    def __neg__(self) -> "HodgePoly":
-        return HodgePoly({d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other: "HodgePoly") -> "HodgePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "HodgePoly") -> "HodgePoly":
-        out: Dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                v = out.get(d, 0) + c1 * c2
-                if v == 0:
-                    out.pop(d, None)
-                else:
-                    out[d] = v
-        return HodgePoly(out)
-
-    def scale(self, c: int) -> "HodgePoly":
-        return HodgePoly({d: c * v for d, v in self.coeffs.items()})
-
-    def __pow__(self, exp: int) -> "HodgePoly":
-        if exp < 0:
-            raise ValueError("negative powers are not defined")
-        out = HodgePoly.const(1)
-        for _ in range(exp):
-            out = out * self
-        return out
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
-
-    def eval(self, t: int) -> int:
-        return sum(c * t**d for d, c in self.coeffs.items())
-
-    def coefficient(self, d: int) -> int:
-        return self.coeffs.get(d, 0)
-
-    def leq_coefficientwise(self, other: "HodgePoly") -> bool:
-        degrees = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(d) <= other.coefficient(d) for d in degrees)
-
-    def to_obj(self) -> Dict[str, int]:
-        """JSON-ready {degree: coefficient} map with string keys."""
-        return {str(d): c for d, c in sorted(self.coeffs.items())}
-
-    def to_str(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces: List[str] = []
-        for d, c in sorted(self.coeffs.items(), reverse=True):
-            if d == 0:
-                body = str(abs(c))
-            else:
-                v = var if d == 1 else f"{var}^{d}"
-                body = v if abs(c) == 1 else f"{abs(c)}*{v}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def to_uv_str(self) -> str:
-        """Render in (u, v), placing the coefficient of t^p at u^p v^p."""
-        if not self.coeffs:
-            return "0"
-        pieces: List[str] = []
-        for d, c in sorted(self.coeffs.items(), reverse=True):
-            if d == 0:
-                body = str(abs(c))
-            else:
-                uv = f"u^{d}*v^{d}" if d > 1 else "u*v"
-                body = uv if abs(c) == 1 else f"{abs(c)}*{uv}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"HodgePoly({self.to_str()!r})"
+def _t_poly(coeffs: Mapping[int, int]) -> MultiPoly:
+    """The Hodge polynomial sum c * t^d in t = x0, from its {d: c} map."""
+    return MultiPoly(1, {Monomial.from_map({0: d}): c for d, c in coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -198,7 +78,7 @@ class BettiTable:
 _ATOM_KINDS = ("point", "affine", "torus", "projective")
 
 
-def hodge_atom(kind: str, param: int) -> HodgePoly:
+def hodge_atom(kind: str, param: int) -> MultiPoly:
     """Hodge polynomial of a basic variety.
 
     * ``point(d)``      -> d            (d disjoint points, d >= 1)
@@ -209,22 +89,22 @@ def hodge_atom(kind: str, param: int) -> HodgePoly:
     if kind == "point":
         if param < 1:
             raise ValueError("a point count must be at least 1")
-        return HodgePoly.const(param)
+        return _t_poly({0: param})
     if param < 0:
         raise ValueError(f"{kind} dimension must be nonnegative")
     if kind == "affine":
-        return HodgePoly.t_power(param)
+        return _t_poly({param: 1})
     if kind == "torus":
-        return HodgePoly({1: 1, 0: -1}) ** param
+        return _t_poly({1: 1, 0: -1}) ** param
     if kind == "projective":
-        return HodgePoly({d: 1 for d in range(param + 1)})
+        return _t_poly({d: 1 for d in range(param + 1)})
     raise ValueError(f"unknown atom kind {kind!r}; expected one of {_ATOM_KINDS}")
 
 
 # -- Milnor fiber of the Hankel determinant -----------------------------------
 
 
-def milnor_hodge_bruteforce(n: int) -> HodgePoly:
+def milnor_hodge_bruteforce(n: int) -> MultiPoly:
     """Hodge polynomial of the Hankel Milnor fiber by direct stratum sum.
 
     Sums gcd(P) * t^n * (t-1)^(|P|-1) over all compositions P of n+1; each
@@ -233,22 +113,22 @@ def milnor_hodge_bruteforce(n: int) -> HodgePoly:
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    torus_powers = [hodge_atom("torus", l) for l in range(n + 1)]
-    tn = HodgePoly.t_power(n)
-    total = HodgePoly.zero()
+    tn = hodge_atom("affine", n)
+    strata = [tn * hodge_atom("torus", l) for l in range(n + 1)]
+    total = MultiPoly.zero(1)
     for comp in iter_compositions(n + 1):
-        total = total + (tn * torus_powers[len(comp) - 1]).scale(comp.gcd())
+        total = total + strata[len(comp) - 1].scale(comp.gcd())
     return total
 
 
-def milnor_hodge_closed(n: int) -> HodgePoly:
+def milnor_hodge_closed(n: int) -> MultiPoly:
     """Closed totient form t^(n-1) * sum_{d | n+1} phi((n+1)/d) t^d."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return HodgePoly({n - 1 + d: euler_phi((n + 1) // d) for d in divisors(n + 1)})
+    return _t_poly({n - 1 + d: euler_phi((n + 1) // d) for d in divisors(n + 1)})
 
 
-def quotient_hodge(n: int, d: int) -> HodgePoly:
+def quotient_hodge(n: int, d: int) -> MultiPoly:
     """Hodge polynomial of the Milnor fiber quotient by the order-(n+1)/d
     subgroup of the scaling monodromy group.
 
@@ -260,22 +140,18 @@ def quotient_hodge(n: int, d: int) -> HodgePoly:
     if d < 1 or (n + 1) % d != 0:
         raise ValueError(f"{d} does not divide {n + 1}")
     step = (n + 1) // d
-    return HodgePoly(
-        {
-            n - 1 + m: euler_phi((n + 1) // m)
-            for m in divisors(n + 1)
-            if m % step == 0
-        }
+    return _t_poly(
+        {n - 1 + m: euler_phi((n + 1) // m) for m in divisors(n + 1) if m % step == 0}
     )
 
 
-def gbundle_hodge(n: int, d: int) -> HodgePoly:
+def gbundle_hodge(n: int, d: int) -> MultiPoly:
     """Hodge polynomial of the torus bundle {y^d f(x) = 1} over the quotient
     fiber: (t - 1) * quotient_hodge(n, d)."""
     return hodge_atom("torus", 1) * quotient_hodge(n, d)
 
 
-def gbundle_hodge_bruteforce(n: int, d: int) -> HodgePoly:
+def gbundle_hodge_bruteforce(n: int, d: int) -> MultiPoly:
     """Independent stratum-sum oracle for :func:`gbundle_hodge`.
 
     On the stratum of a composition P the defining monomial equation cuts
@@ -286,12 +162,11 @@ def gbundle_hodge_bruteforce(n: int, d: int) -> HodgePoly:
         raise ValueError(f"defined for n >= 1, got {n}")
     if d < 1 or (n + 1) % d != 0:
         raise ValueError(f"{d} does not divide {n + 1}")
-    torus_powers = [hodge_atom("torus", l) for l in range(n + 2)]
-    tn = HodgePoly.t_power(n)
-    total = HodgePoly.zero()
+    tn = hodge_atom("affine", n)
+    strata = [tn * hodge_atom("torus", l) for l in range(n + 2)]
+    total = MultiPoly.zero(1)
     for comp in iter_compositions(n + 1):
-        weight = math.gcd(d, comp.gcd())
-        total = total + (tn * torus_powers[len(comp)]).scale(weight)
+        total = total + strata[len(comp)].scale(math.gcd(d, comp.gcd()))
     return total
 
 

@@ -23,6 +23,8 @@ GOLDEN_COMMANDS = [
     ["hodge", "-n", "5", "-d", "3"],
     ["hodge", "-n", "5", "-d", "3", "--gbundle"],
     ["hodge", "-n", "5", "-d", "3", "--format", "table"],
+    ["hodge", "-n", "5", "-d", "3", "--gbundle", "--format", "table"],
+    ["hodge", "-n", "3", "--format", "table"],
     ["betti", "--milnor", "-n", "2"],
     ["betti", "--milnor", "-n", "5"],
     ["betti", "--sec2", "-g", "2"],

@@ -78,7 +78,7 @@ def test_criterion_2_hodge_polynomial_identity():
         for n in range(1, 17):
             closed = milnor_hodge_closed(n)
             assert milnor_hodge_bruteforce(n) == closed
-            assert closed.eval(1) == n + 1
+            assert closed.eval([1]) == n + 1
         assert time.monotonic() - start < 30.0
 
 

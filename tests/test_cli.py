@@ -52,6 +52,7 @@ def no_computation(monkeypatch):
         (cli.hankel, "verify_block_reduction"),
         (cli.hodge, "milnor_hodge_closed"),
         (cli.hodge, "quotient_hodge"),
+        (cli.hodge, "gbundle_hodge"),
         (cli.cohomtables, "ih_betti"),
         (cli.cohomtables, "monodromy_eigentable"),
         (cli.cohomtables, "nearby_vanishing_decomposition"),
@@ -197,7 +198,9 @@ class TestRoundTrips:
             "schema": "1",
             "n": 3,
             "subject": "milnor",
-            "coeffs": milnor_hodge_closed(3).to_obj(),
+            "coeffs": {
+                str(mono.dense(1)[0]): c for mono, c in milnor_hodge_closed(3).terms.items()
+            },
         }
 
     def test_monodromy(self):
@@ -281,7 +284,9 @@ class TestSizeCeilings:
         [
             pytest.param(("blockreduce", "-k", "0", "-n"), cli.BLOCKREDUCE_MAX_N, id="blockreduce"),
             pytest.param(("ih", "-g", "2", "-k"), cli.IH_MAX_K, id="ih"),
+            pytest.param(("ih", "-k", "2", "-g"), cli.IH_MAX_G, id="ih-g"),
             pytest.param(("nearby", "-n"), cli.NEARBY_MAX_N, id="nearby"),
+            pytest.param(("hodge", "-n"), cli.HODGE_MAX_N, id="hodge"),
         ],
     )
     def test_above_ceiling_exits_2_without_computing(
@@ -306,7 +311,11 @@ class TestSizeCeilings:
         assert run_cli("verify", "-n", str(cli.VERIFY_MAX_N))[0] == 0
         assert run_cli("blockreduce", "-n", str(cli.BLOCKREDUCE_MAX_N), "-k", "0")[0] == 0
         assert run_cli("ih", "-g", "2", "-k", str(cli.IH_MAX_K))[0] == 0
+        assert run_cli("ih", "-g", str(cli.IH_MAX_G), "-k", "2")[0] == 0
         assert run_cli("nearby", "-n", str(cli.NEARBY_MAX_N))[0] == 0
+        # Computed for real: the largest Hodge polynomial, degree 2n + 1,
+        # still fits a packed monomial key.
+        assert run_cli("hodge", "-n", str(cli.HODGE_MAX_N), "--gbundle")[0] == 0
 
     def test_help_states_the_ceilings(self, capsys):
         for name, stated in (
@@ -314,7 +323,9 @@ class TestSizeCeilings:
             ("verify", f"1..{cli.VERIFY_MAX_N}"),
             ("blockreduce", f"1..{cli.BLOCKREDUCE_MAX_N}"),
             ("ih", f"1..{cli.IH_MAX_K}"),
+            ("ih", f"0..{cli.IH_MAX_G}"),
             ("nearby", f"1..{cli.NEARBY_MAX_N}"),
+            ("hodge", f"1..{cli.HODGE_MAX_N}"),
         ):
             run_cli(name, "--help")
             assert stated in capsys.readouterr().out
@@ -340,3 +351,38 @@ class TestFailureExitCodes:
         code, text = run_cli("verify", "-n", "2", "--format", "table")
         assert code == 1
         assert text == "n=2 k=0: FAIL determinant\nn=2 k=1: FAIL determinant\n"
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            pytest.param(cli.hodge, "milnor_hodge_closed", ("hodge", "-n", "2"), id="hodge"),
+            pytest.param(cli.hankel, "block_reduce", ("blockreduce", "-n", "2", "-k", "0"), id="blockreduce"),
+        ],
+    )
+    def test_internal_value_error_exits_3(self, monkeypatch, capsys, module, name, argv):
+        def broken(*args):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(module, name, broken)
+        code, text = run_cli(*argv)
+        assert code == 3
+        assert text == ""
+        assert "internal error: ValueError: broken invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hodge", "-n", "5", "-d", "4"),
+            ("hodge", "-n", "5", "-d", "0"),
+            ("hodge", "-n", "5", "-d", "-3"),
+            ("hodge", "-n", "5", "-d", "4", "--gbundle"),
+            ("blockreduce", "-n", "2", "-k", "2"),
+            ("blockreduce", "-n", "2", "-k", "-1"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_dependent_argument_exits_2_without_computing(self, no_computation, capsys, argv):
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("secantinv: error: ")

@@ -1,4 +1,5 @@
-"""Exact sparse rank and dense determinant against a dense Fraction reference."""
+"""Exact sparse rank and dense determinant against a dense Fraction
+reference, and against sympy where it is installed."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from secantinv.drk import _class_basis, _d_f_rows, hankel_determinant_poly
 from secantinv.hankel import random_locus_point
 from secantinv.linalg import det, rank
 
@@ -136,6 +138,36 @@ class TestRank:
         projected = matmul(transform[rank_b:], a) if rank_b < len(b) else []
         joined = [ra | rb for ra, rb in zip(sparse(a, "A"), sparse(b, "B"))]
         assert rank(joined) - rank(sparse(b, "B")) == gauss_jordan(projected)[0]
+
+
+def sympy_rank(sympy, rows, columns):
+    """Rank by sympy of sparse rows densified over the given column keys."""
+    return sympy.Matrix(
+        len(rows),
+        len(columns),
+        [sympy.Rational(Fraction(row.get(c, 0))) for row in rows for c in columns],
+    ).rank()
+
+
+class TestRankAgainstSympy:
+    @SETTINGS
+    @given(matrices())
+    def test_random_rows(self, rows):
+        sympy = pytest.importorskip("sympy")
+        ncols = len(rows[0]) if rows else 0
+        assert rank(sparse(rows)) == sympy_rank(sympy, sparse(rows), range(ncols))
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_d_f_slices_of_det_h1(self, cap):
+        # Every form degree and class (mod deg f = 2) of the slices that
+        # truncated_drk_dims ranks for det H_1 = x0*x2 - x1^2.
+        sympy = pytest.importorskip("sympy")
+        f = hankel_determinant_poly(1)
+        for residue in (0, 1):
+            for k in range(f.nvars + 1):
+                rows = _d_f_rows(f, _class_basis(f.nvars, k, 2, residue, cap))
+                columns = sorted({key for row in rows for key in row})
+                assert rank(rows) == sympy_rank(sympy, rows, columns), (residue, k)
 
 
 def hankel_point_matrix(n, rng):
