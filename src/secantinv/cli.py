@@ -25,7 +25,7 @@ SCHEMA = "1"
 
 #: Size ceilings of the subcommands whose cost explodes with their size
 #: argument (one run each at the ceiling on a 2-core VM):
-#: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 3 s,
+#: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 2.6 s,
 #: `verify -n 7` takes about 22 s,
 #: `blockreduce -n 14 -k 0` takes about 3.7 s and writes 3.1 MB,
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),

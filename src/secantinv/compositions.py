@@ -24,7 +24,7 @@ from functools import reduce
 from typing import Iterator, List, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Composition:
     """An ordered tuple of positive integers."""
 
@@ -58,23 +58,27 @@ class Composition:
         return list(self.parts)
 
 
-def iter_compositions(n: int) -> Iterator[Composition]:
-    """Yield the 2^(n-1) compositions of n in subset-binary order.
+def composition_parts(n: int) -> List[Tuple[int, ...]]:
+    """The parts of the 2^(n-1) compositions of n, in cut-mask order.
 
-    Bit j of the mask (j = 0 .. n-2) marks a cut after position j+1, so the
-    mask 0 yields (n) and the all-ones mask yields (1, ..., 1).
+    Bit j of a cut mask (j = 0 .. n-2) marks a cut after position j+1, so
+    the mask 0 gives (n) and the all-ones mask gives (1, ..., 1).  The masks
+    of n without bit n-2 are those of n-1 with the last part grown by one;
+    the masks with it are those of n-1 with a part 1 appended.  Doubling
+    the list of n-1 that way therefore keeps increasing mask order.
     """
     if n < 1:
         raise ValueError(f"compositions are defined for n >= 1, got {n}")
-    for mask in range(1 << (n - 1)):
-        parts: List[int] = []
-        prev = 0
-        for j in range(n - 1):
-            if mask >> j & 1:
-                parts.append(j + 1 - prev)
-                prev = j + 1
-        parts.append(n - prev)
-        yield Composition(tuple(parts))
+    parts: List[Tuple[int, ...]] = [(1,)]
+    for _ in range(n - 1):
+        parts = [c[:-1] + (c[-1] + 1,) for c in parts] + [c + (1,) for c in parts]
+    return parts
+
+
+def iter_compositions(n: int) -> Iterator[Composition]:
+    """Yield the 2^(n-1) compositions of n in subset-binary (cut-mask)
+    order; see :func:`composition_parts` for the doubling rule behind it."""
+    return map(Composition, composition_parts(n))
 
 
 def enumerate_compositions(n: int) -> List[Composition]:

@@ -29,6 +29,7 @@ Every identity here is verified symbolically (exact polynomial algebra) by
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,13 +287,46 @@ def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:
     return point
 
 
+def _y_at_point(n: int, k: int, x: Sequence[Fraction]) -> List[Fraction]:
+    """The coordinates y_0 .. y_{2n-k} of the block reduction at a rational
+    point x of the locus, computed over Z.
+
+    Each p_i is homogeneous of degree -1 with denominator x_k^(i+1), so
+    clearing the point's denominators once (X = scale * x, scale = their
+    lcm) gives p_i(x) = scale * P_i / X_k^(i+1) with integers P_i that obey
+
+        P_0 = 1,  P_l = -sum_{j<l} X_k^(l-1-j) * P_j * X_{k+l-j}
+
+    (the p-recurrence multiplied by X_k^(l+1), run by Horner in X_k).  Then
+    y_i = +-x_k^2 p_i(x) = +-P_i / (X_k^(i-1) * scale): the same rationals
+    as the recurrence run in Fractions, each built once from integers.
+    """
+    scale = math.lcm(*(v.denominator for v in x))
+    big = [v.numerator * (scale // v.denominator) for v in x]
+    xk = big[k]
+    p = [1]
+    for ell in range(1, 2 * n - k + 1):
+        acc = 0
+        for j in range(ell):
+            acc = acc * xk + p[j] * big[k + ell - j]
+        p.append(-acc)
+    y = [x[k]]
+    power = scale  # X_k^(i-1) * scale
+    for i in range(1, 2 * n - k + 1):
+        y.append(Fraction(p[i] if i <= k else -p[i], power))
+        power *= xk
+    return y
+
+
 def factorization_identity_at_point(
     n: int, k: int, point: Sequence[Fraction]
 ) -> bool:
     """Evaluate det H_n = y_0^(k+1) * det H_{n-k-1}(y..) at one exact point.
 
-    The p-recurrence and the y-coordinates are evaluated numerically in
-    exact rational arithmetic; no symbolic reduction is built.
+    No symbolic reduction is built: the y-coordinates come from the
+    p-recurrence run on integers over the point's common denominator (see
+    :func:`_y_at_point`), which yields exactly the rationals the symbolic
+    y_i take at the point, and both sides are exact rational determinants.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1, got {k}")
@@ -302,17 +336,7 @@ def factorization_identity_at_point(
     if any(x[j] != 0 for j in range(k)) or x[k] == 0:
         raise ValueError("point is not on the reduction locus")
 
-    p = [1 / x[k]]
-    for ell in range(1, 2 * n - k + 1):
-        acc = sum(p[j] * x[k + ell - j] for j in range(ell))
-        p.append(-acc / x[k])
-
-    y = [x[k]]
-    xk2 = x[k] ** 2
-    for i in range(1, 2 * n - k + 1):
-        yi = xk2 * p[i]
-        y.append(yi if i <= k else -yi)
-
+    y = _y_at_point(n, k, x)
     lhs = det(
         [[x[i + j] for j in range(n + 1)] for i in range(n + 1)]
     )

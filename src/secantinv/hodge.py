@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from typing import Mapping, Sequence, Tuple
 
-from .compositions import divisors, euler_phi, iter_compositions
+from .compositions import composition_parts, divisors, euler_phi
 from .exactalg import Monomial, MultiPoly
 
 
@@ -104,21 +104,31 @@ def hodge_atom(kind: str, param: int) -> MultiPoly:
 # -- Milnor fiber of the Hankel determinant -----------------------------------
 
 
+def _weighted_strata_sum(n: int, weights: Sequence[int]) -> MultiPoly:
+    """sum_l weights[l] * t^n * (t-1)^l."""
+    tn = hodge_atom("affine", n)
+    total = MultiPoly.zero(1)
+    for l, w in enumerate(weights):
+        if w:
+            total = total + (tn * hodge_atom("torus", l)).scale(w)
+    return total
+
+
 def milnor_hodge_bruteforce(n: int) -> MultiPoly:
     """Hodge polynomial of the Hankel Milnor fiber by direct stratum sum.
 
     Sums gcd(P) * t^n * (t-1)^(|P|-1) over all compositions P of n+1; each
     composition indexes one torus stratum meeting the fiber in gcd(P)
-    parallel translates of a torus.
+    parallel translates of a torus.  Every composition is visited, but only
+    its gcd is added, into an integer weight for its length; the
+    polynomials are scaled and summed once per length.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    tn = hodge_atom("affine", n)
-    strata = [tn * hodge_atom("torus", l) for l in range(n + 1)]
-    total = MultiPoly.zero(1)
-    for comp in iter_compositions(n + 1):
-        total = total + strata[len(comp) - 1].scale(comp.gcd())
-    return total
+    weights = [0] * (n + 1)
+    for parts in composition_parts(n + 1):
+        weights[len(parts) - 1] += math.gcd(*parts)
+    return _weighted_strata_sum(n, weights)
 
 
 def milnor_hodge_closed(n: int) -> MultiPoly:
@@ -156,18 +166,18 @@ def gbundle_hodge_bruteforce(n: int, d: int) -> MultiPoly:
 
     On the stratum of a composition P the defining monomial equation cuts
     one torus factor out of an (|P|+1)-torus and leaves gcd(d, P) parallel
-    copies, giving gcd(d, p_1, ..., p_l) * t^n * (t-1)^l per stratum.
+    copies, giving gcd(d, p_1, ..., p_l) * t^n * (t-1)^l per stratum.  As
+    in :func:`milnor_hodge_bruteforce`, the gcds are summed into one
+    integer weight per length before any polynomial is built.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
     if d < 1 or (n + 1) % d != 0:
         raise ValueError(f"{d} does not divide {n + 1}")
-    tn = hodge_atom("affine", n)
-    strata = [tn * hodge_atom("torus", l) for l in range(n + 2)]
-    total = MultiPoly.zero(1)
-    for comp in iter_compositions(n + 1):
-        total = total + strata[len(comp)].scale(math.gcd(d, comp.gcd()))
-    return total
+    weights = [0] * (n + 2)
+    for parts in composition_parts(n + 1):
+        weights[len(parts)] += math.gcd(d, *parts)
+    return _weighted_strata_sum(n, weights)
 
 
 def milnor_betti(n: int) -> BettiTable:

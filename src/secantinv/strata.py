@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .compositions import Composition, iter_compositions
+from .compositions import Composition, composition_parts
 from .linalg import det
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumDescriptor:
     """Combinatorial data of one torus stratum.
 
@@ -78,6 +78,17 @@ class UnimodularChange:
         return tuple(row[0] * self.exponent for row in self.matrix)
 
 
+def _stratum_monomial(parts: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """((q_i, p_i), ...): block i has size p_i and anchor coordinate index
+    q_i = 2*s_i + p_i - 1, with s_i = p_1 + ... + p_{i-1}."""
+    out: List[Tuple[int, int]] = []
+    start = 0
+    for p in parts:
+        out.append((2 * start + p - 1, p))
+        start += p
+    return tuple(out)
+
+
 def stratum_coordinate_trace(n: int, composition: Composition) -> List[Tuple[int, int]]:
     """Block sizes and anchor coordinate indices for one stratum.
 
@@ -90,12 +101,7 @@ def stratum_coordinate_trace(n: int, composition: Composition) -> List[Tuple[int
         raise ValueError(
             f"composition sums to {composition.total}, expected {n + 1}"
         )
-    out: List[Tuple[int, int]] = []
-    start = 0
-    for p in composition.parts:
-        out.append((p, 2 * start + p - 1))
-        start += p
-    return out
+    return [(p, q) for q, p in _stratum_monomial(composition.parts)]
 
 
 def stratify(n: int) -> List[StratumDescriptor]:
@@ -107,20 +113,17 @@ def stratify(n: int) -> List[StratumDescriptor]:
     """
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    out: List[StratumDescriptor] = []
-    for comp in iter_compositions(n + 1):
-        trace = stratum_coordinate_trace(n, comp)
-        out.append(
-            StratumDescriptor(
-                composition=comp,
-                torus_rank=len(comp),
-                affine_rank=n,
-                exponent_vector=comp.parts,
-                gcd=comp.gcd(),
-                monomial=tuple((q, p) for p, q in trace),
-            )
+    return [
+        StratumDescriptor(
+            composition=Composition(parts),
+            torus_rank=len(parts),
+            affine_rank=n,
+            exponent_vector=parts,
+            gcd=math.gcd(*parts),
+            monomial=_stratum_monomial(parts),
         )
-    return out
+        for parts in composition_parts(n + 1)
+    ]
 
 
 def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:

@@ -19,6 +19,7 @@ from secantinv import cli
 GOLDEN_COMMANDS = [
     ["strata", "-n", "2"],
     ["strata", "-n", "3", "--format", "table"],
+    ["strata", "-n", "5"],
     ["hodge", "-n", "2"],
     ["hodge", "-n", "5", "-d", "3"],
     ["hodge", "-n", "5", "-d", "3", "--gbundle"],

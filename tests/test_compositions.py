@@ -59,6 +59,16 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_compositions(0)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_order_is_increasing_cut_mask_order(self, n):
+        # Reference: bit j of the mask marks a cut after position j+1, and
+        # the masks are read in increasing order.
+        expected = []
+        for mask in range(1 << (n - 1)):
+            cuts = [0] + [j + 1 for j in range(n - 1) if mask >> j & 1] + [n]
+            expected.append(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+        assert [c.parts for c in enumerate_compositions(n)] == expected
+
 
 class TestArithmeticFunctions:
     def test_small_values(self):

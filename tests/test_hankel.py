@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from secantinv.exactalg import LocalizedPoly, MultiPoly, PolyMatrix, poly_det
 from secantinv.hankel import (
+    _y_at_point,
     block_reduce,
     factorization_identity,
     factorization_identity_at_point,
@@ -20,6 +22,35 @@ from secantinv.hankel import (
 
 def p(nvars, text):
     return MultiPoly.from_str(nvars, text)
+
+
+def fraction_recurrence_y(n, k, x):
+    """Reference y_0 .. y_{2n-k}: the p-recurrence run step by step in
+    Fractions, p_0 = 1/x_k, p_l = -(p_0 x_{k+l} + ... + p_{l-1} x_{k+1}) / x_k,
+    then y_i = +-x_k^2 p_i."""
+    p_vals = [1 / x[k]]
+    for ell in range(1, 2 * n - k + 1):
+        acc = sum(p_vals[j] * x[k + ell - j] for j in range(ell))
+        p_vals.append(-acc / x[k])
+    y = [x[k]]
+    for i in range(1, 2 * n - k + 1):
+        yi = x[k] ** 2 * p_vals[i]
+        y.append(yi if i <= k else -yi)
+    return y
+
+
+# Pairwise coprime denominators, one per coordinate of a point with n <= 6.
+PRIMES = (8191, 8209, 8219, 8221, 8231, 8233, 8237, 8243, 8263, 8269, 8273, 8287, 8291)
+
+
+def coprime_denominator_point(n, k, rng):
+    """A locus point whose nonzero coordinates have pairwise coprime prime
+    denominators, so their lcm is the product of all of them."""
+    point = [Fraction(0)] * (2 * n + 1)
+    for j in range(k, 2 * n + 1):
+        q = PRIMES[j]
+        point[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, q - 1), q)
+    return point
 
 
 class TestHankelMatrix:
@@ -170,6 +201,21 @@ class TestFactorization:
                 for i in range(1, 2 * n - k + 1):
                     expected = xk2 * p_vals[i] * (1 if i <= k else -1)
                     assert r.y_coords[i].eval(point) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_point_y_matches_symbolic_y_and_fraction_recurrence(self, n):
+        # The integer recurrence behind factorization_identity_at_point must
+        # give exactly the symbolic y_i evaluated at the point, and exactly
+        # what the step-by-step Fraction recurrence gives.
+        rng = random.Random(700 + n)
+        for k in range(n):
+            r = block_reduce(n, k)
+            points = [random_locus_point(n, k, rng) for _ in range(3)]
+            points += [coprime_denominator_point(n, k, rng) for _ in range(2)]
+            for point in points:
+                y = _y_at_point(n, k, point)
+                assert y == fraction_recurrence_y(n, k, point)
+                assert y == [yi.eval(point) for yi in r.y_coords]
 
     def test_point_off_locus_rejected(self):
         with pytest.raises(ValueError):

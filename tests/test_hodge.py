@@ -59,6 +59,10 @@ class TestMilnorHodge:
         for n in range(1, 11):
             assert milnor_hodge_bruteforce(n) == milnor_hodge_closed(n)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_brute_equals_closed_up_to_14(self, n):
+        assert milnor_hodge_bruteforce(n) == milnor_hodge_closed(n)
+
     def test_euler_characteristic_is_n_plus_one(self):
         for n in range(1, 17):
             assert milnor_hodge_closed(n).eval([1]) == n + 1
@@ -95,6 +99,11 @@ class TestGBundleHodge:
         for n in range(1, 8):
             for d in divisors(n + 1):
                 assert gbundle_hodge(n, d) == gbundle_hodge_bruteforce(n, d)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_brute_force_oracle_agreement_up_to_12(self, n):
+        for d in divisors(n + 1):
+            assert gbundle_hodge(n, d) == gbundle_hodge_bruteforce(n, d)
 
     def test_torus_bundle_property(self):
         for n in range(1, 10):
