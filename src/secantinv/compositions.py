@@ -54,9 +54,6 @@ class Composition:
         d = self.gcd()
         return d, Composition(tuple(p // d for p in self.parts))
 
-    def to_obj(self) -> List[int]:
-        return list(self.parts)
-
 
 def composition_parts(n: int) -> List[Tuple[int, ...]]:
     """The parts of the 2^(n-1) compositions of n, in cut-mask order.

@@ -33,29 +33,34 @@ from .linalg import det
 
 @dataclass(frozen=True, slots=True)
 class StratumDescriptor:
-    """Combinatorial data of one torus stratum.
+    """One torus stratum, stored as its composition's parts and n; the rest is derived.
 
     ``monomial`` lists (coordinate index, exponent) pairs of the restricted
     determinant; ``torus_rank`` + ``affine_rank`` is the stratum dimension.
     """
 
-    composition: Composition
-    torus_rank: int
-    affine_rank: int
     exponent_vector: Tuple[int, ...]
-    gcd: int
-    monomial: Tuple[Tuple[int, int], ...]
+    affine_rank: int
+
+    @property
+    def composition(self) -> Composition:
+        return Composition(self.exponent_vector)
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.exponent_vector)
+
+    @property
+    def gcd(self) -> int:
+        return math.gcd(*self.exponent_vector)
+
+    @property
+    def monomial(self) -> Tuple[Tuple[int, int], ...]:
+        return _stratum_monomial(self.exponent_vector)
 
     @property
     def dimension(self) -> int:
         return self.torus_rank + self.affine_rank
-
-    def to_obj(self) -> dict:
-        return {
-            "composition": self.composition.to_obj(),
-            "gcd": self.gcd,
-            "monomial": [{"var": q, "power": p} for q, p in self.monomial],
-        }
 
 
 @dataclass(frozen=True)
@@ -113,17 +118,7 @@ def stratify(n: int) -> List[StratumDescriptor]:
     """
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    return [
-        StratumDescriptor(
-            composition=Composition(parts),
-            torus_rank=len(parts),
-            affine_rank=n,
-            exponent_vector=parts,
-            gcd=math.gcd(*parts),
-            monomial=_stratum_monomial(parts),
-        )
-        for parts in composition_parts(n + 1)
-    ]
+    return [StratumDescriptor(parts, n) for parts in composition_parts(n + 1)]
 
 
 def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:

@@ -17,9 +17,11 @@ from pathlib import Path
 from secantinv import cli
 
 GOLDEN_COMMANDS = [
+    ["strata", "-n", "0"],
     ["strata", "-n", "2"],
     ["strata", "-n", "3", "--format", "table"],
     ["strata", "-n", "5"],
+    ["strata", "-n", "8"],
     ["hodge", "-n", "2"],
     ["hodge", "-n", "5", "-d", "3"],
     ["hodge", "-n", "5", "-d", "3", "--gbundle"],

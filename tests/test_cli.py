@@ -1,8 +1,14 @@
 """Command-line interface: golden outputs, determinism, exit codes, size
-ceilings, and CLI JSON against each library value's own `to_obj()`."""
+ceilings, a closed stdout pipe, and CLI JSON against each library value's
+own `to_obj()` (or, for strata, the record dict kept here as reference)."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 from secantinv import cli
@@ -24,6 +30,23 @@ from secantinv.hankel import (
 )
 from secantinv.hodge import BettiTable, milnor_hodge_closed
 from secantinv.strata import stratify
+
+
+def stratum_obj(d):
+    """Reference JSON record of one stratum: the dict form the CLI used to
+    build per record and hand to json.dumps."""
+    return {
+        "composition": list(d.composition.parts),
+        "gcd": d.gcd,
+        "monomial": [{"var": q, "power": p} for q, p in d.monomial],
+    }
+
+
+def strata_json_reference(n):
+    return json.dumps(
+        {"schema": "1", "n": n, "strata": [stratum_obj(d) for d in stratify(n)]},
+        sort_keys=True,
+    ) + "\n"
 
 
 def run_cli(*argv):
@@ -166,7 +189,8 @@ class TestExitCodes:
 
 class TestRoundTrips:
     """Library value to CLI JSON: the output is exactly the value's own
-    `to_obj()`, inside the CLI's envelope keys.  Nothing parses it back."""
+    `to_obj()` (for strata, `stratum_obj`), inside the CLI's envelope keys.
+    Nothing parses it back."""
 
     def test_betti_milnor(self):
         assert cli_json("betti", "--milnor", "-n", "3") == {
@@ -228,7 +252,7 @@ class TestRoundTrips:
 
     def test_strata(self):
         assert cli_json("strata", "-n", "3")["strata"] == [
-            d.to_obj() for d in stratify(3)
+            stratum_obj(d) for d in stratify(3)
         ]
 
     def test_verify(self):
@@ -386,3 +410,56 @@ class TestFailureExitCodes:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("secantinv: error: ")
+
+
+class TestStrataStreaming:
+    """`strata` writes its JSON one record at a time instead of building the
+    document; the bytes must stay those of json.dumps(..., sort_keys=True)."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_json_bytes_equal_the_dumped_reference(self, n):
+        assert run_cli("strata", "-n", str(n)) == (0, strata_json_reference(n))
+
+    def test_peak_memory_stays_far_below_the_document(self):
+        class Sink:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            code = cli.run(["strata", "-n", "12"], sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written == len(strata_json_reference(12))
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "n, read", [(14, 5), (3, 0)], ids=["closed-after-5-bytes", "closed-before-reading"]
+    )
+    def test_reader_closing_stdout_early_is_not_an_error(self, n, read, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "secantinv.cli", "strata", "-n", str(n)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head == b'{"n":'[:read]
+        assert (code, err) == (0, b"")

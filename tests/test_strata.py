@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 from functools import reduce
 
 import pytest
@@ -12,6 +13,7 @@ from secantinv.compositions import Composition
 from secantinv.exactalg import MultiPoly
 from secantinv.hodge import hodge_atom, milnor_hodge_bruteforce
 from secantinv.strata import (
+    StratumDescriptor,
     stratify,
     stratum_coordinate_trace,
     torus_normal_form,
@@ -35,6 +37,13 @@ class TestStratify:
             assert d.gcd == reduce(math.gcd, d.composition.parts)
             assert d.dimension == d.torus_rank + 3
             assert tuple(pw for _, pw in d.monomial) == d.composition.parts
+
+    def test_descriptor_stores_parts_and_affine_rank_only(self):
+        d = StratumDescriptor((2, 2), 3)
+        assert d == stratify(3)[2]
+        assert (d.composition, d.torus_rank, d.gcd, d.dimension) == (Composition((2, 2)), 2, 2, 5)
+        assert d.monomial == ((1, 2), (5, 2))
+        assert [f.name for f in fields(d)] == ["exponent_vector", "affine_rank"]
 
     def test_counts_up_to_14(self):
         for n in range(0, 15):
