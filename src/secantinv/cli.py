@@ -25,10 +25,12 @@ from .exactalg import MAX_DEGREE, MultiPoly, key_degree
 SCHEMA = "1"
 
 #: Size ceilings of the subcommands whose cost explodes with their size
-#: argument (one run each at the ceiling on a 2-core VM):
+#: argument (one run each at the ceiling on a 2-core VM; medians of 3 for
+#: `verify` and `blockreduce`):
 #: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 0.8 s (peak RSS 30 MB),
-#: `verify -n 7` takes about 22 s,
-#: `blockreduce -n 14 -k 0` takes about 3.7 s and writes 3.1 MB,
+#: `verify -n 7` takes about 4.5 s (peak RSS 42 MB); n = 8 would take about
+#: 83 s and 247 MB (measured through the library), so the ceiling stays 7,
+#: `blockreduce -n 14 -k 0` takes about 3.4 s and writes 3.1 MB,
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
 #: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
 #: C(2g, j) grow with g),
@@ -240,6 +242,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
 
     all_ok = all(r.all_ok for r in reports)
+    # The verdict is set before the first write: a reader that closes stdout
+    # early must not turn a failed verification into exit 0.
+    args.exit_code = 0 if all_ok else 1
     if args.format == "table":
         lines = []
         for r in reports:
@@ -254,7 +259,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             "reports": [r.to_obj() for r in reports],
         }
         out.write(_json_dumps(obj))
-    return 0 if all_ok else 1
+    return args.exit_code
 
 
 def _bounded_int(lo: int, hi: Optional[int]):
@@ -339,12 +344,13 @@ def run(argv: Sequence[str], out=None) -> int:
         args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    code = 0
+    args.exit_code = 0  # a handler that decides a nonzero code sets it before writing
     try:
         code = args.handler(args, out if out is not None else sys.stdout)
         if out is None:
             sys.stdout.flush()  # a closed pipe shows up here rather than at exit
     except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error
+        code = args.exit_code
         if out is None:  # Python flushes stdout again at exit; send that flush nowhere
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())

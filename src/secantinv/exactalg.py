@@ -507,10 +507,7 @@ class LocalizedPoly:
     def __pow__(self, exp: int) -> "LocalizedPoly":
         if exp < 0:
             raise ValueError("negative powers are not supported")
-        out = LocalizedPoly.const(self.nvars, 1, self.var)
-        for _ in range(exp):
-            out = out * self
-        return out
+        return LocalizedPoly(self.num**exp, self.var, self.power * exp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalizedPoly):
@@ -570,15 +567,44 @@ class PolyMatrix:
         )
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product.  Each entry sum_t a_it * b_tj is accumulated in one
+        packed-term dict: every product is shifted to the entry's common pole
+        order max(a.power + b.power), and the sum is normalized once."""
         if self.cols != other.rows:
             raise DimensionError("matrix shapes do not compose")
+        arities = {e.nvars for e in self.entries + other.entries}
+        if len(arities) > 1:
+            raise DimensionError("variable count mismatch")
+        nvars = arities.pop() if arities else 0
         out: List[LocalizedPoly] = []
         for i in range(self.rows):
+            row = self.entries[i * self.cols : (i + 1) * self.cols]
             for j in range(other.cols):
-                acc = self.at(i, 0) * other.at(0, j)
-                for t in range(1, self.cols):
-                    acc = acc + self.at(i, t) * other.at(t, j)
-                out.append(acc)
+                pairs = [
+                    (a, b)
+                    for a, b in zip(row, other.entries[j :: other.cols])
+                    if a.num.packed and b.num.packed
+                ]
+                poles = sorted({e.var for pair in pairs for e in pair if e.power})
+                if len(poles) > 1:
+                    raise DimensionError(
+                        f"cannot combine localizations at x{poles[0]} and x{poles[1]}"
+                    )
+                var = poles[0] if poles else row[0].var
+                common = max((a.power + b.power for a, b in pairs), default=0)
+                step = _var_key(nvars, var) if common else 0
+                acc: Terms = {}
+                get = acc.get
+                for a, b in pairs:
+                    lift = common - a.power - b.power
+                    _check_degree(a.num.total_degree() + b.num.total_degree() + lift)
+                    lift *= step
+                    for k1, c1 in a.num.packed.items():
+                        k1 += lift
+                        for k2, c2 in b.num.packed.items():
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + c1 * c2
+                out.append(LocalizedPoly(_make(nvars, _clean(acc)), var, common))
         return PolyMatrix(self.rows, other.cols, out)
 
     def to_obj(self) -> List[List[str]]:
@@ -660,7 +686,14 @@ def poly_det(m: PolyMatrix) -> LocalizedPoly:
     cleared, var, total = _clear_denominators(m)
     # Every term of a minor has degree at most the sum of its rows' degrees.
     _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
-    det = _det_cofactor([[p.packed for p in row] for row in cleared])
+    # Expand the heaviest rows (most terms) first, so the memoized minors are
+    # built over the lightest ones; the stable sort keeps equal rows in order.
+    weight = [sum(len(p.packed) for p in row) for row in cleared]
+    order = sorted(range(m.rows), key=lambda i: -weight[i])
+    det = _det_cofactor([[p.packed for p in cleared[i]] for i in order])
+    inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
+    if inversions % 2:
+        det = {k: -c for k, c in det.items()}
     return LocalizedPoly(_make(nvars, det), var, total)
 
 

@@ -43,8 +43,10 @@ GOLDEN_COMMANDS = [
     ["eigenvectors", "--format", "table"],
     ["blockreduce", "-n", "2", "-k", "1"],
     ["blockreduce", "-n", "2", "-k", "1", "--format", "table"],
+    ["blockreduce", "-n", "4", "-k", "1"],
     ["verify", "-n", "3"],
     ["verify", "-n", "3", "--format", "table"],
+    ["verify", "-n", "5"],
 ]
 
 

@@ -376,6 +376,56 @@ class TestFailureExitCodes:
         assert code == 1
         assert text == "n=2 k=0: FAIL determinant\nn=2 k=1: FAIL determinant\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("ok, expected", [(False, 1), (True, 0)], ids=["failed", "passed"])
+    def test_verdict_survives_a_closed_reader(self, monkeypatch, fmt, ok, expected):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def verdict(reduction):
+            checks = (CheckResult("determinant", ok),)
+            return VerificationReport(reduction.n, reduction.k, checks)
+
+        monkeypatch.setattr(cli.hankel, "verify_block_reduction", verdict)
+        assert cli.run(["verify", "-n", "2", "--format", fmt], ClosedPipe()) == expected
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("ok, expected", [(False, 1), (True, 0)], ids=["failed", "passed"])
+    def test_verdict_survives_a_closed_stdout_in_a_process(self, ok, expected, unbuffered):
+        # The child waits on stdin inside the verification until the reader
+        # has closed its stdout, so every write meets the closed pipe.
+        child = (
+            "import sys\n"
+            "from secantinv import cli, hankel\n"
+            "def verdict(reduction):\n"
+            "    sys.stdin.read(1)\n"
+            f"    checks = (hankel.CheckResult('determinant', {ok}),)\n"
+            "    return hankel.VerificationReport(reduction.n, reduction.k, checks)\n"
+            "hankel.verify_block_reduction = verdict\n"
+            "cli.main()\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "verify", "-n", "2"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            proc.stdout.close()
+            proc.stdin.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (expected, b"")
+
     @pytest.mark.parametrize(
         "module, name, argv",
         [

@@ -1,9 +1,12 @@
 """Exact polynomial arithmetic, localization, and determinants."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantinv.exactalg import (
     DimensionError,
@@ -15,7 +18,7 @@ from secantinv.exactalg import (
     poly_det,
     rational_to_str,
 )
-from secantinv.hankel import hankel_matrix
+from secantinv.hankel import block_reduce, hankel_matrix, random_locus_point, residual_hankel
 from secantinv.linalg import det
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
@@ -123,6 +126,137 @@ class TestPolyDet:
         m = PolyMatrix(2, 2, [a, a, b, b])
         with pytest.raises(DimensionError):
             poly_det(m)
+
+
+def row_weights(m):
+    return [sum(len(m.at(i, j).num.packed) for j in range(m.cols)) for i in range(m.rows)]
+
+
+def at_point(m, pt):
+    return [[m.at(i, j).eval(pt) for j in range(m.cols)] for i in range(m.rows)]
+
+
+class TestRowOrder:
+    """poly_det expands the rows with the most terms first and multiplies by
+    the sign of that reordering."""
+
+    def test_every_row_permutation_gives_the_signed_determinant(self):
+        # Row i holds entries of i + 1 terms, so the row weights are distinct
+        # and every permutation below is undone by the sort.
+        rng = random.Random(7)
+        entries = []
+        for i in range(4):
+            for j in range(4):
+                terms = {
+                    Monomial.from_dense((e, (i + j + e) % 3, (e * j) % 2)):
+                        Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    for e in range(i + 1)
+                }
+                entries.append(loc(MultiPoly(3, terms), 0, (i + j) % 3))
+        m = PolyMatrix(4, 4, entries)
+        assert sorted(row_weights(m)) == [4, 8, 12, 16]
+        d = poly_det(m)
+        pt = [Fraction(3, 2), Fraction(-2, 5), Fraction(7)]
+        assert d.eval(pt) == det(at_point(m, pt)) != 0
+        for sigma in itertools.permutations(range(4)):
+            rows = PolyMatrix(4, 4, [m.at(sigma[i], j) for i in range(4) for j in range(4)])
+            inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+            assert poly_det(rows) == (-d if inversions % 2 else d), sigma
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 6) for k in range(n)], ids=lambda v: str(v)
+    )
+    def test_block_reduction_determinants_against_rational_det(self, n, k):
+        # N and the residual Hankel matrix have rows of unequal weight, so
+        # the sort reorders them and the sign is exercised.
+        rng = random.Random(100 * n + k)
+        r = block_reduce(n, k)
+        for m in (r.N_matrix, residual_hankel(r)):
+            w = row_weights(m)
+            assert m.rows == 1 or w != sorted(w, reverse=True)
+            d = poly_det(m)
+            for _ in range(2):
+                pt = random_locus_point(n, k, rng)
+                assert d.eval(pt) == det(at_point(m, pt))
+
+
+def reference_mul(a, b):
+    """The entrywise matrix product as LocalizedPoly products and sums: an
+    oracle for the fused accumulation in PolyMatrix.mul."""
+    if a.cols != b.rows:
+        raise DimensionError("matrix shapes do not compose")
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.at(i, 0) * b.at(0, j)
+            for t in range(1, a.cols):
+                acc = acc + a.at(i, t) * b.at(t, j)
+            out.append(acc)
+    return PolyMatrix(a.rows, b.cols, out)
+
+
+MUL_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+MUL_NVARS = 3
+mul_coefficients = st.one_of(
+    st.integers(-7, 7),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 3, 5])),
+)
+mul_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * MUL_NVARS), mul_coefficients, max_size=3
+).map(lambda d: MultiPoly(MUL_NVARS, {Monomial.from_dense(e): c for e, c in d.items()}))
+
+
+@st.composite
+def composable_pairs(draw):
+    """Two matrices of shapes r x s and s x c, all entries localized at one
+    variable with pole orders 0..3; an empty term map gives a zero entry."""
+    r, s, c = (draw(st.integers(1, 3)) for _ in range(3))
+    var = draw(st.integers(0, MUL_NVARS - 1))
+
+    def matrix(rows, cols):
+        entries = [
+            LocalizedPoly(draw(mul_polys), var, draw(st.integers(0, 3)))
+            for _ in range(rows * cols)
+        ]
+        return PolyMatrix(rows, cols, entries)
+
+    return matrix(r, s), matrix(s, c)
+
+
+class TestFusedProduct:
+    @MUL_SETTINGS
+    @given(composable_pairs())
+    def test_product_matches_the_reference(self, pair):
+        a, b = pair
+        got, expected = a.mul(b), reference_mul(a, b)
+        assert got == expected
+        assert got.to_obj() == expected.to_obj()
+        assert [e.var for e in got.entries] == [e.var for e in expected.entries]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([LocalizedPoly(p(2, "x1"), 0, 1)], [LocalizedPoly(p(2, "x0"), 1, 1)]),
+            (
+                [LocalizedPoly(p(2, "x1"), 0, 1), LocalizedPoly(p(2, "x0"), 1, 2)],
+                [loc(p(2, "x0 + x1")), loc(p(2, "3"))],
+            ),
+        ],
+        ids=["in-one-product", "across-the-sum"],
+    )
+    def test_mixed_localizations_rejected(self, a, b):
+        left = PolyMatrix(1, len(a), a)
+        right = PolyMatrix(len(b), 1, b)
+        with pytest.raises(DimensionError):
+            reference_mul(left, right)
+        with pytest.raises(DimensionError):
+            left.mul(right)
+
+    def test_shapes_must_compose(self):
+        m = PolyMatrix(1, 2, [loc(p(1, "x0")), loc(p(1, "1"))])
+        with pytest.raises(DimensionError):
+            m.mul(m)
 
 
 class TestMonomial:
@@ -238,6 +372,19 @@ class TestLocalizedPoly:
         b = LocalizedPoly(p(2, "x0"), 1, 1)
         with pytest.raises(DimensionError):
             a + b
+
+    @pytest.mark.parametrize("var, power", [(0, 0), (0, 2), (1, 1)])
+    def test_power_matches_the_repeated_product(self, var, power):
+        base = LocalizedPoly(p(3, "x1 - 2/3*x0*x2 + x2^2"), var, power)
+        acc = LocalizedPoly.const(3, 1, var)
+        for exp in range(7):
+            got = base**exp
+            assert got == acc and got.var == acc.var, exp
+            acc = acc * base
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            LocalizedPoly(p(2, "x1"), 0, 1) ** -1
 
 
 class TestSerialization:
