@@ -32,7 +32,6 @@ from .compositions import (
 from .exactalg import (
     DimensionError,
     LocalizedPoly,
-    Monomial,
     MultiPoly,
     PolyMatrix,
     homogeneous_components,

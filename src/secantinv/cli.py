@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cohomtables, drk, hankel, hodge, strata
-from .exactalg import MAX_DEGREE, MultiPoly, key_degree
+from .exactalg import MAX_DEGREE, MultiPoly
 
 SCHEMA = "1"
 
@@ -106,7 +106,7 @@ def _cmd_strata(args: argparse.Namespace, out) -> int:
 
 def _hodge_coeffs(poly: MultiPoly) -> dict:
     """JSON map {"<degree>": coefficient} of a Hodge polynomial in t = x0."""
-    return {str(key_degree(k, 1)): c for k, c in poly.packed.items()}
+    return {str(d): int(c) for (d,), c in poly.terms.items()}
 
 
 def _hodge_text(poly: MultiPoly) -> str:

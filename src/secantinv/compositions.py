@@ -21,13 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Composition:
     """An ordered tuple of positive integers."""
 
+    # Declared here: with slots=True, Python 3.11 raises TypeError, not
+    # FrozenInstanceError, when a property is assigned.
+    __slots__ = ("parts",)
     parts: Tuple[int, ...]
 
     def __post_init__(self):
@@ -42,6 +45,10 @@ class Composition:
 
     def __len__(self) -> int:
         return len(self.parts)
+
+    def __reduce__(self):
+        # copy and pickle go through __init__: a frozen instance rejects setattr.
+        return Composition, (self.parts,)
 
     def gcd(self) -> int:
         return reduce(math.gcd, self.parts)
@@ -72,15 +79,10 @@ def composition_parts(n: int) -> List[Tuple[int, ...]]:
     return parts
 
 
-def iter_compositions(n: int) -> Iterator[Composition]:
-    """Yield the 2^(n-1) compositions of n in subset-binary (cut-mask)
-    order; see :func:`composition_parts` for the doubling rule behind it."""
-    return map(Composition, composition_parts(n))
-
-
 def enumerate_compositions(n: int) -> List[Composition]:
-    """All compositions of n, in the deterministic subset-binary order."""
-    return list(iter_compositions(n))
+    """The 2^(n-1) compositions of n in subset-binary (cut-mask) order; see
+    :func:`composition_parts` for the doubling rule behind it."""
+    return list(map(Composition, composition_parts(n)))
 
 
 def mobius(n: int) -> int:

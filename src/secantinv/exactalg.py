@@ -17,15 +17,16 @@ Representation conventions:
   field; every input or product that would need one raises OverflowError.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
-* ``Monomial`` (a tuple of (variable index, positive exponent) pairs,
-  strictly increasing in the index) is the boundary type only: the
-  validated constructor ``MultiPoly(nvars, {Monomial: coeff})`` takes it,
-  and the read-only ``MultiPoly.terms`` view gives it back with ``Fraction``
-  coefficients.  Internal results skip validation.  Serialized output lists
-  terms in descending graded-lex order.
+* At the public boundary a monomial is its dense exponent tuple
+  (e0, ..., e_{n-1}): the validated constructor
+  ``MultiPoly(nvars, {exponents: coeff})`` takes it, and the read-only
+  ``MultiPoly.terms`` view gives it back with ``Fraction`` coefficients.
+  Internal results skip validation.  Serialized output lists terms in
+  descending graded-lex order.
 * A localized polynomial is numerator / x_k^power for one designated
   variable x_k, normalized so that x_k does not divide the numerator unless
-  power = 0.
+  power = 0.  All poles in one computation must sit at one variable;
+  ``_pole_var`` alone decides that variable.
 
 All values are immutable after construction; every operation is a pure
 function.
@@ -33,10 +34,9 @@ function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 #: Width of one exponent field of a packed monomial key.
 FIELD_BITS = 16
@@ -105,41 +105,6 @@ def _var_key(nvars: int, idx: int) -> int:
     return (1 << (FIELD_BITS * nvars)) | (1 << (FIELD_BITS * (nvars - 1 - idx)))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial at the public boundary: (variable index, positive
-    exponent) pairs, strictly increasing in the index."""
-
-    powers: Tuple[Tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        prev = -1
-        for idx, exp in self.powers:
-            if exp <= 0:
-                raise ValueError("monomial exponents must be positive")
-            if idx < 0:
-                raise ValueError("variable indices must be nonnegative")
-            if idx <= prev:
-                raise ValueError("monomial variable indices must be strictly increasing")
-            prev = idx
-
-    @staticmethod
-    def from_map(exponents: Mapping[int, int]) -> "Monomial":
-        return Monomial(tuple(sorted((i, e) for i, e in exponents.items() if e != 0)))
-
-    @staticmethod
-    def from_dense(exponents: Sequence[int]) -> "Monomial":
-        return Monomial(tuple((i, e) for i, e in enumerate(exponents) if e != 0))
-
-    def dense(self, nvars: int) -> Tuple[int, ...]:
-        out = [0] * nvars
-        for i, e in self.powers:
-            if i >= nvars:
-                raise DimensionError(f"monomial uses x{i} beyond {nvars} variables")
-            out[i] = e
-        return tuple(out)
-
-
 def _make(nvars: int, terms: Terms) -> "MultiPoly":
     """Trusted constructor: ``terms`` must already be clean packed terms."""
     p = object.__new__(MultiPoly)
@@ -157,14 +122,18 @@ class MultiPoly:
 
     __slots__ = ("nvars", "packed")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Tuple[int, ...], Fraction] | None = None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         clean: Terms = {}
-        for mono, coeff in (terms or {}).items():
+        for exponents, coeff in (terms or {}).items():
+            if len(exponents) != nvars:
+                raise DimensionError(f"monomial {exponents} does not have {nvars} exponents")
+            if any(e < 0 for e in exponents):
+                raise ValueError("monomial exponents must be nonnegative")
             c = _rational(coeff)
             if c:
-                clean[pack(mono.dense(nvars))] = c
+                clean[pack(exponents)] = c
         self.nvars = nvars
         self.packed = clean
 
@@ -176,7 +145,7 @@ class MultiPoly:
 
     @staticmethod
     def const(nvars: int, value) -> "MultiPoly":
-        return MultiPoly(nvars, {Monomial(): value})
+        return MultiPoly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, idx: int) -> "MultiPoly":
@@ -187,13 +156,10 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only {Monomial: Fraction} view, for the public boundary."""
+    def terms(self) -> Mapping[Tuple[int, ...], Fraction]:
+        """Read-only {exponent tuple: Fraction} view, for the public boundary."""
         return MappingProxyType(
-            {
-                Monomial.from_dense(unpack(k, self.nvars)): Fraction(c)
-                for k, c in self.packed.items()
-            }
+            {unpack(k, self.nvars): Fraction(c) for k, c in self.packed.items()}
         )
 
     def is_zero(self) -> bool:
@@ -208,10 +174,10 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len({key_degree(k, self.nvars) for k in self.packed}) <= 1
 
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
         return [
-            (Monomial.from_dense(unpack(k, self.nvars)), Fraction(self.packed[k]))
+            (unpack(k, self.nvars), Fraction(self.packed[k]))
             for k in sorted(self.packed, reverse=True)
         ]
 
@@ -368,8 +334,8 @@ class MultiPoly:
     def to_obj(self) -> List[dict]:
         """JSON-ready list of {exponents, coeff}, descending graded-lex."""
         return [
-            {"exponents": list(m.dense(self.nvars)), "coeff": rational_to_str(c)}
-            for m, c in self.sorted_terms()
+            {"exponents": list(e), "coeff": rational_to_str(c)}
+            for e, c in self.sorted_terms()
         ]
 
     def to_str(self) -> str:
@@ -377,9 +343,11 @@ class MultiPoly:
         if not self.packed:
             return "0"
         pieces: List[str] = []
-        for mono, coeff in self.sorted_terms():
+        for exponents, coeff in self.sorted_terms():
             factors = [
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in mono.powers
+                f"x{i}" if e == 1 else f"x{i}^{e}"
+                for i, e in enumerate(exponents)
+                if e
             ]
             mag = abs(coeff)
             if not factors:
@@ -400,7 +368,7 @@ class MultiPoly:
         text = text.strip()
         if text == "0":
             return MultiPoly.zero(nvars)
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Tuple[int, ...], Fraction] = {}
         # Normalize term separators, keeping fraction slashes intact.
         chunks = text.replace(" - ", " + -").split(" + ")
         for chunk in chunks:
@@ -409,24 +377,37 @@ class MultiPoly:
             if chunk.startswith("-"):
                 coeff = Fraction(-1)
                 chunk = chunk[1:]
-            powers: Dict[int, int] = {}
+            powers = [0] * nvars
             for factor in chunk.split("*"):
                 factor = factor.strip()
                 if factor.startswith("x"):
                     if "^" in factor:
                         var_s, exp_s = factor[1:].split("^")
-                        powers[int(var_s)] = powers.get(int(var_s), 0) + int(exp_s)
+                        idx, exp = int(var_s), int(exp_s)
                     else:
-                        idx = int(factor[1:])
-                        powers[idx] = powers.get(idx, 0) + 1
+                        idx, exp = int(factor[1:]), 1
+                    if not 0 <= idx < nvars:
+                        raise DimensionError(f"monomial uses x{idx} beyond {nvars} variables")
+                    powers[idx] += exp
                 else:
                     coeff *= Fraction(factor)
-            mono = Monomial.from_map(powers)
+            mono = tuple(powers)
             terms[mono] = terms.get(mono, 0) + coeff
         return MultiPoly(nvars, terms)
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()!r})"
+
+
+def _pole_var(values: Iterable["LocalizedPoly"], default: int) -> int:
+    """The one variable at which the poles among ``values`` sit, or
+    ``default`` when none has a pole; poles at two variables raise."""
+    poles = sorted({v.var for v in values if v.power})
+    if len(poles) > 1:
+        raise DimensionError(
+            f"cannot combine localizations at x{poles[0]} and x{poles[1]}"
+        )
+    return poles[0] if poles else default
 
 
 class LocalizedPoly:
@@ -451,10 +432,6 @@ class LocalizedPoly:
         self.var = var
         self.power = power
 
-    @staticmethod
-    def const(nvars: int, value, var: int = 0) -> "LocalizedPoly":
-        return LocalizedPoly(MultiPoly.const(nvars, value), var, 0)
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -462,23 +439,8 @@ class LocalizedPoly:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.power == 0
-
-    def _check_compatible(self, other: "LocalizedPoly") -> None:
-        if self.nvars != other.nvars:
-            raise DimensionError("variable count mismatch")
-        if self.power and other.power and self.var != other.var:
-            raise DimensionError(
-                f"cannot combine localizations at x{self.var} and x{other.var}"
-            )
-
-    def _common_var(self, other: "LocalizedPoly") -> int:
-        return self.var if self.power else (other.var if other.power else self.var)
-
     def __add__(self, other: "LocalizedPoly") -> "LocalizedPoly":
-        self._check_compatible(other)
-        var = self._common_var(other)
+        var = _pole_var((self, other), self.var)
         common = max(self.power, other.power)
         n1 = self.num.mul_var_power(var, common - self.power)
         n2 = other.num.mul_var_power(var, common - other.power)
@@ -487,16 +449,9 @@ class LocalizedPoly:
     def __neg__(self) -> "LocalizedPoly":
         return LocalizedPoly(-self.num, self.var, self.power)
 
-    def __sub__(self, other: "LocalizedPoly") -> "LocalizedPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LocalizedPoly") -> "LocalizedPoly":
-        self._check_compatible(other)
-        var = self._common_var(other)
+        var = _pole_var((self, other), self.var)
         return LocalizedPoly(self.num * other.num, var, self.power + other.power)
-
-    def scale(self, value) -> "LocalizedPoly":
-        return LocalizedPoly(self.num.scale(value), self.var, self.power)
 
     def mul_var_power(self, e: int) -> "LocalizedPoly":
         """Multiply by x_var^e (e may be negative, deepening the localization)."""
@@ -585,12 +540,7 @@ class PolyMatrix:
                     for a, b in zip(row, other.entries[j :: other.cols])
                     if a.num.packed and b.num.packed
                 ]
-                poles = sorted({e.var for pair in pairs for e in pair if e.power})
-                if len(poles) > 1:
-                    raise DimensionError(
-                        f"cannot combine localizations at x{poles[0]} and x{poles[1]}"
-                    )
-                var = poles[0] if poles else row[0].var
+                var = _pole_var((e for pair in pairs for e in pair), row[0].var)
                 common = max((a.power + b.power for a, b in pairs), default=0)
                 step = _var_key(nvars, var) if common else 0
                 acc: Terms = {}
@@ -661,10 +611,7 @@ def _det_cofactor(mat: List[List[Terms]]) -> Terms:
 
 def _clear_denominators(m: PolyMatrix) -> Tuple[List[List[MultiPoly]], int, int]:
     """Rescale rows to polynomial entries; returns (matrix, var, total power)."""
-    loc_vars = {e.var for e in m.entries if e.power > 0}
-    if len(loc_vars) > 1:
-        raise DimensionError("matrix mixes localizations at different variables")
-    var = loc_vars.pop() if loc_vars else 0
+    var = _pole_var(m.entries, 0)
     total = 0
     cleared: List[List[MultiPoly]] = []
     for i in range(m.rows):

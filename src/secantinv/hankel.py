@@ -49,13 +49,7 @@ def hankel_matrix(n: int) -> PolyMatrix:
     (i, j) = x_{i+j}."""
     if n < 0:
         raise ValueError("Hankel size parameter must be nonnegative")
-    nvars = 2 * n + 1
-    entries = [
-        LocalizedPoly(MultiPoly.variable(nvars, i + j), 0, 0)
-        for i in range(n + 1)
-        for j in range(n + 1)
-    ]
-    return PolyMatrix(n + 1, n + 1, entries)
+    return restricted_hankel(n, 0)
 
 
 def restricted_hankel(n: int, k: int) -> PolyMatrix:

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
 from .compositions import composition_parts, divisors, euler_phi
-from .exactalg import Monomial, MultiPoly
+from .exactalg import MultiPoly
 
 
 def _t_poly(coeffs: Mapping[int, int]) -> MultiPoly:
     """The Hodge polynomial sum c * t^d in t = x0, from its {d: c} map."""
-    return MultiPoly(1, {Monomial.from_map({0: d}): c for d, c in coeffs.items()})
+    return MultiPoly(1, {(d,): c for d, c in coeffs.items()})
 
 
 @dataclass(frozen=True)

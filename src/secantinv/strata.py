@@ -31,7 +31,7 @@ from .compositions import Composition, composition_parts
 from .linalg import det
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StratumDescriptor:
     """One torus stratum, stored as its composition's parts and n; the rest is derived.
 
@@ -39,8 +39,15 @@ class StratumDescriptor:
     determinant; ``torus_rank`` + ``affine_rank`` is the stratum dimension.
     """
 
+    # Declared here: with slots=True, Python 3.11 raises TypeError, not
+    # FrozenInstanceError, when a property is assigned.
+    __slots__ = ("exponent_vector", "affine_rank")
     exponent_vector: Tuple[int, ...]
     affine_rank: int
+
+    def __reduce__(self):
+        # copy and pickle go through __init__: a frozen instance rejects setattr.
+        return StratumDescriptor, (self.exponent_vector, self.affine_rank)
 
     @property
     def composition(self) -> Composition:

@@ -34,7 +34,7 @@ from secantinv.drk import (
     truncated_drk_dims,
     univariate_drk_cohomology,
 )
-from secantinv.exactalg import Monomial, MultiPoly
+from secantinv.exactalg import MultiPoly
 from secantinv.hankel import (
     block_reduce,
     factorization_identity_at_point,
@@ -205,7 +205,7 @@ def test_criterion_9_property_suites():
                 expo = [0] * nvars
                 for _ in range(degree):
                     expo[rng.randrange(nvars)] += 1
-                terms[Monomial.from_dense(tuple(expo))] = Fraction(rng.randint(-5, 5))
+                terms[tuple(expo)] = Fraction(rng.randint(-5, 5))
             poly = MultiPoly(nvars, terms)
             return (
                 poly
@@ -220,9 +220,7 @@ def test_criterion_9_property_suites():
                 rng.shuffle(pool)
                 idx = tuple(sorted(pool[:degree]))
                 expo = tuple(rng.randint(0, 2) for _ in range(nvars))
-                coeff = MultiPoly(
-                    nvars, {Monomial.from_dense(expo): Fraction(rng.randint(-4, 4))}
-                )
+                coeff = MultiPoly(nvars, {expo: Fraction(rng.randint(-4, 4))})
                 terms[idx] = terms.get(idx, MultiPoly.zero(nvars)) + coeff
             return ExtForm(nvars, degree, terms)
 
@@ -244,7 +242,7 @@ def test_criterion_9_property_suites():
             terms = {}
             for _ in range(rng.randint(0, 3)):
                 expo = tuple(rng.randint(0, 2) for _ in range(nvars))
-                terms[Monomial.from_dense(expo)] = Fraction(
+                terms[expo] = Fraction(
                     rng.randint(-9, 9), rng.randint(1, 5)
                 )
             return MultiPoly(nvars, terms)

@@ -1,6 +1,9 @@
 """Composition combinatorics and the Moebius-inverted counting functions."""
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -58,6 +61,18 @@ class TestEnumeration:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             enumerate_compositions(0)
+
+    @pytest.mark.parametrize("name", ["total", "parts"])
+    def test_assignment_raises_frozen_instance_error(self, name):
+        c = Composition((1, 2))
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, 3)
+
+    def test_copy_and_pickle_round_trip(self):
+        c = Composition((1, 2))
+        for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert clone == c
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_order_is_increasing_cut_mask_order(self, n):

@@ -23,7 +23,7 @@ from secantinv.drk import (
     univariate_drk_cohomology,
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
-from secantinv.exactalg import Monomial, MultiPoly
+from secantinv.exactalg import MultiPoly
 
 
 def p(nvars, text):
@@ -36,7 +36,7 @@ def random_homogeneous(rng, nvars, degree, max_terms=3):
         expo = [0] * nvars
         for _ in range(degree):
             expo[rng.randrange(nvars)] += 1
-        terms[Monomial.from_dense(tuple(expo))] = Fraction(rng.randint(-5, 5))
+        terms[tuple(expo)] = Fraction(rng.randint(-5, 5))
     poly = MultiPoly(nvars, terms)
     return poly if not poly.is_zero() else MultiPoly.variable(nvars, 0) ** degree
 
@@ -50,9 +50,7 @@ def random_form(rng, nvars, degree, coeff_degree=3):
         expo = [0] * nvars
         for _ in range(rng.randint(0, coeff_degree)):
             expo[rng.randrange(nvars)] += 1
-        coeff = MultiPoly(
-            nvars, {Monomial.from_dense(tuple(expo)): Fraction(rng.randint(-4, 4))}
-        )
+        coeff = MultiPoly(nvars, {tuple(expo): Fraction(rng.randint(-4, 4))})
         existing = terms.get(idx)
         terms[idx] = coeff if existing is None else existing + coeff
     return ExtForm(nvars, degree, terms)
@@ -95,7 +93,7 @@ def polys(nvars, degree=None, free_of=None):
             st.integers(0, nvars - 1), min_size=degree, max_size=degree
         ).map(lambda vs: tuple(vs.count(i) for i in range(nvars)))
     return st.dictionaries(exponents, coefficients, max_size=4).map(
-        lambda d: MultiPoly(nvars, {Monomial.from_dense(e): c for e, c in d.items()})
+        lambda d: MultiPoly(nvars, d)
     )
 
 
@@ -393,13 +391,7 @@ class TestExtFormBasics:
                 nvars,
                 degree,
                 {
-                    idx: MultiPoly(
-                        nvars,
-                        {
-                            Monomial(m.powers): c
-                            for m, c in coeff.terms.items()
-                        },
-                    )
+                    idx: MultiPoly(nvars, {e + (0,): c for e, c in coeff.terms.items()})
                     for idx, coeff in form.terms.items()
                 },
             )

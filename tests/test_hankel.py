@@ -89,7 +89,7 @@ class TestBlockReduceSmall:
         for n, k in [(1, 0), (2, 0), (2, 1), (3, 2)]:
             r = block_reduce(n, k)
             xk = LocalizedPoly(MultiPoly.variable(2 * n + 1, k), k, 0)
-            assert r.p_seq[0] * xk == LocalizedPoly.const(2 * n + 1, 1, k)
+            assert r.p_seq[0] * xk == LocalizedPoly(MultiPoly.const(2 * n + 1, 1), k)
 
     def test_y_case_split(self):
         for n, k in [(2, 1), (3, 1), (3, 2)]:
@@ -144,7 +144,7 @@ class TestVerification:
     def test_tampered_off_diagonal_entry_is_named(self):
         r = block_reduce(2, 0)
         entries = list(r.N_matrix.entries)
-        one = LocalizedPoly.const(5, 1, 0)
+        one = LocalizedPoly(MultiPoly.const(5, 1), 0)
         # Perturb entry (0, 2), which lies in the top-right off-diagonal block.
         entries[0 * 3 + 2] = entries[0 * 3 + 2] + one
         tampered = dataclasses.replace(

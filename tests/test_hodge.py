@@ -4,7 +4,7 @@ import pytest
 
 from secantinv.cli import _hodge_text
 from secantinv.compositions import divisors
-from secantinv.exactalg import Monomial, MultiPoly
+from secantinv.exactalg import MultiPoly
 from secantinv.hodge import (
     BettiTable,
     gbundle_hodge,
@@ -19,7 +19,7 @@ from secantinv.hodge import (
 
 def h(coeffs):
     """The polynomial sum c * t^d in t = x0, from {d: c}."""
-    return MultiPoly(1, {Monomial.from_map({0: d}): c for d, c in coeffs.items()})
+    return MultiPoly(1, {(d,): c for d, c in coeffs.items()})
 
 
 class TestAtoms:

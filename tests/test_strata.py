@@ -1,8 +1,10 @@
 """Torus strata of the Hankel determinant and monomial normal forms."""
 
+import copy
 import math
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from functools import reduce
 
 import pytest
@@ -44,6 +46,18 @@ class TestStratify:
         assert (d.composition, d.torus_rank, d.gcd, d.dimension) == (Composition((2, 2)), 2, 2, 5)
         assert d.monomial == ((1, 2), (5, 2))
         assert [f.name for f in fields(d)] == ["exponent_vector", "affine_rank"]
+
+    @pytest.mark.parametrize("name", ["gcd", "monomial", "affine_rank"])
+    def test_assignment_raises_frozen_instance_error(self, name):
+        d = StratumDescriptor((2, 2), 3)
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, 1)
+
+    def test_copy_and_pickle_round_trip(self):
+        d = StratumDescriptor((2, 2), 3)
+        for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert clone == d
 
     def test_counts_up_to_14(self):
         for n in range(0, 15):
