@@ -1,7 +1,7 @@
 """Exact-arithmetic invariants of Hankel determinantal hypersurfaces and
 secant varieties of rational normal curves.
 
-Subpackages by theme:
+Modules by theme:
 
 * exactalg     -- rationals, sparse multivariate polynomials, localization,
                   symbolic matrices and determinants;
@@ -34,7 +34,6 @@ from .exactalg import (
     LocalizedPoly,
     MultiPoly,
     PolyMatrix,
-    homogeneous_components,
     poly_det,
 )
 from .hankel import (
@@ -57,7 +56,6 @@ from .strata import (
     StratumDescriptor,
     UnimodularChange,
     stratify,
-    stratum_coordinate_trace,
     torus_normal_form,
 )
 from .cohomtables import (

@@ -88,54 +88,39 @@ class NearbyCycleSummand:
         }
 
 
+def _binomial_sum(h1: int, j: int, lo: int) -> int:
+    """The sum of C(h1, j - 2c) over c from lo to floor(j/2)."""
+    return sum(math.comb(h1, j - 2 * c) for c in range(lo, j // 2 + 1))
+
+
 def ih_betti(g: int, k: int) -> BettiTable:
     """Intersection-cohomology Betti table of the k-th secant variety of a
     genus-g curve (embedded by a line bundle separating 2k points).
 
-    For 0 <= j <= 2k-1 the dimension is the sum of C(2g, j-2i) over the
-    tautological-class exponents i with 2i >= max(j-k, 0) and j-2i >= 0;
+    For 0 <= j <= 2k-1 the dimension is the sum of C(2g, j-2c) over the
+    tautological-class exponents c with 2c >= max(j-k, 0) and j-2c >= 0;
     degrees 2k .. 4k-2 follow by Poincare duality.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if k < 1:
         raise ValueError("secant index must be at least 1")
-    h1 = 2 * g
-    dims = [0] * (4 * k - 1)
-    for j in range(2 * k):
-        lo = max(j - k, 0)
-        total = 0
-        for i in range(j // 2 + 1):
-            if 2 * i >= lo:
-                total += math.comb(h1, j - 2 * i)
-        dims[j] = total
-    for j in range(2 * k, 4 * k - 1):
-        dims[j] = dims[4 * k - 2 - j]
-    return BettiTable(tuple(dims))
-
-
-class SymmetricPowerRangeError(ValueError):
-    """Requested degree is outside the proven validity range."""
+    low = [_binomial_sum(2 * g, j, (max(j - k, 0) + 1) // 2) for j in range(2 * k)]
+    return BettiTable(tuple(low + low[-2::-1]))
 
 
 def sym_power_betti(g: int, k: int, j: int) -> int:
-    """dim H^j of the k-fold symmetric power of a genus-g curve, valid in
-    degrees j <= k: sum over i >= 0 of C(2g, j-2i).
+    """dim H^j of the k-fold symmetric product C_k of a genus-g curve C.
 
-    The generator-and-relation description of the symmetric-power cohomology
-    only yields this closed form in low degrees, so degrees beyond k raise
-    an explicit range error rather than returning a silently wrong value.
+    Macdonald's formula (Topology 1, 1962): the sum of C(2g, j-2c) over c
+    from max(j-k, 0) to floor(j/2), valid in every degree; it is 0 outside
+    0..2k.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if k < 1:
         raise ValueError("symmetric power must be at least 1")
-    if not 0 <= j <= k:
-        raise SymmetricPowerRangeError(
-            f"degree {j} is outside the validity range 0..{k}"
-        )
-    h1 = 2 * g
-    return sum(math.comb(h1, j - 2 * i) for i in range(j // 2 + 1))
+    return _binomial_sum(2 * g, j, max(j - k, 0))
 
 
 def sec2_singular_betti(g: int) -> BettiTable:
@@ -143,22 +128,14 @@ def sec2_singular_betti(g: int) -> BettiTable:
     (line bundle separating 4 points), degrees 0..6.
 
     H^3 is the symmetric square of the curve's H^1 and is pure of weight 2;
-    every other H^i is pure of weight i.  H^4, H^5, H^6 match the symmetric
-    square of the curve in degrees 2, 3, 4 (the top two via Poincare duality
-    on that smooth surface).
+    every other H^i is pure of weight i.  H^4, H^5, H^6 are H^2, H^3, H^4 of
+    the symmetric square C_2 of the curve.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     h1 = 2 * g
-    sym2_h1 = h1 * (h1 + 1) // 2
-    dims = (
-        1,
-        0,
-        1,
-        sym2_h1,
-        sym_power_betti(g, 2, 2),
-        sym_power_betti(g, 2, 1),  # = H^3 of the surface, by duality
-        1,
+    dims = (1, 0, 1, h1 * (h1 + 1) // 2) + tuple(
+        sym_power_betti(g, 2, j - 2) for j in range(4, 7)
     )
     weights = tuple((j, 2 if j == 3 else j) for j in range(7))
     return BettiTable(dims, weights=weights)
@@ -221,19 +198,4 @@ def nearby_vanishing_decomposition(n: int) -> List[NearbyCycleSummand]:
                     kind="IC_of_rank1_local_system",
                 )
             )
-    return out
-
-
-def origin_eigenvalues(n: int) -> List[Tuple[RootOfUnity, int]]:
-    """Restriction of the nearby-cycle table to the origin.
-
-    Keeps the summands whose eigenvalue order divides n+1 (the others have
-    zero stalk at the origin) and assigns each the Milnor-fiber degree
-    n+1-(n+1)/q; the result reproduces the monodromy eigentable.
-    """
-    out: List[Tuple[RootOfUnity, int]] = []
-    for summand in nearby_vanishing_decomposition(n):
-        q = summand.eigenvalue.q
-        if (n + 1) % q == 0:
-            out.append((summand.eigenvalue, n + 1 - (n + 1) // q))
     return out

@@ -53,14 +53,6 @@ class Composition:
     def gcd(self) -> int:
         return reduce(math.gcd, self.parts)
 
-    def scale(self, d: int) -> "Composition":
-        return Composition(tuple(d * p for p in self.parts))
-
-    def reduce_by_gcd(self) -> Tuple[int, "Composition"]:
-        """Write the composition as d * Q with Q coprime; returns (d, Q)."""
-        d = self.gcd()
-        return d, Composition(tuple(p // d for p in self.parts))
-
 
 def composition_parts(n: int) -> List[Tuple[int, ...]]:
     """The parts of the 2^(n-1) compositions of n, in cut-mask order.

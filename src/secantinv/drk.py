@@ -37,7 +37,6 @@ rather than trusting the closed-form description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -134,35 +133,6 @@ class ExtForm:
             (self.nvars, self.degree, self.log_var, frozenset(self.terms.items()))
         )
 
-    def scale(self, value) -> "ExtForm":
-        c = Fraction(value)
-        if c == 0:
-            return ExtForm(self.nvars, self.degree, None, self.log_var)
-        return ExtForm(
-            self.nvars,
-            self.degree,
-            {i: coeff.scale(c) for i, coeff in self.terms.items()},
-            self.log_var,
-        )
-
-    def proportionality(self, other: "ExtForm") -> Optional[Fraction]:
-        """The scalar c with self = c * other, or None if not proportional.
-
-        Both forms must be nonzero; proportionality is the equality notion
-        for connecting-map outputs, which are defined up to convention.
-        """
-        if self.is_zero() or other.is_zero():
-            return None
-        if set(self.terms) != set(other.terms) or self.log_var != other.log_var:
-            return None
-        idx = next(iter(self.terms))
-        mine, theirs = self.terms[idx].packed, other.terms[idx].packed
-        lead = max(theirs)
-        if lead not in mine:
-            return None
-        c = Fraction(mine[lead], theirs[lead])
-        return c if self == other.scale(c) else None
-
     # -- log poles and residues ---------------------------------------------------
 
     def log_lift(self, v: int) -> "ExtForm":
@@ -215,23 +185,6 @@ class ExtForm:
                 )
             out[indices] = coeff.div_var_power(v, 1)
         return ExtForm(self.nvars, self.degree, out)
-
-    # -- grading ---------------------------------------------------------------
-
-    def homogeneous_degree(self) -> int:
-        """Common homogeneous degree (coefficient degree + form degree, with
-        dx_v/x_v counting as degree 0); MixedDegreeError if not unique."""
-        if self.is_zero():
-            raise MixedDegreeError("the zero form has no homogeneous degree")
-        pole_shift = -1 if self.log_var is not None else 0
-        degrees = set()
-        for indices, coeff in self.terms.items():
-            if not coeff.is_homogeneous():
-                raise MixedDegreeError("a coefficient is inhomogeneous")
-            degrees.add(coeff.total_degree() + len(indices) + pole_shift)
-        if len(degrees) != 1:
-            raise MixedDegreeError(f"mixed homogeneous degrees {sorted(degrees)}")
-        return degrees.pop()
 
     # -- serialization ------------------------------------------------------------
 

@@ -480,10 +480,11 @@ class LocalizedPoly:
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a point with point[var] != 0 when power > 0."""
+        value = self.num.eval(point)  # checks the arity before point[var] is read
         denom = Fraction(point[self.var]) ** self.power if self.power else Fraction(1)
         if denom == 0:
             raise ZeroDivisionError(f"evaluation requires x{self.var} != 0")
-        return self.num.eval(point) / denom
+        return value / denom
 
     def to_str(self) -> str:
         if self.power == 0:
@@ -642,11 +643,3 @@ def poly_det(m: PolyMatrix) -> LocalizedPoly:
     if inversions % 2:
         det = {k: -c for k, c in det.items()}
     return LocalizedPoly(_make(nvars, det), var, total)
-
-
-def homogeneous_components(p: MultiPoly) -> Dict[int, MultiPoly]:
-    """Split into homogeneous parts, keyed by degree; their sum is p."""
-    buckets: Dict[int, Terms] = {}
-    for k, c in p.packed.items():
-        buckets.setdefault(key_degree(k, p.nvars), {})[k] = c
-    return {d: _make(p.nvars, t) for d, t in sorted(buckets.items())}

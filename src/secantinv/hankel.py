@@ -30,7 +30,6 @@ Every identity here is verified symbolically (exact polynomial algebra) by
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -65,6 +64,12 @@ def restricted_hankel(n: int, k: int) -> PolyMatrix:
     return PolyMatrix(n + 1, n + 1, entries)
 
 
+def _factorization_sign(k: int) -> int:
+    """Sign of det H_n relative to y_0^(k+1) * det H_{n-k-1}(y..): the
+    parity of the order reversal on k+1 letters, (-1)^(k(k+1)/2)."""
+    return -1 if k % 4 in (1, 2) else 1
+
+
 @dataclass(frozen=True)
 class BlockReduction:
     """Result of the triangular reduction of H_n on the locus Y_k.
@@ -84,9 +89,7 @@ class BlockReduction:
 
     @property
     def factorization_sign(self) -> int:
-        """Sign of det H_n relative to y_0^(k+1) * det H_{n-k-1}(y..):
-        the parity of the order reversal on k+1 letters."""
-        return -1 if self.k % 4 in (1, 2) else 1
+        return _factorization_sign(self.k)
 
     def to_obj(self) -> dict:
         return {
@@ -265,22 +268,6 @@ def factorization_identity(r: BlockReduction) -> bool:
 # -- exact evaluation at rational points --------------------------------------
 
 
-def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:
-    """A random rational point on the locus: x_j = 0 for j < k, x_k != 0.
-
-    Coordinates are drawn with numerator and denominator bounded by 20 in
-    absolute value; small heights keep the exact arithmetic fast.
-    """
-    point = [Fraction(0)] * (2 * n + 1)
-    for j in range(k, 2 * n + 1):
-        while True:
-            value = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-            if j != k or value != 0:
-                break
-        point[j] = value
-    return point
-
-
 def _y_at_point(n: int, k: int, x: Sequence[Fraction]) -> List[Fraction]:
     """The coordinates y_0 .. y_{2n-k} of the block reduction at a rational
     point x of the locus, computed over Z.
@@ -340,6 +327,4 @@ def factorization_identity_at_point(
         rhs *= det(
             [[y[k + 2 + i + j] for j in range(size)] for i in range(size)]
         )
-    if k % 4 in (1, 2):
-        rhs = -rhs
-    return lhs == rhs
+    return lhs == _factorization_sign(k) * rhs

@@ -51,17 +51,8 @@ class BettiTable:
     def dim(self, j: int) -> int:
         return self.dims[j] if 0 <= j < len(self.dims) else 0
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** j * d for j, d in enumerate(self.dims))
-
-    def total_dimension(self) -> int:
-        return sum(self.dims)
-
     def is_palindromic(self) -> bool:
         return self.dims == self.dims[::-1]
-
-    def weight_of(self, j: int):
-        return dict(self.weights).get(j)
 
     def to_obj(self) -> dict:
         obj: dict = {"degrees": list(self.dims)}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .compositions import Composition, composition_parts
+from .compositions import composition_parts
 from .linalg import det
 
 
@@ -50,10 +50,6 @@ class StratumDescriptor:
         return StratumDescriptor, (self.exponent_vector, self.affine_rank)
 
     @property
-    def composition(self) -> Composition:
-        return Composition(self.exponent_vector)
-
-    @property
     def torus_rank(self) -> int:
         return len(self.exponent_vector)
 
@@ -64,10 +60,6 @@ class StratumDescriptor:
     @property
     def monomial(self) -> Tuple[Tuple[int, int], ...]:
         return _stratum_monomial(self.exponent_vector)
-
-    @property
-    def dimension(self) -> int:
-        return self.torus_rank + self.affine_rank
 
 
 @dataclass(frozen=True)
@@ -99,21 +91,6 @@ def _stratum_monomial(parts: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
         out.append((2 * start + p - 1, p))
         start += p
     return tuple(out)
-
-
-def stratum_coordinate_trace(n: int, composition: Composition) -> List[Tuple[int, int]]:
-    """Block sizes and anchor coordinate indices for one stratum.
-
-    Iterating the block reduction once per part turns the Hankel matrix into
-    a block diagonal matrix of skew-lower-triangular Hankel blocks; block i
-    has size p_i and its antidiagonal carries the coordinate with index
-    q_i = 2*(p_1 + ... + p_{i-1}) + p_i - 1.  Returns [(p_i, q_i), ...].
-    """
-    if composition.total != n + 1:
-        raise ValueError(
-            f"composition sums to {composition.total}, expected {n + 1}"
-        )
-    return [(p, q) for q, p in _stratum_monomial(composition.parts)]
 
 
 def stratify(n: int) -> List[StratumDescriptor]:

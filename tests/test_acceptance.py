@@ -16,7 +16,6 @@ from secantinv.cohomtables import (
     ih_betti,
     monodromy_eigentable,
     nearby_vanishing_decomposition,
-    origin_eigenvalues,
     sym_power_betti,
 )
 from secantinv.compositions import (
@@ -38,11 +37,11 @@ from secantinv.exactalg import MultiPoly
 from secantinv.hankel import (
     block_reduce,
     factorization_identity_at_point,
-    random_locus_point,
     verify_block_reduction,
 )
 from secantinv.hodge import milnor_betti, milnor_hodge_bruteforce, milnor_hodge_closed
 from secantinv.strata import torus_normal_form
+from tests.references import origin_eigenvalues, proportionality, random_locus_point
 
 
 @contextmanager
@@ -125,8 +124,8 @@ def test_criterion_5_eigenvector_pipeline():
         expected2 = ExtForm(
             5, 5, {(0, 1, 2, 3, 4): MultiPoly.from_str(5, "2*x1*x2*x3 - 2*x2^3")}
         )
-        scale1 = alpha1.proportionality(expected1)
-        scale2 = alpha2.proportionality(expected2)
+        scale1 = proportionality(alpha1, expected1)
+        scale2 = proportionality(alpha2, expected2)
         assert scale1 is not None and scale1 != 0
         assert scale2 is not None and scale2 != 0
         assert d_f(f, alpha1).is_zero() and d_f(f, alpha2).is_zero()

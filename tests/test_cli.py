@@ -36,7 +36,7 @@ def stratum_obj(d):
     """Reference JSON record of one stratum: the dict form the CLI used to
     build per record and hand to json.dumps."""
     return {
-        "composition": list(d.composition.parts),
+        "composition": list(d.exponent_vector),
         "gcd": d.gcd,
         "monomial": [{"var": q, "power": p} for q, p in d.monomial],
     }
@@ -78,6 +78,8 @@ def no_computation(monkeypatch):
         (cli.hodge, "gbundle_hodge"),
         (cli.cohomtables, "ih_betti"),
         (cli.cohomtables, "monodromy_eigentable"),
+        (cli.cohomtables, "eigentable_betti"),
+        (cli.cohomtables, "sec2_singular_betti"),
         (cli.cohomtables, "nearby_vanishing_decomposition"),
         (cli.drk, "n2_eigenvectors"),
     ):
@@ -309,6 +311,8 @@ class TestSizeCeilings:
             pytest.param(("ih", "-k", "2", "-g"), cli.IH_MAX_G, id="ih-g"),
             pytest.param(("nearby", "-n"), cli.NEARBY_MAX_N, id="nearby"),
             pytest.param(("hodge", "-n"), cli.HODGE_MAX_N, id="hodge"),
+            pytest.param(("monodromy", "-n"), cli.MILNOR_MAX_N, id="monodromy"),
+            pytest.param(("betti", "--milnor", "-n"), cli.MILNOR_MAX_N, id="betti-milnor"),
         ],
     )
     def test_above_ceiling_exits_2_without_computing(
@@ -329,12 +333,16 @@ class TestSizeCeilings:
         )
         monkeypatch.setattr(cli.cohomtables, "ih_betti", lambda g, k: BettiTable((1,)))
         monkeypatch.setattr(cli.cohomtables, "nearby_vanishing_decomposition", lambda n: [])
+        monkeypatch.setattr(cli.cohomtables, "monodromy_eigentable", lambda n: [])
+        monkeypatch.setattr(cli.cohomtables, "eigentable_betti", lambda n: BettiTable((1,)))
         assert run_cli("strata", "-n", str(cli.STRATA_MAX_N))[0] == 0
         assert run_cli("verify", "-n", str(cli.VERIFY_MAX_N))[0] == 0
         assert run_cli("blockreduce", "-n", str(cli.BLOCKREDUCE_MAX_N), "-k", "0")[0] == 0
         assert run_cli("ih", "-g", "2", "-k", str(cli.IH_MAX_K))[0] == 0
         assert run_cli("ih", "-g", str(cli.IH_MAX_G), "-k", "2")[0] == 0
         assert run_cli("nearby", "-n", str(cli.NEARBY_MAX_N))[0] == 0
+        assert run_cli("monodromy", "-n", str(cli.MILNOR_MAX_N))[0] == 0
+        assert run_cli("betti", "--milnor", "-n", str(cli.MILNOR_MAX_N))[0] == 0
         # Computed for real: the largest Hodge polynomial, degree 2n + 1,
         # still fits a packed monomial key.
         assert run_cli("hodge", "-n", str(cli.HODGE_MAX_N), "--gbundle")[0] == 0
@@ -348,6 +356,8 @@ class TestSizeCeilings:
             ("ih", f"0..{cli.IH_MAX_G}"),
             ("nearby", f"1..{cli.NEARBY_MAX_N}"),
             ("hodge", f"1..{cli.HODGE_MAX_N}"),
+            ("monodromy", f"1..{cli.MILNOR_MAX_N}"),
+            ("betti", f"1..{cli.MILNOR_MAX_N}"),
         ):
             run_cli(name, "--help")
             assert stated in capsys.readouterr().out

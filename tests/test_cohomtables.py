@@ -7,18 +7,17 @@ import pytest
 from secantinv.cohomtables import (
     NearbyCycleSummand,
     RootOfUnity,
-    SymmetricPowerRangeError,
     eigentable_betti,
     ih_betti,
     monodromy_eigentable,
     nearby_vanishing_decomposition,
-    origin_eigenvalues,
     primitive_roots,
     sec2_singular_betti,
     sym_power_betti,
 )
 from secantinv.compositions import euler_phi
 from secantinv.hodge import milnor_betti
+from tests.references import origin_eigenvalues
 
 
 class TestRootOfUnity:
@@ -89,11 +88,72 @@ class TestSymPowerBetti:
                 for j in range(0, k + 1):
                     assert sym_power_betti(g, k, j) == table.dim(j)
 
-    def test_range_error_is_explicit(self):
-        with pytest.raises(SymmetricPowerRangeError):
-            sym_power_betti(1, 3, 4)
-        with pytest.raises(SymmetricPowerRangeError):
-            sym_power_betti(1, 3, -1)
+    def test_macdonald_in_every_degree(self):
+        for g in range(0, 8):
+            for k in range(1, 12):
+                brute = sym_product_poincare(g, k)
+                assert [sym_power_betti(g, k, j) for j in range(2 * k + 1)] == brute
+                assert sym_power_betti(g, k, -1) == sym_power_betti(g, k, 2 * k + 1) == 0
+
+    def test_poincare_duality_and_euler_characteristic(self):
+        # C_k is a smooth compact manifold of real dimension 2k, and
+        # chi(C_k) = [x^k] (1 - x)^(2g - 2) = (-1)^k C(2g - 2, k) for g >= 1.
+        for g in range(0, 8):
+            for k in range(1, 12):
+                dims = [sym_power_betti(g, k, j) for j in range(2 * k + 1)]
+                assert dims == dims[::-1]
+                if g >= 1:
+                    chi = sum((-1) ** j * d for j, d in enumerate(dims))
+                    assert chi == (-1) ** k * math.comb(2 * g - 2, k)
+
+
+def sym_product_poincare(g, k):
+    """Poincare coefficients of C_k by brute force over the graded-symmetric
+    k-th power of H*(C) = <1> + H^1 + <eta>: b odd classes (C(2g, b) ways),
+    c copies of eta and k - b - c copies of 1 give a class of degree b + 2c."""
+    coeffs = [0] * (2 * k + 1)
+    for b in range(k + 1):
+        for c in range(k - b + 1):
+            coeffs[b + 2 * c] += math.comb(2 * g, b)
+    return coeffs
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def decomposition_theorem_ih(g, kmax):
+    """IP(Sigma_k) for k = 1..kmax from the decomposition theorem for
+    Bertram's secant bundle B^k -> Sigma_k, a P^(k-1)-bundle over C_k.
+
+    The map is semismall with fibre C_(k-i) over Sigma_i minus Sigma_(i-1),
+    every stratum relevant, so (de Cataldo and Migliorini, Bull. AMS 46, 2009)
+    P(C_k) * (1 + t^2 + ... + t^(2k-2)) = IP(Sigma_k)
+    + sum over 1 <= i < k of t^(2(k-i)) IP(Sigma_i).
+    """
+    ip = {}
+    for k in range(1, kmax + 1):
+        fibre = [1 if j % 2 == 0 else 0 for j in range(2 * k - 1)]  # P(P^(k-1))
+        rest = poly_mul(sym_product_poincare(g, k), fibre)
+        for i in range(1, k):
+            for j, d in enumerate(ip[i]):
+                rest[j + 2 * (k - i)] -= d
+        ip[k] = rest
+    return ip
+
+
+class TestDecompositionTheoremOracle:
+    def test_recursion_reproduces_ih_betti(self):
+        for g in range(0, 8):
+            for k, expected in decomposition_theorem_ih(g, 11).items():
+                assert min(expected) >= 0
+                assert len(expected) == 4 * k - 1
+                assert expected == expected[::-1]
+                assert ih_betti(g, k).dims == tuple(expected), (g, k)
 
 
 class TestSec2Betti:
@@ -116,9 +176,10 @@ class TestSec2Betti:
 
     def test_weight_annotations(self):
         table = sec2_singular_betti(2)
-        assert table.weight_of(3) == 2
+        weights = dict(table.weights)
+        assert weights[3] == 2
         for j in (0, 1, 2, 4, 5, 6):
-            assert table.weight_of(j) == j
+            assert weights[j] == j
 
     def test_genus_params(self):
         assert sec2_singular_betti(3).dim(5) == 6

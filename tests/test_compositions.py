@@ -155,10 +155,11 @@ class TestGcdScaling:
         for n in range(1, 13):
             seen = {}
             for comp in enumerate_compositions(n):
-                d, reduced = comp.reduce_by_gcd()
+                d = comp.gcd()
+                reduced = Composition(tuple(p // d for p in comp.parts))
                 assert reduced.gcd() == 1
                 assert reduced.total * d == n
-                assert reduced.scale(d) == comp
+                assert tuple(d * p for p in reduced.parts) == comp.parts
                 seen.setdefault((d, reduced.parts), 0)
                 seen[(d, reduced.parts)] += 1
             # The map comp -> (gcd, coprime part) is injective.

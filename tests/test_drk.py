@@ -24,6 +24,7 @@ from secantinv.drk import (
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import MultiPoly
+from tests.references import proportionality
 
 
 def p(nvars, text):
@@ -215,15 +216,16 @@ class TestGrading:
 
     def test_top_form_degrees(self):
         alpha1 = ExtForm(5, 5, {(0, 1, 2, 3, 4): p(5, "2*x1*x3 - 2*x2^2")})
-        assert alpha1.homogeneous_degree() == 7
+        # A modulus above the degree makes the residue the degree itself.
+        assert homogeneous_class(alpha1, 100).residue == 7
         assert homogeneous_class(alpha1, 3) == GradedClass(1, 3)
         alpha2 = ExtForm(5, 5, {(0, 1, 2, 3, 4): p(5, "2*x1*x2*x3 - 2*x2^3")})
-        assert alpha2.homogeneous_degree() == 8
+        assert homogeneous_class(alpha2, 100).residue == 8
         assert homogeneous_class(alpha2, 3) == GradedClass(2, 3)
 
     def test_log_pole_counts_as_degree_zero(self):
         lifted = ExtForm(2, 1, {(0,): MultiPoly.const(2, 1)}).log_lift(1)
-        assert lifted.homogeneous_degree() == 1
+        assert homogeneous_class(lifted, 100).residue == 1
 
     def test_mixed_degrees_raise(self):
         form = ExtForm(2, 1, {(0,): p(2, "1 + x0")})
@@ -361,8 +363,8 @@ class TestEigenvectorPipeline:
         alpha1, alpha2 = n2_eigenvectors()
         expected1 = ExtForm(5, 5, {(0, 1, 2, 3, 4): p(5, "2*x1*x3 - 2*x2^2")})
         expected2 = ExtForm(5, 5, {(0, 1, 2, 3, 4): p(5, "2*x1*x2*x3 - 2*x2^3")})
-        scale1 = alpha1.proportionality(expected1)
-        scale2 = alpha2.proportionality(expected2)
+        scale1 = proportionality(alpha1, expected1)
+        scale2 = proportionality(alpha2, expected2)
         assert scale1 is not None and scale1 != 0
         assert scale2 is not None and scale2 != 0
 

@@ -13,12 +13,12 @@ from secantinv.exactalg import (
     LocalizedPoly,
     MultiPoly,
     PolyMatrix,
-    homogeneous_components,
     poly_det,
     rational_to_str,
 )
-from secantinv.hankel import block_reduce, hankel_matrix, random_locus_point, residual_hankel
+from secantinv.hankel import block_reduce, hankel_matrix, residual_hankel
 from secantinv.linalg import det
+from tests.references import random_locus_point
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
 
@@ -317,29 +317,40 @@ class TestPolyEval:
             assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
 
 
+def split_by_degree(q):
+    """The homogeneous parts of q keyed by degree, built from its dense terms."""
+    parts = {}
+    for e, c in q.terms.items():
+        parts.setdefault(sum(e), {})[e] = c
+    return {d: MultiPoly(q.nvars, t) for d, t in sorted(parts.items())}
+
+
 class TestHomogeneousComponents:
     def test_zero(self):
-        assert homogeneous_components(MultiPoly.zero(3)) == {}
+        zero = MultiPoly.zero(3)
+        assert split_by_degree(zero) == {}
+        assert zero.is_homogeneous() and zero.total_degree() == -1
 
     def test_split_by_inspection(self):
-        comps = homogeneous_components(p(3, "x0 + x1*x2"))
+        q = p(3, "x0 + x1*x2")
+        assert not q.is_homogeneous()
+        comps = split_by_degree(q)
         assert set(comps) == {1, 2}
         assert comps[1] == p(3, "x0")
         assert comps[2] == p(3, "x1*x2")
 
     def test_determinant_is_homogeneous(self):
         det = poly_det(hankel_matrix(2)).num
-        comps = homogeneous_components(det)
-        assert list(comps) == [3]
-        assert comps[3] == det
+        assert det.is_homogeneous()
+        assert det.total_degree() == 3
 
     def test_components_sum_to_original(self):
         rng = random.Random(23)
         for _ in range(20):
             q = random_poly(rng, 3)
             total = MultiPoly.zero(3)
-            for comp in homogeneous_components(q).values():
-                assert comp.is_homogeneous()
+            for d, comp in split_by_degree(q).items():
+                assert comp.is_homogeneous() and comp.total_degree() == d
                 total = total + comp
             assert total == q
 
@@ -391,6 +402,12 @@ class TestLocalizedPoly:
     def test_eval(self):
         q = LocalizedPoly(p(2, "x1"), 0, 1)
         assert q.eval([Fraction(2), Fraction(6)]) == 3
+
+    @pytest.mark.parametrize("point", [[1], [1, 2], [1, 2, 3, 4]])
+    def test_eval_checks_the_arity_before_reading_the_pole(self, point):
+        # [1] is too short to hold x2: the arity error comes before the index.
+        with pytest.raises(DimensionError):
+            LocalizedPoly(MultiPoly.variable(3, 0), 2, 1).eval(point)
 
     def test_mixed_localizations_rejected(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)

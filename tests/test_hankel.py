@@ -13,11 +13,11 @@ from secantinv.hankel import (
     factorization_identity,
     factorization_identity_at_point,
     hankel_matrix,
-    random_locus_point,
     residual_hankel,
     restricted_hankel,
     verify_block_reduction,
 )
+from tests.references import random_locus_point
 
 
 def p(nvars, text):

@@ -121,7 +121,7 @@ class TestMilnorBetti:
 
     def test_total_dimension(self):
         for n in range(1, 17):
-            assert milnor_betti(n).total_dimension() == n + 1
+            assert sum(milnor_betti(n).dims) == n + 1
 
 
 class TestHodgePolyType:
@@ -143,7 +143,8 @@ class TestHodgePolyType:
 
 class TestBettiTableType:
     def test_euler_characteristic(self):
-        assert BettiTable((1, 0, 2)).euler_characteristic() == 3
+        table = BettiTable((1, 0, 2))
+        assert sum((-1) ** j * table.dim(j) for j in range(-1, 4)) == 3
 
     def test_palindromic(self):
         assert BettiTable((1, 2, 1)).is_palindromic()

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantinv.drk import _class_basis, _d_f_rows, hankel_determinant_poly
-from secantinv.hankel import random_locus_point
 from secantinv.linalg import det, rank
+from tests.references import random_locus_point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -1,0 +1,35 @@
+"""The package exports only what the library itself or the benchmark uses:
+a name that only tests call belongs with the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "secantinv"
+
+
+def referenced_names(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    init = SRC / "__init__.py"
+    exported = [
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    users = [p for p in sorted(SRC.glob("*.py")) if p != init]
+    users += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(p) for p in users))
+    unused = [name for name in exported if name not in used]
+    assert exported and not unused, f"exported but used only by tests: {unused}"

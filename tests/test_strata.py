@@ -11,20 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantinv.compositions import Composition
 from secantinv.exactalg import MultiPoly
 from secantinv.hodge import hodge_atom, milnor_hodge_bruteforce
 from secantinv.strata import (
     StratumDescriptor,
     stratify,
-    stratum_coordinate_trace,
     torus_normal_form,
 )
 
 
 class TestStratify:
     def test_n2_matches_the_block_diagonal_picture(self):
-        by_comp = {d.composition.parts: d for d in stratify(2)}
+        by_comp = {d.exponent_vector: d for d in stratify(2)}
         assert by_comp[(1, 1, 1)].monomial == ((0, 1), (2, 1), (4, 1))
         assert by_comp[(2, 1)].monomial == ((1, 2), (4, 1))
         assert by_comp[(1, 2)].monomial == ((0, 1), (3, 2))
@@ -33,17 +31,16 @@ class TestStratify:
 
     def test_descriptor_fields(self):
         for d in stratify(3):
-            assert d.torus_rank == len(d.composition)
+            assert d.torus_rank == len(d.exponent_vector)
             assert d.affine_rank == 3
-            assert d.exponent_vector == d.composition.parts
-            assert d.gcd == reduce(math.gcd, d.composition.parts)
-            assert d.dimension == d.torus_rank + 3
-            assert tuple(pw for _, pw in d.monomial) == d.composition.parts
+            assert sum(d.exponent_vector) == 4
+            assert d.gcd == reduce(math.gcd, d.exponent_vector)
+            assert tuple(pw for _, pw in d.monomial) == d.exponent_vector
 
     def test_descriptor_stores_parts_and_affine_rank_only(self):
         d = StratumDescriptor((2, 2), 3)
         assert d == stratify(3)[2]
-        assert (d.composition, d.torus_rank, d.gcd, d.dimension) == (Composition((2, 2)), 2, 2, 5)
+        assert (d.exponent_vector, d.torus_rank, d.gcd, d.torus_rank + d.affine_rank) == ((2, 2), 2, 2, 5)
         assert d.monomial == ((1, 2), (5, 2))
         assert [f.name for f in fields(d)] == ["exponent_vector", "affine_rank"]
 
@@ -65,25 +62,23 @@ class TestStratify:
 
 
 class TestCoordinateTrace:
+    """The block trace of a stratum is its monomial: block i of size p_i has
+    its antidiagonal at coordinate index q_i, and contributes y_{q_i}^{p_i}."""
+
     def test_blocks_of_sizes_1_and_2(self):
-        trace = stratum_coordinate_trace(2, Composition((1, 2)))
-        assert trace == [(1, 0), (2, 3)]
+        assert StratumDescriptor((1, 2), 2).monomial == ((0, 1), (3, 2))
 
     def test_single_block_of_size_3(self):
-        assert stratum_coordinate_trace(2, Composition((3,))) == [(3, 2)]
+        assert StratumDescriptor((3,), 2).monomial == ((2, 3),)
 
     def test_single_block_general(self):
         for n in range(0, 8):
-            assert stratum_coordinate_trace(n, Composition((n + 1,))) == [(n + 1, n)]
+            assert StratumDescriptor((n + 1,), n).monomial == ((n, n + 1),)
 
     def test_anchor_indices_are_antidiagonal_positions(self):
         # Block i spans rows [s, s+p); its antidiagonal is at index 2s+p-1.
-        trace = stratum_coordinate_trace(6, Composition((2, 3, 2)))
-        assert trace == [(2, 1), (3, 6), (2, 11)]
-
-    def test_wrong_total_rejected(self):
-        with pytest.raises(ValueError):
-            stratum_coordinate_trace(2, Composition((1, 1)))
+        d = StratumDescriptor((2, 3, 2), 6)
+        assert d.monomial == ((1, 2), (6, 3), (11, 2))
 
 
 class TestCrossModuleHodgeSum:
