@@ -35,9 +35,9 @@ SCHEMA = "1"
 #: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
 #: C(2g, j) grow with g),
 #: `nearby -n 500` takes about 0.8 s and writes 10.8 MB (quadratic in n),
-#: `monodromy -n 100000` takes about 0.8 s and writes 8.0 MB (peak RSS 91 MB) and
-#: `betti --milnor -n 100000` about 0.4 s and 2.9 MB; both grow linearly in n
-#: (`monodromy -n 1000000` took 9.7 s, wrote 83 MB and peaked at about 760 MB).
+#: `monodromy -n 100000` takes about 0.4 s and writes 8.0 MB record by record (peak
+#: RSS 41 MB) and `betti --milnor -n 100000` about 0.4 s and 2.9 MB; both grow
+#: linearly in n (`monodromy -n 1000000` took 3.2 s, wrote 83 MB and peaked at 219 MB).
 #: `hodge -n` is capped by representation, not time: the torus-bundle
 #: polynomial has degree 2n + 1, which must fit a packed monomial key.
 STRATA_MAX_N = 16
@@ -169,20 +169,17 @@ def _cmd_monodromy(args: argparse.Namespace, out) -> int:
         for lam, degree, mult in rows:
             lines.append(f"{lam.label():<17} {degree:>5}  {mult}")
         out.write("\n".join(lines) + "\n")
-    else:
-        obj = {
-            "schema": SCHEMA,
-            "n": args.n,
-            "entries": [
-                {
-                    "eigenvalue": lam.to_obj(),
-                    "degree": degree,
-                    "multiplicity": mult,
-                }
-                for lam, degree, mult in rows
-            ],
-        }
-        out.write(_json_dumps(obj))
+        return 0
+    # The bytes of json.dumps(..., sort_keys=True), written one record at a time.
+    out.write('{"entries": [')
+    sep = ""
+    for lam, degree, mult in rows:
+        out.write(
+            f'{sep}{{"degree": {degree}, "eigenvalue": {{"p": {lam.p}, "q": {lam.q}}}, '
+            f'"multiplicity": {mult}}}'
+        )
+        sep = ", "
+    out.write(f'], "n": {args.n}, "schema": "{SCHEMA}"}}\n')
     return 0
 
 

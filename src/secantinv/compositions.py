@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Tuple
 
 
@@ -39,19 +38,9 @@ class Composition:
         if any(p < 1 for p in self.parts):
             raise ValueError("composition parts must be positive")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __reduce__(self):
         # copy and pickle go through __init__: a frozen instance rejects setattr.
         return Composition, (self.parts,)
-
-    def gcd(self) -> int:
-        return reduce(math.gcd, self.parts)
 
 
 def composition_parts(n: int) -> List[Tuple[int, ...]]:

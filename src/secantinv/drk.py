@@ -13,20 +13,20 @@ Representation:
   indices and folding signs into the coefficients.
 * A form may carry one simple log pole along a coordinate hyperplane
   {x_v = 0}: ``log_var = v`` means every stored term contains index v and
-  its true coefficient is the stored polynomial divided by x_v.  That is
-  exactly the shape of the lifts w ^ (dx_v / x_v) used by the residue
-  connecting maps, and it is closed under D_f.
+  its true coefficient is the stored polynomial divided by x_v.  Only the
+  univariate basis element dz/z is such a form; nothing computes with them.
 
 D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
 x^e dx_I is a sparse row keyed by the (index tuple, packed monomial key)
-of the image's monomial forms.  ``d_f`` and ``connecting_map`` sum the
-rows of a form's monomial forms weighted by its coefficients, with or
-without a log pole.  Truncated cohomology dimensions (``truncated_drk_dims``)
-restrict each graded slice to a coefficient-degree cap and rank the rows of
-its monomial forms exactly with ``linalg.rank`` (fraction-free elimination
-over Z).  The image inside the cap is rank([A|B]) - rank(B), where the rows
-of the previous slice split into their parts A within the cap and B beyond
-it.
+of the image's monomial forms.  ``d_f`` sums the rows of a form's monomial
+forms weighted by its coefficients.  The residue connecting map across
+{x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is
+(D_f(w) ^ dx_v) / x_v, divided exactly.  Truncated cohomology dimensions
+(``truncated_drk_dims``) restrict each graded slice to a coefficient-degree
+cap and rank the rows of its monomial forms exactly with ``linalg.rank``
+(fraction-free elimination over Z).  The image inside the cap is
+rank([A|B]) - rank(B), where the rows of the previous slice split into
+their parts A within the cap and B beyond it.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -49,11 +49,12 @@ class MixedDegreeError(ValueError):
 
 
 class ResidueMismatchError(ValueError):
-    """The proposed lift does not have the required residue."""
+    """The form does not live on the hyperplane the connecting map crosses."""
 
 
 class PoleSurvivesError(ValueError):
-    """The log pole failed to cancel, signaling an invalid lift."""
+    """The pole of the connecting map failed to cancel: the form is not
+    closed on the hyperplane."""
 
 
 class CohomologyMismatchError(RuntimeError):
@@ -133,59 +134,6 @@ class ExtForm:
             (self.nvars, self.degree, self.log_var, frozenset(self.terms.items()))
         )
 
-    # -- log poles and residues ---------------------------------------------------
-
-    def log_lift(self, v: int) -> "ExtForm":
-        """w ^ (dx_v / x_v): the standard lift with residue w restricted to
-        {x_v = 0} (equal to w itself when no coefficient involves x_v)."""
-        if self.log_var is not None:
-            raise ValueError("form already has a log pole")
-        if not 0 <= v < self.nvars:
-            raise DimensionError(f"variable index {v} out of range")
-        out: Dict[IndexTuple, MultiPoly] = {}
-        for indices, coeff in self.terms.items():
-            inserted = _insert_index(indices, v)
-            if inserted is None:
-                raise ValueError(f"term already contains dx{v}; lift is not defined")
-            new_idx, _ = inserted
-            # dx_I ^ dx_v: move dx_v left past the indices larger than v.
-            larger = sum(1 for i in indices if i > v)
-            out[new_idx] = coeff if larger % 2 == 0 else -coeff
-        return ExtForm(self.nvars, self.degree + 1, out, v)
-
-    def residue(self) -> "ExtForm":
-        """Residue along the pole hyperplane (coefficients restricted to it)."""
-        if self.is_zero():
-            return ExtForm(self.nvars, self.degree - 1)
-        if self.log_var is None:
-            raise ValueError("form has no log pole")
-        v = self.log_var
-        out: Dict[IndexTuple, MultiPoly] = {}
-        for indices, coeff in self.terms.items():
-            rest = tuple(i for i in indices if i != v)
-            larger = sum(1 for i in indices if i > v)
-            restricted = coeff.substitute(v, 0)
-            if restricted.is_zero():
-                continue
-            out[rest] = restricted if larger % 2 == 0 else -restricted
-        return ExtForm(self.nvars, self.degree - 1, out)
-
-    def strip_pole(self) -> "ExtForm":
-        """Cancel the pole when every stored coefficient is divisible by x_v."""
-        if self.is_zero():
-            return ExtForm(self.nvars, self.degree)
-        if self.log_var is None:
-            raise ValueError("form has no log pole")
-        v = self.log_var
-        out: Dict[IndexTuple, MultiPoly] = {}
-        for indices, coeff in self.terms.items():
-            if coeff.var_multiplicity(v) < 1:
-                raise PoleSurvivesError(
-                    f"log pole along x{v} survives in term dx{list(indices)}"
-                )
-            out[indices] = coeff.div_var_power(v, 1)
-        return ExtForm(self.nvars, self.degree, out)
-
     # -- serialization ------------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -233,11 +181,8 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     by the (index tuple, packed key) of the image's monomial forms:
     the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
     Distinct j give distinct index tuples, and the two parts differ in
-    degree, so no two contributions share a key.
-
-    This is the only place D_f is built.  It serves log forms unchanged:
-    their stored coefficient is x_v times the true one, and v is in every
-    index tuple, so j = v never contributes and d(c / x_v) = dc / x_v."""
+    degree, so no two contributions share a key.  This is the only place
+    D_f is built."""
     nvars = f.nvars
     var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
     partials = [f.derivative(j).packed for j in range(nvars)]
@@ -258,9 +203,11 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     return rows
 
 
-def _d_f_any(f: MultiPoly, form: ExtForm) -> ExtForm:
-    """D_f of a form with or without a log pole: the coefficient-weighted
-    sum of the D_f rows of its monomial forms."""
+def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
+    """The twisted differential D_f(w) = dw + df ^ w on pole-free forms: the
+    coefficient-weighted sum of the D_f rows of the form's monomial forms."""
+    if form.has_log_pole():
+        raise ValueError("D_f is computed on pole-free forms only")
     if f.nvars != form.nvars:
         raise DimensionError("variable count mismatch between f and the form")
     if form.degree == form.nvars:
@@ -276,15 +223,7 @@ def _d_f_any(f: MultiPoly, form: ExtForm) -> ExtForm:
         form.nvars,
         form.degree + 1,
         {idx: _make(form.nvars, _clean(terms)) for idx, terms in image.items()},
-        form.log_var,
     )
-
-
-def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
-    """The twisted differential D_f(w) = dw + df ^ w on pole-free forms."""
-    if form.has_log_pole():
-        raise ValueError("log forms are handled by the connecting map")
-    return _d_f_any(f, form)
 
 
 def homogeneous_class(form: ExtForm, modulus: int) -> GradedClass:
@@ -309,22 +248,39 @@ def homogeneous_class(form: ExtForm, modulus: int) -> GradedClass:
     return GradedClass(residues.pop(), modulus)
 
 
-def connecting_map(f: MultiPoly, form: ExtForm, lift: ExtForm) -> ExtForm:
-    """Residue connecting homomorphism: D_f applied to a log lift.
+def connecting_map(f: MultiPoly, form: ExtForm, v: int) -> ExtForm:
+    """Residue connecting homomorphism across the hyperplane {x_v = 0}.
 
-    ``form`` must be the exact residue of ``lift``; the differential of the
-    lift then loses its pole (otherwise the lift was invalid and a
-    consistency error is raised) and the result is a D_f-closed form one
-    cohomological step up, in the same graded class as ``form``.
+    ``form`` lives on the hyperplane: no term has dx_v and no coefficient
+    involves x_v (otherwise ResidueMismatchError).  Its log lift
+    w ^ dx_v / x_v is never built: d(dx_v / x_v) = 0, so
+    D_f(w ^ dx_v / x_v) = D_f(w) ^ dx_v / x_v, whose pole cancels exactly
+    when x_v divides every coefficient of D_f(w) ^ dx_v (otherwise
+    PoleSurvivesError).  The result is a D_f-closed form one cohomological
+    step up, in the same graded class as ``form``; a form of degree
+    nvars - 1 maps to the zero top form.
     """
-    if not lift.has_log_pole():
-        raise ValueError("lift must carry exactly one log pole")
-    if lift.residue() != form:
-        raise ResidueMismatchError("lift residue differs from the given form")
-    image = _d_f_any(f, lift)
-    result = image.strip_pole()
-    closure = d_f(f, result)
-    if not closure.is_zero():
+    nvars = form.nvars
+    if not 0 <= v < nvars:
+        raise DimensionError(f"variable index {v} out of range")
+    for indices, coeff in form.terms.items():
+        if v in indices or not coeff.derivative(v).is_zero():
+            raise ResidueMismatchError(f"form is not a form on the hyperplane x{v} = 0")
+    image = d_f(f, form)
+    if form.degree == nvars - 1:
+        return ExtForm(nvars, nvars)
+    out: Dict[IndexTuple, MultiPoly] = {}
+    for indices, coeff in image.terms.items():
+        if v in indices:
+            continue
+        if coeff.var_multiplicity(v) < 1:
+            raise PoleSurvivesError(f"log pole along x{v} survives in term dx{list(indices)}")
+        # dx_I ^ dx_v: move dx_v left past the indices larger than v.
+        quotient = coeff.div_var_power(v, 1)
+        larger = sum(1 for i in indices if i > v)
+        out[tuple(sorted(indices + (v,)))] = quotient if larger % 2 == 0 else -quotient
+    result = ExtForm(nvars, form.degree + 2, out)
+    if not d_f(f, result).is_zero():
         raise CohomologyMismatchError("connecting-map output is not closed")
     return result
 
@@ -383,9 +339,6 @@ class TruncatedDims:
     dims: Tuple[Tuple[int, int], ...]
     truncation: int
     stabilized: bool
-
-    def dim(self, k: int) -> int:
-        return dict(self.dims).get(k, 0)
 
 
 def _class_basis(nvars: int, k: int, modulus: int, residue: int, cap: int):
@@ -514,8 +467,8 @@ def n2_eigenvectors() -> Tuple[ExtForm, ExtForm]:
         start = ExtForm(5, 1, {(2,): start_coeff})
         if not d_f(f_w, start).is_zero():
             raise CohomologyMismatchError("pipeline seed form is not closed")
-        middle = connecting_map(f_z0, start, start.log_lift(1))
-        top = connecting_map(f, middle, middle.log_lift(0))
+        middle = connecting_map(f_z0, start, 1)
+        top = connecting_map(f, middle, 0)
         outputs.append(top)
 
     alpha1, alpha2 = outputs

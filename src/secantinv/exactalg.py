@@ -436,9 +436,6 @@ class LocalizedPoly:
     def nvars(self) -> int:
         return self.num.nvars
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __add__(self, other: "LocalizedPoly") -> "LocalizedPoly":
         var = _pole_var((self, other), self.var)
         common = max(self.power, other.power)

@@ -28,7 +28,6 @@ from functools import reduce
 from typing import List, Sequence, Tuple
 
 from .compositions import composition_parts
-from .linalg import det
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class StratumDescriptor:
     """One torus stratum, stored as its composition's parts and n; the rest is derived.
 
     ``monomial`` lists (coordinate index, exponent) pairs of the restricted
-    determinant; ``torus_rank`` + ``affine_rank`` is the stratum dimension.
+    determinant; len(exponent_vector) + ``affine_rank`` is the stratum dimension.
     """
 
     # Declared here: with slots=True, Python 3.11 raises TypeError, not
@@ -48,10 +47,6 @@ class StratumDescriptor:
     def __reduce__(self):
         # copy and pickle go through __init__: a frozen instance rejects setattr.
         return StratumDescriptor, (self.exponent_vector, self.affine_rank)
-
-    @property
-    def torus_rank(self) -> int:
-        return len(self.exponent_vector)
 
     @property
     def gcd(self) -> int:
@@ -73,9 +68,6 @@ class UnimodularChange:
 
     matrix: Tuple[Tuple[int, ...], ...]
     exponent: int
-
-    def determinant(self) -> int:
-        return int(det(self.matrix))
 
     def pullback_exponents(self) -> Tuple[int, ...]:
         """Exponent vector of the pullback of z^d (z = first new coordinate)."""

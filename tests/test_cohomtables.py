@@ -15,8 +15,9 @@ from secantinv.cohomtables import (
     sec2_singular_betti,
     sym_power_betti,
 )
-from secantinv.compositions import euler_phi
-from secantinv.hodge import milnor_betti
+from secantinv.compositions import divisors, euler_phi
+from secantinv.exactalg import MultiPoly
+from secantinv.hodge import gbundle_hodge_bruteforce, milnor_betti
 from tests.references import origin_eigenvalues
 
 
@@ -215,6 +216,22 @@ class TestMonodromyEigentable:
                 counts[degree] = counts.get(degree, 0) + mult
             for j, dim in enumerate(betti.dims):
                 assert counts.get(j, 0) == dim
+
+    def test_each_subgroup_matches_the_gbundle_stratum_sum_up_to_14(self):
+        # T^d, which generates the order-(n+1)/d subgroup of the monodromy
+        # group, fixes the eigenvalues whose order q divides d.  Counted with
+        # t^(2n - degree) and times (t - 1), they give the Hodge polynomial
+        # of the torus bundle {y^d f = 1}, which gbundle_hodge_bruteforce
+        # sums stratum by stratum.
+        t = MultiPoly.variable(1, 0)
+        for n in range(1, 15):
+            rows = monodromy_eigentable(n)
+            for d in divisors(n + 1):
+                fixed = MultiPoly.zero(1)
+                for lam, degree, mult in rows:
+                    if d % lam.q == 0:
+                        fixed = fixed + (t ** (2 * n - degree)).scale(mult)
+                assert (t - MultiPoly.const(1, 1)) * fixed == gbundle_hodge_bruteforce(n, d)
 
     def test_annotated_betti_table(self):
         table = eigentable_betti(2)

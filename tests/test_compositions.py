@@ -19,12 +19,12 @@ from secantinv.compositions import (
 
 
 def brute_coprime(n):
-    return sum(1 for c in enumerate_compositions(n) if c.gcd() == 1)
+    return sum(1 for c in enumerate_compositions(n) if math.gcd(*c.parts) == 1)
 
 
 def brute_coprime_by_length(n, length):
     return sum(
-        1 for c in enumerate_compositions(n) if len(c) == length and c.gcd() == 1
+        1 for c in enumerate_compositions(n) if len(c.parts) == length and math.gcd(*c.parts) == 1
     )
 
 
@@ -43,7 +43,7 @@ class TestEnumeration:
         for n in range(1, 15):
             comps = enumerate_compositions(n)
             assert len(comps) == 2 ** (n - 1)
-            assert all(c.total == n for c in comps)
+            assert all(sum(c.parts) == n for c in comps)
             assert len({c.parts for c in comps}) == len(comps)
 
     def test_order_is_deterministic(self):
@@ -155,10 +155,10 @@ class TestGcdScaling:
         for n in range(1, 13):
             seen = {}
             for comp in enumerate_compositions(n):
-                d = comp.gcd()
+                d = math.gcd(*comp.parts)
                 reduced = Composition(tuple(p // d for p in comp.parts))
-                assert reduced.gcd() == 1
-                assert reduced.total * d == n
+                assert math.gcd(*reduced.parts) == 1
+                assert sum(reduced.parts) * d == n
                 assert tuple(d * p for p in reduced.parts) == comp.parts
                 seen.setdefault((d, reduced.parts), 0)
                 seen[(d, reduced.parts)] += 1
@@ -169,7 +169,7 @@ class TestGcdScaling:
                 expected = {
                     c.parts
                     for c in enumerate_compositions(n // d)
-                    if c.gcd() == 1
+                    if math.gcd(*c.parts) == 1
                 }
                 got = {q for (dd, q) in seen if dd == d}
                 assert got == expected

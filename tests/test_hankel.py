@@ -117,8 +117,8 @@ class TestBlockReduceSmall:
         for i in (1, 2):
             for j in (1, 2):
                 assert r.N_matrix.at(i, j) == -r.p_seq[i + j]
-        assert r.N_matrix.at(0, 1).is_zero()
-        assert r.N_matrix.at(2, 0).is_zero()
+        assert r.N_matrix.at(0, 1).num.is_zero()
+        assert r.N_matrix.at(2, 0).num.is_zero()
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

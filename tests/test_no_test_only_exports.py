@@ -1,5 +1,6 @@
 """The package exports only what the library itself or the benchmark uses:
-a name that only tests call belongs with the tests."""
+a name that only tests call belongs with the tests.  The same holds for the
+public methods and properties of its classes."""
 
 import ast
 from pathlib import Path
@@ -8,14 +9,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "secantinv"
 
 
-def referenced_names(path: Path) -> set:
+def referenced_names(path: Path, imports: bool = True) -> set:
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
 
@@ -33,3 +34,20 @@ def test_every_export_is_used_outside_the_tests():
     used = set().union(*(referenced_names(p) for p in users))
     unused = [name for name in exported if name not in used]
     assert exported and not unused, f"exported but used only by tests: {unused}"
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # Matched by name alone, so a method whose name some other attribute
+    # shares (`dim`, `total`) passes: this is a lower bound on what is unused.
+    users = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(p, imports=False) for p in users))
+    methods = [
+        (f"{path.stem}.{cls.name}.{item.name}", item.name)
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    unused = [where for where, name in methods if name not in used]
+    assert methods and not unused, f"public methods used only by tests: {unused}"
