@@ -7,8 +7,8 @@ Modules by theme:
                   symbolic matrices and determinants;
 * hankel       -- Hankel matrices and the block-reduction coordinate change;
 * compositions -- ordered partitions, Moebius and totient counting;
-* linalg       -- exact sparse rank and dense determinants by fraction-free
-                  elimination over Z;
+* linalg       -- exact sparse prefix ranks and dense determinants by
+                  fraction-free elimination over Z;
 * strata       -- composition-indexed torus strata and unimodular monomial
                   normal forms;
 * hodge        -- Hodge polynomials and Milnor-fiber Betti tables;

@@ -165,10 +165,9 @@ def _cmd_ih(args: argparse.Namespace, out) -> int:
 def _cmd_monodromy(args: argparse.Namespace, out) -> int:
     rows = cohomtables.monodromy_eigentable(args.n)
     if args.format == "table":
-        lines = ["eigenvalue        degree  multiplicity"]
+        out.write("eigenvalue        degree  multiplicity\n")
         for lam, degree, mult in rows:
-            lines.append(f"{lam.label():<17} {degree:>5}  {mult}")
-        out.write("\n".join(lines) + "\n")
+            out.write(f"{lam.label():<17} {degree:>5}  {mult}\n")
         return 0
     # The bytes of json.dumps(..., sort_keys=True), written one record at a time.
     out.write('{"entries": [')

@@ -21,12 +21,18 @@ x^e dx_I is a sparse row keyed by the (index tuple, packed monomial key)
 of the image's monomial forms.  ``d_f`` sums the rows of a form's monomial
 forms weighted by its coefficients.  The residue connecting map across
 {x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is
-(D_f(w) ^ dx_v) / x_v, divided exactly.  Truncated cohomology dimensions
-(``truncated_drk_dims``) restrict each graded slice to a coefficient-degree
-cap and rank the rows of its monomial forms exactly with ``linalg.rank``
-(fraction-free elimination over Z).  The image inside the cap is
-rank([A|B]) - rank(B), where the rows of the previous slice split into
-their parts A within the cap and B beyond it.
+(D_f(w) ^ dx_v) / x_v, divided exactly.
+
+Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
+graded slice to a coefficient-degree cap, at the truncation and one modulus
+below it.  The monomial forms of each needed form degree are listed in
+order of coefficient degree, so the slice at any cap is a prefix; their
+D_f rows are built once and eliminated once with ``linalg.prefix_ranks``
+(fraction-free over Z, pivoting on the leading term of the df^ part), and
+every rank at both levels is read off as a prefix rank.  The image inside
+the cap is rank([A|B]) - rank(B), where the rows of the previous form
+degree split into their parts A within the cap and B beyond it; B is the
+column restriction of a prefix of the same rows, ranked once per level.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -36,12 +42,13 @@ rather than trusting the closed-form description.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import DimensionError, MultiPoly, _clean, _make, key_degree, pack, unpack
-from .linalg import rank
+from .linalg import prefix_ranks, rank
 
 
 class MixedDegreeError(ValueError):
@@ -186,15 +193,19 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     nvars = f.nvars
     var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
     partials = [f.derivative(j).packed for j in range(nvars)]
+    inserts: Dict[IndexTuple, list] = {}
     rows = []
     for indices, key in domain:
+        wedges = inserts.get(indices)
+        if wedges is None:
+            wedges = inserts[indices] = [
+                (j, *inserted)
+                for j in range(nvars)
+                if (inserted := _insert_index(indices, j)) is not None
+            ]
         expo = unpack(key, nvars)
         row = {}
-        for j in range(nvars):
-            inserted = _insert_index(indices, j)
-            if inserted is None:
-                continue
-            new_idx, sign = inserted
+        for j, new_idx, sign in wedges:
             if expo[j]:
                 row[(new_idx, key - var_keys[j])] = sign * expo[j]
             for k, c in partials[j].items():
@@ -309,12 +320,13 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
     for cap in (3 * (m + 1), 3 * (m + 1) + m + 1):
         # Domain: z^j for j <= cap, with D_g(z^j) = j z^(j-1) dz + (m+1) z^(j+m) dz.
         rows = [{j - 1: j, j + m: m + 1} if j else {m: m + 1} for j in range(cap + 1)]
-        image_rank = rank(rows)
+        ranks = prefix_ranks(rows + basis_rows)
+        image_rank = ranks[len(rows) - 1]
         if image_rank != len(rows):
             raise CohomologyMismatchError("H^0 of the univariate complex is nonzero")
         dims.append(cap + m + 1 - low - image_rank)
         # The stated basis must be independent modulo the image.
-        if rank(rows + basis_rows) != image_rank + len(basis_rows):
+        if ranks[-1] != image_rank + len(basis_rows):
             raise CohomologyMismatchError(
                 "stated univariate basis is dependent modulo the image"
             )
@@ -343,14 +355,15 @@ class TruncatedDims:
 
 def _class_basis(nvars: int, k: int, modulus: int, residue: int, cap: int):
     """Monomial k-form basis of the graded-class slice with coefficient
-    degree <= cap: pairs (index tuple, packed monomial key)."""
+    degree <= cap: pairs (index tuple, packed monomial key), in order of
+    coefficient degree, so the basis at any lower cap is a prefix."""
     out = []
-    for indices in combinations(range(nvars), k):
-        for total in range(cap + 1):
-            if (total + k) % modulus != residue:
-                continue
-            for expo in _exponents_of_degree(nvars, total):
-                out.append((indices, pack(expo)))
+    for total in range(cap + 1):
+        if (total + k) % modulus != residue:
+            continue
+        exponents = [pack(expo) for expo in _exponents_of_degree(nvars, total)]
+        for indices in combinations(range(nvars), k):
+            out.extend((indices, key) for key in exponents)
     return out
 
 
@@ -393,44 +406,53 @@ def truncated_drk_dims(
         raise ValueError("truncation must be at least the modulus")
     if not 0 <= residue < modulus:
         raise ValueError("residue out of range")
-    wanted = tuple(range(f.nvars + 1)) if degrees is None else tuple(degrees)
+    nvars = f.nvars
+    wanted = tuple(range(nvars + 1)) if degrees is None else tuple(degrees)
 
-    current = _dims_at(f, modulus, residue, truncation, wanted)
-    previous = _dims_at(f, modulus, residue, truncation - modulus, wanted)
+    # The D_f rows of each needed form degree j are built and eliminated
+    # once, in order of coefficient degree, up to the largest cap they are
+    # read at: truncation + 1 when they are the image side of degree j + 1.
+    # Every rank below is then a prefix rank of that one pass: ranks[i] is
+    # the rank of the first i rows.
+    slices = {}
+    for j in set(wanted) | {k - 1 for k in wanted if k >= 1}:
+        top = truncation + 1 if j + 1 in wanted else truncation
+        domain = _class_basis(nvars, j, modulus, residue, top)
+        rows = _d_f_rows(f, domain)
+        coeff_degrees = [key_degree(key, nvars) for _, key in domain]
+        slices[j] = (rows, coeff_degrees, [0, *prefix_ranks(rows)])
+
+    levels = []
+    for cap in (truncation, truncation - modulus):
+        dims: Dict[int, int] = {}
+        for k in wanted:
+            # Kernel of D_f on the slice: full image, no truncation of the target.
+            _, coeff_degrees, ranks = slices[k]
+            size = bisect_right(coeff_degrees, cap)
+            dims[k] = size - ranks[size]
+            if k == 0:
+                continue
+            # Image inside the truncation: combinations of the (k-1)-forms one
+            # coefficient degree above the cap (the exterior derivative lowers
+            # coefficient degree by one) whose D_f has no part B beyond the cap.
+            # Their within-cap parts A span the projection onto A of
+            # rowspace[A|B] intersected with {B = 0}, of dimension
+            # rank([A|B]) - rank(B).  B is the same prefix of rows cut to
+            # the columns beyond the cap.
+            rows, coeff_degrees, ranks = slices[k - 1]
+            size = bisect_right(coeff_degrees, cap + 1)
+            beyond = [
+                {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
+                for row in rows[:size]
+            ]
+            dims[k] -= ranks[size] - rank(beyond)
+        levels.append(dims)
+    current, previous = levels
     return TruncatedDims(
         dims=tuple(sorted(current.items())),
         truncation=truncation,
         stabilized=current == previous,
     )
-
-
-def _dims_at(
-    f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
-) -> Dict[int, int]:
-    nvars = f.nvars
-    dims: Dict[int, int] = {}
-    for k in wanted:
-        domain = _class_basis(nvars, k, modulus, residue, cap)
-        if not domain:
-            dims[k] = 0
-            continue
-        # Kernel of D_f on the slice: full image, no truncation of the target.
-        kernel_dim = len(domain) - rank(_d_f_rows(f, domain))
-
-        # Image inside the truncation: combinations of the (k-1)-forms one
-        # coefficient degree above the cap (the exterior derivative lowers
-        # coefficient degree by one) whose D_f has no part B beyond the cap.
-        # Their within-cap parts A span the projection onto A of
-        # rowspace[A|B] intersected with {B = 0}, of dimension
-        # rank([A|B]) - rank(B).
-        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
-        full = _d_f_rows(f, prev)
-        beyond = [
-            {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
-            for row in full
-        ]
-        dims[k] = kernel_dim - (rank(full) - rank(beyond))
-    return dims
 
 
 # -- the explicit eigenvector pipeline ------------------------------------------

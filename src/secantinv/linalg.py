@@ -1,15 +1,19 @@
-"""Exact linear algebra over Z for rational input: the rank of sparse rows
+"""Exact linear algebra over Z for rational input: the ranks of sparse rows
 and the determinant of a dense matrix, both by fraction-free elimination.
 
 Each row is first scaled to integers by the lcm of its denominators.  That
 leaves the rank unchanged and multiplies the determinant by a known
 integer, so all elimination runs on Python ints and builds no Fraction.
 
-* ``rank`` takes sparse rows {column key: value} and eliminates them one at
-  a time against the pivot rows found so far, with ``row = a*row - b*pivot``
-  (a, b coprime).  Every stored row is divided by its content, the gcd of
-  its entries, so entries stay small.  A row's pivot is its smallest
-  column key.
+* ``prefix_ranks`` takes sparse rows {column key: value} and eliminates
+  them one at a time against the pivot rows found so far, with
+  ``row = a*row - b*pivot`` (a, b coprime), recording the rank after each
+  row: one pass gives the rank of every prefix of the rows.  Every stored
+  row is divided by its content, the gcd of its entries, so entries stay
+  small.  A row's pivot is its largest column key; on the rows of the
+  twisted differential that is the leading term of the df^ part, which
+  keeps fill-in low (structured pivoting of Macaulay-like matrices,
+  Faugere and Lachartre, PASCO 2010).  ``rank`` is the last prefix rank.
 * ``det`` is Bareiss's fraction-free Gaussian elimination (Bareiss 1968,
   *Sylvester's identity and multistep integer-preserving Gaussian
   elimination*): every intermediate entry is a minor of the integer
@@ -38,19 +42,21 @@ def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
     return row
 
 
-def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
-    """Exact rank of sparse rational rows {column key: int | Fraction}.
+def prefix_ranks(rows: Iterable[Mapping[Hashable, Number]]) -> List[int]:
+    """Exact ranks of the prefixes of sparse rational rows {column key:
+    int | Fraction}: entry i is the rank of the first i + 1 rows.
 
     Column keys must be mutually comparable; only their order matters.
     """
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
+    ranks: List[int] = []
     for sparse in rows:
         scale = _denominator_lcm(sparse.values())
         row = _primitive(
             {key: v.numerator * (scale // v.denominator) for key, v in sparse.items()}
         )
         while row:
-            col = min(row)
+            col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 pivots[col] = row
@@ -62,7 +68,14 @@ def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
             for key, v in pivot.items():
                 row[key] = row.get(key, 0) - b * v
             row = _primitive(row)
-    return len(pivots)
+        ranks.append(len(pivots))
+    return ranks
+
+
+def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
+    """Exact rank of sparse rational rows: the last of their prefix ranks."""
+    ranks = prefix_ranks(rows)
+    return ranks[-1] if ranks else 0
 
 
 def det(rows: Sequence[Sequence[Number]]) -> Fraction:

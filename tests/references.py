@@ -6,10 +6,12 @@ result a second way, so they live with the tests.
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
-from secantinv.drk import ExtForm
+from secantinv.drk import ExtForm, _class_basis, _d_f_rows
+from secantinv.exactalg import MultiPoly, key_degree
+from secantinv.linalg import rank
 
 
 def proportionality(a: ExtForm, b: ExtForm) -> Optional[Fraction]:
@@ -61,3 +63,37 @@ def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:
                 break
         point[j] = value
     return point
+
+
+def dims_at(
+    f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
+) -> Dict[int, int]:
+    """Truncated cohomology dimensions of the class-``residue`` slices at one
+    coefficient-degree cap, rebuilding and ranking every slice on its own:
+    three ``rank`` calls per form degree and cap.  ``truncated_drk_dims``
+    reads the same numbers, at both of its caps, from one elimination per
+    form degree."""
+    nvars = f.nvars
+    dims: Dict[int, int] = {}
+    for k in wanted:
+        domain = _class_basis(nvars, k, modulus, residue, cap)
+        if not domain:
+            dims[k] = 0
+            continue
+        # Kernel of D_f on the slice: full image, no truncation of the target.
+        kernel_dim = len(domain) - rank(_d_f_rows(f, domain))
+
+        # Image inside the truncation: combinations of the (k-1)-forms one
+        # coefficient degree above the cap (the exterior derivative lowers
+        # coefficient degree by one) whose D_f has no part B beyond the cap.
+        # Their within-cap parts A span the projection onto A of
+        # rowspace[A|B] intersected with {B = 0}, of dimension
+        # rank([A|B]) - rank(B).
+        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
+        full = _d_f_rows(f, prev)
+        beyond = [
+            {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
+            for row in full
+        ]
+        dims[k] = kernel_dim - (rank(full) - rank(beyond))
+    return dims

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from secantinv import drk
 from secantinv.drk import (
     ExtForm,
     GradedClass,
@@ -24,7 +25,7 @@ from secantinv.drk import (
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import MultiPoly
-from tests.references import proportionality
+from tests.references import dims_at, proportionality
 
 
 def p(nvars, text):
@@ -343,8 +344,37 @@ class TestTruncatedDims:
         result = truncated_drk_dims(hankel_determinant_poly(2), 3, a, 3)
         assert multiplicity == 1
         assert result.dims == tuple((k, int(k == 5)) for k in range(6))
-        # Class 1 only stabilizes at truncation 6, too slow for this suite.
+        # Class 1 stabilizes only at truncation 6 (see the next test).
         assert result.stabilized == (a == 2)
+
+    def test_hankel_3x3_class_one_stabilizes_at_truncation_six(self):
+        result = truncated_drk_dims(hankel_determinant_poly(2), 3, 1, 6)
+        assert result.dims == tuple((k, int(k == 5)) for k in range(6))
+        assert result.stabilized
+
+    def test_hankel_3x3_class_zero_vanishes(self):
+        # Eigenvalue 1 lives only in H^0, which reduced cohomology drops.
+        result = truncated_drk_dims(hankel_determinant_poly(2), 3, 0, 3)
+        assert result.dims == tuple((k, 0) for k in range(6))
+        assert result.stabilized
+
+    def test_one_elimination_per_form_degree(self, monkeypatch):
+        # Every needed form degree is eliminated once, and each form degree
+        # k >= 1 ranks its rows beyond the cap once per truncation level.
+        passes = []
+
+        def counting(name, entry):
+            def wrapped(rows):
+                passes.append(name)
+                return entry(rows)
+
+            return wrapped
+
+        monkeypatch.setattr(drk, "prefix_ranks", counting("prefix", drk.prefix_ranks))
+        monkeypatch.setattr(drk, "rank", counting("beyond", drk.rank))
+        result = truncated_drk_dims(hankel_determinant_poly(1), 2, 1, 6)
+        assert result.dims == ((0, 0), (1, 0), (2, 0), (3, 1))
+        assert sorted(passes) == ["beyond"] * 6 + ["prefix"] * 4
 
     def test_inhomogeneous_f_rejected(self):
         with pytest.raises(ValueError):
@@ -353,6 +383,35 @@ class TestTruncatedDims:
     def test_wrong_modulus_rejected(self):
         with pytest.raises(ValueError):
             truncated_drk_dims(p(1, "x0^2"), 3, 0, 6)
+
+
+def reference_truncated_dims(f, modulus, residue, truncation, degrees=None):
+    """(dims, stabilized) from the per-cap reference, which rebuilds and
+    ranks every slice at each of the two caps."""
+    wanted = tuple(range(f.nvars + 1)) if degrees is None else tuple(degrees)
+    current = dims_at(f, modulus, residue, truncation, wanted)
+    previous = dims_at(f, modulus, residue, truncation - modulus, wanted)
+    return tuple(sorted(current.items())), current == previous
+
+
+class TestTruncatedDimsAgainstThePerCapReference:
+    @pytest.mark.parametrize("truncation", range(2, 9))
+    @pytest.mark.parametrize("residue", [0, 1])
+    def test_det_h1_every_class_and_truncation(self, residue, truncation):
+        f = hankel_determinant_poly(1)
+        result = truncated_drk_dims(f, 2, residue, truncation)
+        assert (result.dims, result.stabilized) == reference_truncated_dims(
+            f, 2, residue, truncation
+        )
+
+    @pytest.mark.parametrize("degrees", [None] + [[d] for d in range(6)])
+    @pytest.mark.parametrize("residue", [0, 1, 2])
+    def test_det_h2_every_class_at_truncation_3(self, residue, degrees):
+        f = hankel_determinant_poly(2)
+        result = truncated_drk_dims(f, 3, residue, 3, degrees)
+        assert (result.dims, result.stabilized) == reference_truncated_dims(
+            f, 3, residue, 3, degrees
+        )
 
 
 class TestConnectingMap:

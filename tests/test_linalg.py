@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantinv.drk import _class_basis, _d_f_rows, hankel_determinant_poly
-from secantinv.linalg import det, rank
+from secantinv.linalg import det, prefix_ranks, rank
 from tests.references import random_locus_point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -109,7 +109,16 @@ class TestRank:
             padded.insert(min(pos, len(padded)), {0: 0, 3: Fraction(0)})
         assert rank(padded) == gauss_jordan(rows)[0]
 
+    @SETTINGS
+    @given(matrices())
+    def test_prefix_ranks_match_the_reference_on_every_prefix(self, rows):
+        ranks = prefix_ranks(sparse(rows))
+        assert len(ranks) == len(rows)
+        for i, value in enumerate(ranks):
+            assert value == gauss_jordan(rows[: i + 1])[0]
+
     def test_empty_input(self):
+        assert prefix_ranks([]) == []
         assert rank([]) == 0
         assert rank([{}, {}]) == 0
 
