@@ -17,18 +17,24 @@ Representation:
   univariate basis element dz/z is such a form; nothing computes with them.
 
 D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
-x^e dx_I is a sparse row keyed by the (index tuple, packed monomial key)
-of the image's monomial forms.  ``d_f`` sums the rows of a form's monomial
-forms weighted by its coefficients.  The residue connecting map across
-{x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is
-(D_f(w) ^ dx_v) / x_v, divided exactly.
+x^e dx_I is a sparse row of ints keyed by the column keys of the image's
+monomial forms.  A column key is one int, (index code << bits of a packed
+key) | packed monomial key, where the index code is the sorted index tuple
+read as a base-nvars number; for index tuples of one length it orders
+exactly as the (index tuple, packed key) pair.  ``_column_key``,
+``_split_column_key`` and ``_column_degree`` are the only code that knows
+this layout.  ``d_f`` sums the rows of a form's monomial forms weighted by
+its coefficients.  The residue connecting map across {x_v = 0} needs no
+log forms: d(dx_v / x_v) = 0, so it is (D_f(w) ^ dx_v) / x_v, divided
+exactly.
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
 graded slice to a coefficient-degree cap, at the truncation and one modulus
 below it.  The monomial forms of each needed form degree are listed in
 order of coefficient degree, so the slice at any cap is a prefix; their
 D_f rows are built once and eliminated once with ``linalg.prefix_ranks``
-(fraction-free over Z, pivoting on the leading term of the df^ part), and
+(over Z on the integer rows as they are, pivoting on the largest column
+key, the leading term of the df^ part), and
 every rank at both levels is read off as a prefix rank.  The image inside
 the cap is rank([A|B]) - rank(B), where the rows of the previous form
 degree split into their parts A within the cap and B beyond it; B is the
@@ -47,7 +53,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactalg import DimensionError, MultiPoly, _clean, _make, key_degree, pack, unpack
+from .exactalg import (
+    FIELD_BITS,
+    MAX_DEGREE,
+    DimensionError,
+    MultiPoly,
+    _clean,
+    _make,
+    key_degree,
+    pack,
+    unpack,
+)
 from .linalg import prefix_ranks, rank
 
 
@@ -183,9 +199,35 @@ class GradedClass:
             raise ValueError("residue out of range")
 
 
+def _column_key(indices: IndexTuple, key: int, nvars: int) -> int:
+    """The column key of the monomial form x^key dx_indices: the index code
+    (the indices as base-nvars digits) above the packed monomial key."""
+    code = 0
+    for i in indices:
+        code = code * nvars + i
+    return (code << (FIELD_BITS * (nvars + 1))) | key
+
+
+def _split_column_key(column: int, nvars: int, degree: int) -> Tuple[IndexTuple, int]:
+    """(index tuple, packed monomial key) of a column key of a form of the
+    given degree; the inverse of ``_column_key``."""
+    bits = FIELD_BITS * (nvars + 1)
+    code = column >> bits
+    indices = []
+    for _ in range(degree):
+        code, i = divmod(code, nvars)
+        indices.append(i)
+    return tuple(reversed(indices)), column & ((1 << bits) - 1)
+
+
+def _column_degree(column: int, nvars: int) -> int:
+    """Coefficient degree of a column key: its packed key's degree field."""
+    return (column >> (FIELD_BITS * nvars)) & MAX_DEGREE
+
+
 def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[dict]:
-    """D_f of each domain monomial form x^e dx_I, as a sparse row keyed
-    by the (index tuple, packed key) of the image's monomial forms:
+    """D_f of each domain monomial form x^e dx_I, as a sparse row of ints
+    keyed by the column keys of the image's monomial forms:
     the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
     Distinct j give distinct index tuples, and the two parts differ in
     degree, so no two contributions share a key.  This is the only place
@@ -193,23 +235,27 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     nvars = f.nvars
     var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
     partials = [f.derivative(j).packed for j in range(nvars)]
+    # x^e df/dx_j must fit its packed key, or it would spill into the index code.
+    limit = (MAX_DEGREE + 2 - f.total_degree()) << (FIELD_BITS * nvars)
     inserts: Dict[IndexTuple, list] = {}
     rows = []
     for indices, key in domain:
         wedges = inserts.get(indices)
         if wedges is None:
             wedges = inserts[indices] = [
-                (j, *inserted)
+                (j, _column_key(inserted[0], 0, nvars), inserted[1])
                 for j in range(nvars)
                 if (inserted := _insert_index(indices, j)) is not None
             ]
+        if key >= limit:
+            raise OverflowError(f"D_f exceeds the packed monomial degree limit {MAX_DEGREE}")
         expo = unpack(key, nvars)
         row = {}
-        for j, new_idx, sign in wedges:
+        for j, base, sign in wedges:
             if expo[j]:
-                row[(new_idx, key - var_keys[j])] = sign * expo[j]
+                row[base | (key - var_keys[j])] = sign * expo[j]
             for k, c in partials[j].items():
-                row[(new_idx, key + k)] = sign * c
+                row[base | (key + k)] = sign * c
         rows.append(row)
     return rows
 
@@ -227,7 +273,8 @@ def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
     image: Dict[IndexTuple, dict] = {}
     for (idx, key), row in zip(domain, _d_f_rows(f, domain)):
         c = form.terms[idx].packed[key]
-        for (new_idx, new_key), r in row.items():
+        for column, r in row.items():
+            new_idx, new_key = _split_column_key(column, form.nvars, form.degree + 1)
             terms = image.setdefault(new_idx, {})
             terms[new_key] = terms.get(new_key, 0) + c * r
     return ExtForm(
@@ -442,7 +489,7 @@ def truncated_drk_dims(
             rows, coeff_degrees, ranks = slices[k - 1]
             size = bisect_right(coeff_degrees, cap + 1)
             beyond = [
-                {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
+                {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}
                 for row in rows[:size]
             ]
             dims[k] -= ranks[size] - rank(beyond)

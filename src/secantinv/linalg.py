@@ -1,19 +1,22 @@
 """Exact linear algebra over Z for rational input: the ranks of sparse rows
 and the determinant of a dense matrix, both by fraction-free elimination.
 
-Each row is first scaled to integers by the lcm of its denominators.  That
-leaves the rank unchanged and multiplies the determinant by a known
-integer, so all elimination runs on Python ints and builds no Fraction.
+Each row is first scaled to integers by the lcm of its denominators
+(``prefix_ranks`` takes a row of ints as it is).  That leaves the rank
+unchanged and multiplies the determinant by a known integer, so all
+elimination runs on Python ints and builds no Fraction.
 
 * ``prefix_ranks`` takes sparse rows {column key: value} and eliminates
   them one at a time against the pivot rows found so far, with
   ``row = a*row - b*pivot`` (a, b coprime), recording the rank after each
-  row: one pass gives the rank of every prefix of the rows.  Every stored
-  row is divided by its content, the gcd of its entries, so entries stay
-  small.  A row's pivot is its largest column key; on the rows of the
-  twisted differential that is the leading term of the df^ part, which
-  keeps fill-in low (structured pivoting of Macaulay-like matrices,
-  Faugere and Lachartre, PASCO 2010).  ``rank`` is the last prefix rank.
+  row: one pass gives the rank of every prefix of the rows.  Each input
+  row is copied once, never mutated, and every stored row is divided by
+  its content, the gcd of its entries, so entries stay small.  A row's
+  pivot is its largest column key; on the rows of the twisted
+  differential, whose keys are plain ints ordered by (index tuple,
+  monomial), that is the leading term of the df^ part, which keeps
+  fill-in low (structured pivoting of Macaulay-like matrices, Faugere and
+  Lachartre, PASCO 2010).  ``rank`` is the last prefix rank.
 * ``det`` is Bareiss's fraction-free Gaussian elimination (Bareiss 1968,
   *Sylvester's identity and multistep integer-preserving Gaussian
   elimination*): every intermediate entry is a minor of the integer
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
 
@@ -33,28 +36,34 @@ def _denominator_lcm(values: Iterable[Number]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+def _integer_row(sparse: Mapping[Hashable, Number]) -> Dict[Hashable, int]:
+    """A new dict of the row's entries as integers: a copy of a row of ints,
+    else the row scaled by the lcm of its denominators."""
+    if all(v.__class__ is int for v in sparse.values()):
+        return dict(sparse)
+    scale = _denominator_lcm(sparse.values())
+    return {key: v.numerator * (scale // v.denominator) for key, v in sparse.items()}
+
+
 def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
-    """Drop zero entries and divide by the content."""
-    row = {key: v for key, v in row.items() if v}
+    """Drop zero entries, if there are any, and divide by the content."""
+    if 0 in row.values():
+        row = {key: v for key, v in row.items() if v}
     content = math.gcd(*row.values())
     if content > 1:
         row = {key: v // content for key, v in row.items()}
     return row
 
 
-def prefix_ranks(rows: Iterable[Mapping[Hashable, Number]]) -> List[int]:
-    """Exact ranks of the prefixes of sparse rational rows {column key:
-    int | Fraction}: entry i is the rank of the first i + 1 rows.
-
-    Column keys must be mutually comparable; only their order matters.
-    """
+def _eliminate(
+    rows: Iterable[Mapping[Hashable, Number]],
+) -> Tuple[Dict[Hashable, Dict[Hashable, int]], List[int]]:
+    """The pivot rows {pivot column: primitive integer row} of one pass over
+    the rows, and the rank after each row."""
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     ranks: List[int] = []
     for sparse in rows:
-        scale = _denominator_lcm(sparse.values())
-        row = _primitive(
-            {key: v.numerator * (scale // v.denominator) for key, v in sparse.items()}
-        )
+        row = _primitive(_integer_row(sparse))
         while row:
             col = max(row)
             pivot = pivots.get(col)
@@ -69,7 +78,17 @@ def prefix_ranks(rows: Iterable[Mapping[Hashable, Number]]) -> List[int]:
                 row[key] = row.get(key, 0) - b * v
             row = _primitive(row)
         ranks.append(len(pivots))
-    return ranks
+    return pivots, ranks
+
+
+def prefix_ranks(rows: Iterable[Mapping[Hashable, Number]]) -> List[int]:
+    """Exact ranks of the prefixes of sparse rational rows {column key:
+    int | Fraction}: entry i is the rank of the first i + 1 rows.
+
+    Column keys must be mutually comparable; only their order matters.
+    The rows are not modified.
+    """
+    return _eliminate(rows)[1]
 
 
 def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:

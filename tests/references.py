@@ -9,8 +9,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
-from secantinv.drk import ExtForm, _class_basis, _d_f_rows
-from secantinv.exactalg import MultiPoly, key_degree
+from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
+from secantinv.exactalg import MultiPoly
 from secantinv.linalg import rank
 
 
@@ -92,7 +92,7 @@ def dims_at(
         prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
         full = _d_f_rows(f, prev)
         beyond = [
-            {key: c for key, c in row.items() if key_degree(key[1], nvars) > cap}
+            {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}
             for row in full
         ]
         dims[k] = kernel_dim - (rank(full) - rank(beyond))

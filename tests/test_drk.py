@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secantinv import drk
@@ -24,7 +24,8 @@ from secantinv.drk import (
     univariate_drk_cohomology,
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
-from secantinv.exactalg import MultiPoly
+from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack
+from secantinv.linalg import prefix_ranks
 from tests.references import dims_at, proportionality
 
 
@@ -249,6 +250,58 @@ class TestTwistedDifferential:
             assert before.residue == after.residue
 
 
+@st.composite
+def monomial_forms(draw, nvars, k):
+    """(index tuple, packed key) of a monomial k-form, with total degree up
+    to MAX_DEGREE."""
+    indices = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=k, max_size=k))))
+    total = draw(st.integers(0, MAX_DEGREE))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nvars - 1, max_size=nvars - 1)))
+    bounds = [0, *cuts, total]
+    return indices, pack([hi - lo for lo, hi in zip(bounds, bounds[1:])])
+
+
+@st.composite
+def monomial_form_pairs(draw):
+    nvars = draw(st.integers(1, 7))
+    k = draw(st.integers(0, nvars))
+    return nvars, k, draw(monomial_forms(nvars, k)), draw(monomial_forms(nvars, k))
+
+
+class TestColumnKey:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(monomial_form_pairs())
+    @example((7, 7, (tuple(range(7)), pack([MAX_DEGREE] + [0] * 6)), (tuple(range(7)), 0)))
+    @example((7, 3, ((4, 5, 6), pack([0] * 6 + [MAX_DEGREE])), ((0, 1, 2), 0)))
+    def test_orders_as_the_pair_and_round_trips(self, case):
+        # The largest-key pivot and the fill-in of the D_f elimination
+        # depend only on this order.
+        nvars, k, a, b = case
+        key_a, key_b = (drk._column_key(idx, key, nvars) for idx, key in (a, b))
+        assert (key_a < key_b) == (a < b)
+        assert (key_a == key_b) == (a == b)
+        for column, (idx, key) in ((key_a, a), (key_b, b)):
+            assert drk._split_column_key(column, nvars, k) == (idx, key)
+            assert drk._column_degree(column, nvars) == key_degree(key, nvars)
+
+    def test_d_f_rows_have_int_keys_and_entries(self):
+        f = hankel_determinant_poly(2)
+        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4))
+        assert all(
+            key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
+        )
+
+    def test_d_f_past_the_packed_degree_limit_raises(self):
+        # x0 * x1 times x0^MAX_DEGREE dx1 would spill into the index code.
+        f = p(2, "x0*x1")
+        below = ExtForm(2, 1, {(1,): MultiPoly(2, {(MAX_DEGREE - 1, 0): 1})})
+        top = MultiPoly(2, {(MAX_DEGREE - 1, 1): 1, (MAX_DEGREE - 2, 0): MAX_DEGREE - 1})
+        assert d_f(f, below) == ExtForm(2, 2, {(0, 1): top})
+        at_limit = ExtForm(2, 1, {(1,): MultiPoly(2, {(MAX_DEGREE, 0): 1})})
+        with pytest.raises(OverflowError):
+            d_f(f, at_limit)
+
+
 class TestGrading:
     def test_single_dx(self):
         form = ExtForm(5, 1, {(2,): MultiPoly.const(5, 1)})
@@ -357,6 +410,22 @@ class TestTruncatedDims:
         result = truncated_drk_dims(hankel_determinant_poly(2), 3, 0, 3)
         assert result.dims == tuple((k, 0) for k in range(6))
         assert result.stabilized
+
+    @pytest.mark.parametrize("a, stabilized", [(1, False), (3, True)])
+    def test_hankel_4x4_classes_of_plus_minus_i(self, a, stabilized):
+        # e^(2 pi i a/4) = +-i has multiplicity 1 on the Milnor fiber of
+        # det H_3; at truncation 4 its class-a slice in the top form degree
+        # is one-dimensional.  `stabilized` is pinned as it comes out: class
+        # 1 differs one modulus below, at truncation 0.
+        multiplicity = sum(
+            mult
+            for lam, _, mult in monodromy_eigentable(3)
+            if lam == RootOfUnity(a, 4)
+        )
+        result = truncated_drk_dims(hankel_determinant_poly(3), 4, a, 4, [7])
+        assert multiplicity == 1
+        assert result.dims == ((7, 1),)
+        assert result.stabilized == stabilized
 
     def test_one_elimination_per_form_degree(self, monkeypatch):
         # Every needed form degree is eliminated once, and each form degree
@@ -475,6 +544,28 @@ class TestEigenvectorPipeline:
         assert d_f(f, alpha2).is_zero()
         assert homogeneous_class(alpha1, 3) == GradedClass(1, 3)
         assert homogeneous_class(alpha2, 3) == GradedClass(2, 3)
+
+    @pytest.mark.parametrize("which, truncation", [(0, 6), (1, 3)])
+    def test_outputs_are_not_exact_at_a_stabilized_truncation(self, which, truncation):
+        """alpha_1 at truncation 6 and alpha_2 at truncation 3, where their
+        classes stabilize (pinned in TestTruncatedDims), lie outside the
+        span of D_f of the class's 4-forms of coefficient degree up to
+        truncation + 1: alpha_i is not D_f of any form of coefficient
+        degree <= truncation + 1.  That is evidence, not a proof, that
+        alpha_i is not exact: a preimage of higher coefficient degree is
+        not ruled out."""
+        f = hankel_determinant_poly(2)
+        alpha = n2_eigenvectors()[which]
+        residue = homogeneous_class(alpha, 3).residue
+        assert residue == which + 1
+        image = drk._d_f_rows(f, drk._class_basis(5, 4, 3, residue, truncation + 1))
+        row = {
+            drk._column_key(idx, key, 5): c
+            for idx, coeff in alpha.terms.items()
+            for key, c in coeff.packed.items()
+        }
+        ranks = prefix_ranks(image + [row])
+        assert ranks[-1] == ranks[-2] + 1
 
 
 class TestExtFormBasics:

@@ -1,6 +1,7 @@
 """Exact sparse rank and dense determinant against a dense Fraction
 reference, and against sympy where it is installed."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secantinv.drk import _class_basis, _d_f_rows, hankel_determinant_poly
-from secantinv.linalg import det, prefix_ranks, rank
+from secantinv.drk import _class_basis, _d_f_rows, _split_column_key, hankel_determinant_poly
+from secantinv.linalg import _eliminate, det, prefix_ranks, rank
 from tests.references import random_locus_point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -69,13 +70,13 @@ rationals = st.builds(
 ) | st.integers(-3, 3)
 
 
-def matrices(rows=None, cols=None):
+def matrices(rows=None, cols=None, entries=rationals):
     """Rational matrices, of the given shape or of up to 7 x 7."""
     nrows = st.integers(0, 7) if rows is None else st.just(rows)
     ncols = st.integers(1, 7) if cols is None else st.just(cols)
     return st.tuples(nrows, ncols).flatmap(
         lambda shape: st.lists(
-            st.lists(rationals, min_size=shape[1], max_size=shape[1]),
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
             max_size=shape[0],
         )
@@ -116,6 +117,28 @@ class TestRank:
         assert len(ranks) == len(rows)
         for i, value in enumerate(ranks):
             assert value == gauss_jordan(rows[: i + 1])[0]
+
+    @SETTINGS
+    @given(
+        st.one_of(matrices(), matrices(entries=st.integers(-3, 3))),
+        st.booleans(),
+    )
+    def test_rows_are_not_mutated(self, rows, explicit_zeros):
+        # Integer rows are copied once, not stored or reduced in place.
+        given_rows = [
+            {col: v for col, v in enumerate(row) if explicit_zeros or v != 0} for row in rows
+        ]
+        before = copy.deepcopy(given_rows)
+        prefix_ranks(given_rows)
+        assert given_rows == before
+
+    def test_an_integer_row_reduced_with_unit_multiplier_is_not_mutated(self):
+        # The second row is reduced as row - pivot, which edits whatever
+        # dict the elimination holds: it must be a copy.
+        rows = [{1: 1, 0: 1}, {1: 1, 0: 2}, {1: 2, 0: 0, 2: 4}]
+        before = copy.deepcopy(rows)
+        assert prefix_ranks(rows) == [1, 2, 3]
+        assert rows == before
 
     def test_empty_input(self):
         assert prefix_ranks([]) == []
@@ -177,6 +200,25 @@ class TestRankAgainstSympy:
                 rows = _d_f_rows(f, _class_basis(f.nvars, k, 2, residue, cap))
                 columns = sorted({key for row in rows for key in row})
                 assert rank(rows) == sympy_rank(sympy, rows, columns), (residue, k)
+
+
+class TestDfSlicePivots:
+    def test_stored_pivot_entries_on_a_det_h2_slice(self):
+        # The 750-row slice of det H_2, class 1, form degree 3, cap 4 (rank
+        # 605).  Integer column keys order as the (index tuple, packed key)
+        # pairs, so the pivots and their fill-in match those of the pair
+        # keys: 3879 stored entries, as with pair keys before.
+        f = hankel_determinant_poly(2)
+        rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4))
+        pair_rows = [
+            {_split_column_key(key, f.nvars, 4): c for key, c in row.items()} for row in rows
+        ]
+        counts = []
+        for keyed in (rows, pair_rows):
+            pivots, ranks = _eliminate(keyed)
+            assert (len(keyed), ranks[-1]) == (750, 605)
+            counts.append(sum(len(row) for row in pivots.values()))
+        assert counts == [3879, 3879]
 
 
 def hankel_point_matrix(n, rng):
