@@ -7,7 +7,7 @@ Modules by theme:
                   symbolic matrices and determinants;
 * hankel       -- Hankel matrices and the block-reduction coordinate change;
 * compositions -- ordered partitions, Moebius and totient counting;
-* linalg       -- exact sparse prefix ranks and dense determinants by
+* linalg       -- exact sparse pivots and dense determinants by
                   fraction-free elimination over Z;
 * strata       -- composition-indexed torus strata and unimodular monomial
                   normal forms;

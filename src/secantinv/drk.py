@@ -18,27 +18,30 @@ Representation:
 
 D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
 x^e dx_I is a sparse row of ints keyed by the column keys of the image's
-monomial forms.  A column key is one int, (index code << bits of a packed
-key) | packed monomial key, where the index code is the sorted index tuple
-read as a base-nvars number; for index tuples of one length it orders
-exactly as the (index tuple, packed key) pair.  ``_column_key``,
-``_split_column_key`` and ``_column_degree`` are the only code that knows
-this layout.  ``d_f`` sums the rows of a form's monomial forms weighted by
-its coefficients.  The residue connecting map across {x_v = 0} needs no
-log forms: d(dx_v / x_v) = 0, so it is (D_f(w) ^ dx_v) / x_v, divided
-exactly.
+monomial forms.  A column key is one int, (packed monomial key << code
+bits) | index code, where the index code is the sorted index tuple read as
+a base-nvars number; for index tuples of one length it orders exactly as
+the (packed key, index tuple) pair.  The top field of a packed key is its
+total degree, so column keys order by coefficient degree first.
+``_column_key``, ``_split_column_key`` and ``_column_degree`` are the only
+code that knows this layout.  ``d_f`` sums the rows of a form's monomial
+forms weighted by its coefficients.  The residue connecting map across
+{x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is
+(D_f(w) ^ dx_v) / x_v, divided exactly.
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
 graded slice to a coefficient-degree cap, at the truncation and one modulus
 below it.  The monomial forms of each needed form degree are listed in
 order of coefficient degree, so the slice at any cap is a prefix; their
-D_f rows are built once and eliminated once with ``linalg.prefix_ranks``
+D_f rows are built once and eliminated once with ``linalg.pivot_columns``
 (over Z on the integer rows as they are, pivoting on the largest column
-key, the leading term of the df^ part), and
-every rank at both levels is read off as a prefix rank.  The image inside
-the cap is rank([A|B]) - rank(B), where the rows of the previous form
-degree split into their parts A within the cap and B beyond it; B is the
-column restriction of a prefix of the same rows, ranked once per level.
+key, the leading term of the df^ part).  At both levels the kernel is the
+number of rows of a prefix that reduced to zero, and the image inside the
+cap is the number of pivots of a prefix of the previous form degree whose
+column has coefficient degree at most the cap.  Proof: every column beyond
+the cap is above every column inside it, and the pivot rows have distinct
+leading columns, so a combination with no part beyond the cap uses only
+rows led inside it, which lie inside it.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -64,7 +67,7 @@ from .exactalg import (
     pack,
     unpack,
 )
-from .linalg import prefix_ranks, rank
+from .linalg import pivot_columns
 
 
 class MixedDegreeError(ValueError):
@@ -200,29 +203,30 @@ class GradedClass:
 
 
 def _column_key(indices: IndexTuple, key: int, nvars: int) -> int:
-    """The column key of the monomial form x^key dx_indices: the index code
-    (the indices as base-nvars digits) above the packed monomial key."""
+    """The column key of the monomial form x^key dx_indices: the packed
+    monomial key above the index code (the indices as base-nvars digits,
+    each below 2^bit_length(nvars))."""
     code = 0
     for i in indices:
         code = code * nvars + i
-    return (code << (FIELD_BITS * (nvars + 1))) | key
+    return (key << (nvars * nvars.bit_length())) | code
 
 
 def _split_column_key(column: int, nvars: int, degree: int) -> Tuple[IndexTuple, int]:
     """(index tuple, packed monomial key) of a column key of a form of the
     given degree; the inverse of ``_column_key``."""
-    bits = FIELD_BITS * (nvars + 1)
-    code = column >> bits
+    bits = nvars * nvars.bit_length()
+    code = column & ((1 << bits) - 1)
     indices = []
     for _ in range(degree):
         code, i = divmod(code, nvars)
         indices.append(i)
-    return tuple(reversed(indices)), column & ((1 << bits) - 1)
+    return tuple(reversed(indices)), column >> bits
 
 
 def _column_degree(column: int, nvars: int) -> int:
     """Coefficient degree of a column key: its packed key's degree field."""
-    return (column >> (FIELD_BITS * nvars)) & MAX_DEGREE
+    return key_degree(column >> (nvars * nvars.bit_length()), nvars)
 
 
 def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[dict]:
@@ -231,11 +235,18 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
     Distinct j give distinct index tuples, and the two parts differ in
     degree, so no two contributions share a key.  This is the only place
-    D_f is built."""
+    D_f is built.  A column key is the bitwise or of the key of its
+    indices with the monomial 1 and that of its monomial with no indices,
+    which is linear in the packed key."""
     nvars = f.nvars
-    var_keys = [pack([int(i == j) for i in range(nvars)]) for j in range(nvars)]
-    partials = [f.derivative(j).packed for j in range(nvars)]
-    # x^e df/dx_j must fit its packed key, or it would spill into the index code.
+    var_keys = [
+        _column_key((), pack([int(i == j) for i in range(nvars)]), nvars) for j in range(nvars)
+    ]
+    partials = [
+        {_column_key((), k, nvars): c for k, c in f.derivative(j).packed.items()}
+        for j in range(nvars)
+    ]
+    # x^e df/dx_j must fit a packed key, or its exponent fields would overflow.
     limit = (MAX_DEGREE + 2 - f.total_degree()) << (FIELD_BITS * nvars)
     inserts: Dict[IndexTuple, list] = {}
     rows = []
@@ -250,12 +261,13 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
         if key >= limit:
             raise OverflowError(f"D_f exceeds the packed monomial degree limit {MAX_DEGREE}")
         expo = unpack(key, nvars)
+        column = _column_key((), key, nvars)
         row = {}
-        for j, base, sign in wedges:
+        for j, code, sign in wedges:
             if expo[j]:
-                row[base | (key - var_keys[j])] = sign * expo[j]
+                row[(column - var_keys[j]) | code] = sign * expo[j]
             for k, c in partials[j].items():
-                row[base | (key + k)] = sign * c
+                row[(column + k) | code] = sign * c
         rows.append(row)
     return rows
 
@@ -367,13 +379,12 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
     for cap in (3 * (m + 1), 3 * (m + 1) + m + 1):
         # Domain: z^j for j <= cap, with D_g(z^j) = j z^(j-1) dz + (m+1) z^(j+m) dz.
         rows = [{j - 1: j, j + m: m + 1} if j else {m: m + 1} for j in range(cap + 1)]
-        ranks = prefix_ranks(rows + basis_rows)
-        image_rank = ranks[len(rows) - 1]
-        if image_rank != len(rows):
+        columns = pivot_columns(rows + basis_rows)
+        if None in columns[: len(rows)]:
             raise CohomologyMismatchError("H^0 of the univariate complex is nonzero")
-        dims.append(cap + m + 1 - low - image_rank)
+        dims.append(cap + m + 1 - low - len(rows))
         # The stated basis must be independent modulo the image.
-        if ranks[-1] != image_rank + len(basis_rows):
+        if None in columns[len(rows) :]:
             raise CohomologyMismatchError(
                 "stated univariate basis is dependent modulo the image"
             )
@@ -459,40 +470,34 @@ def truncated_drk_dims(
     # The D_f rows of each needed form degree j are built and eliminated
     # once, in order of coefficient degree, up to the largest cap they are
     # read at: truncation + 1 when they are the image side of degree j + 1.
-    # Every rank below is then a prefix rank of that one pass: ranks[i] is
-    # the rank of the first i rows.
+    # Every dimension below is then read off the pivots of a prefix of that
+    # one pass: columns[i] is the new pivot of row i, or None.
     slices = {}
     for j in set(wanted) | {k - 1 for k in wanted if k >= 1}:
         top = truncation + 1 if j + 1 in wanted else truncation
         domain = _class_basis(nvars, j, modulus, residue, top)
-        rows = _d_f_rows(f, domain)
         coeff_degrees = [key_degree(key, nvars) for _, key in domain]
-        slices[j] = (rows, coeff_degrees, [0, *prefix_ranks(rows)])
+        slices[j] = (coeff_degrees, pivot_columns(_d_f_rows(f, domain)))
 
     levels = []
     for cap in (truncation, truncation - modulus):
         dims: Dict[int, int] = {}
         for k in wanted:
-            # Kernel of D_f on the slice: full image, no truncation of the target.
-            _, coeff_degrees, ranks = slices[k]
-            size = bisect_right(coeff_degrees, cap)
-            dims[k] = size - ranks[size]
+            # Kernel of D_f on the slice: full image, no truncation of the
+            # target, so one dimension per row that reduced to zero.
+            coeff_degrees, columns = slices[k]
+            dims[k] = columns[: bisect_right(coeff_degrees, cap)].count(None)
             if k == 0:
                 continue
             # Image inside the truncation: combinations of the (k-1)-forms one
             # coefficient degree above the cap (the exterior derivative lowers
-            # coefficient degree by one) whose D_f has no part B beyond the cap.
-            # Their within-cap parts A span the projection onto A of
-            # rowspace[A|B] intersected with {B = 0}, of dimension
-            # rank([A|B]) - rank(B).  B is the same prefix of rows cut to
-            # the columns beyond the cap.
-            rows, coeff_degrees, ranks = slices[k - 1]
-            size = bisect_right(coeff_degrees, cap + 1)
-            beyond = [
-                {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}
-                for row in rows[:size]
-            ]
-            dims[k] -= ranks[size] - rank(beyond)
+            # coefficient degree by one) whose D_f has no part beyond the cap.
+            # They are spanned by the pivot rows led inside the cap.
+            coeff_degrees, columns = slices[k - 1]
+            dims[k] -= sum(
+                column is not None and _column_degree(column, nvars) <= cap
+                for column in columns[: bisect_right(coeff_degrees, cap + 1)]
+            )
         levels.append(dims)
     current, previous = levels
     return TruncatedDims(

@@ -66,30 +66,22 @@ class BettiTable:
 # -- Hodge polynomial atoms ---------------------------------------------------
 
 #: Atom kinds accepted by :func:`hodge_atom`.
-_ATOM_KINDS = ("point", "affine", "torus", "projective")
+_ATOM_KINDS = ("affine", "torus")
 
 
 def hodge_atom(kind: str, param: int) -> MultiPoly:
     """Hodge polynomial of a basic variety.
 
-    * ``point(d)``      -> d            (d disjoint points, d >= 1)
     * ``affine(n)``     -> t^n
     * ``torus(l)``      -> (t - 1)^l    (an l-dimensional algebraic torus)
-    * ``projective(n)`` -> 1 + t + ... + t^n
     """
-    if kind == "point":
-        if param < 1:
-            raise ValueError("a point count must be at least 1")
-        return _t_poly({0: param})
+    if kind not in _ATOM_KINDS:
+        raise ValueError(f"unknown atom kind {kind!r}; expected one of {_ATOM_KINDS}")
     if param < 0:
         raise ValueError(f"{kind} dimension must be nonnegative")
     if kind == "affine":
         return _t_poly({param: 1})
-    if kind == "torus":
-        return _t_poly({1: 1, 0: -1}) ** param
-    if kind == "projective":
-        return _t_poly({d: 1 for d in range(param + 1)})
-    raise ValueError(f"unknown atom kind {kind!r}; expected one of {_ATOM_KINDS}")
+    return _t_poly({1: 1, 0: -1}) ** param
 
 
 # -- Milnor fiber of the Hankel determinant -----------------------------------
@@ -150,25 +142,6 @@ def gbundle_hodge(n: int, d: int) -> MultiPoly:
     """Hodge polynomial of the torus bundle {y^d f(x) = 1} over the quotient
     fiber: (t - 1) * quotient_hodge(n, d)."""
     return hodge_atom("torus", 1) * quotient_hodge(n, d)
-
-
-def gbundle_hodge_bruteforce(n: int, d: int) -> MultiPoly:
-    """Independent stratum-sum oracle for :func:`gbundle_hodge`.
-
-    On the stratum of a composition P the defining monomial equation cuts
-    one torus factor out of an (|P|+1)-torus and leaves gcd(d, P) parallel
-    copies, giving gcd(d, p_1, ..., p_l) * t^n * (t-1)^l per stratum.  As
-    in :func:`milnor_hodge_bruteforce`, the gcds are summed into one
-    integer weight per length before any polynomial is built.
-    """
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
-    if d < 1 or (n + 1) % d != 0:
-        raise ValueError(f"{d} does not divide {n + 1}")
-    weights = [0] * (n + 2)
-    for parts in composition_parts(n + 1):
-        weights[len(parts)] += math.gcd(d, *parts)
-    return _weighted_strata_sum(n, weights)
 
 
 def milnor_betti(n: int) -> BettiTable:

@@ -1,22 +1,25 @@
-"""Exact linear algebra over Z for rational input: the ranks of sparse rows
+"""Exact linear algebra over Z for rational input: the pivots of sparse rows
 and the determinant of a dense matrix, both by fraction-free elimination.
 
-Each row is first scaled to integers by the lcm of its denominators
-(``prefix_ranks`` takes a row of ints as it is).  That leaves the rank
-unchanged and multiplies the determinant by a known integer, so all
-elimination runs on Python ints and builds no Fraction.
+Each row is first scaled to integers by the lcm of its denominators (a row
+of ints is taken as it is).  That leaves the rank unchanged and multiplies
+the determinant by a known integer, so all elimination runs on Python ints
+and builds no Fraction.
 
-* ``prefix_ranks`` takes sparse rows {column key: value} and eliminates
+* ``pivot_columns`` takes sparse rows {column key: value} and eliminates
   them one at a time against the pivot rows found so far, with
-  ``row = a*row - b*pivot`` (a, b coprime), recording the rank after each
-  row: one pass gives the rank of every prefix of the rows.  Each input
-  row is copied once, never mutated, and every stored row is divided by
-  its content, the gcd of its entries, so entries stay small.  A row's
-  pivot is its largest column key; on the rows of the twisted
-  differential, whose keys are plain ints ordered by (index tuple,
-  monomial), that is the leading term of the df^ part, which keeps
-  fill-in low (structured pivoting of Macaulay-like matrices, Faugere and
-  Lachartre, PASCO 2010).  ``rank`` is the last prefix rank.
+  ``row = a*row - b*pivot`` (a, b coprime), and returns each row's new
+  pivot column, or None when it reduced to zero: the rank of a prefix is
+  its number of pivots.  Each input row is copied once, never mutated, and
+  every stored row is divided by its content, the gcd of its entries, so
+  entries stay small.  A row's pivot is its largest column key; on the
+  rows of the twisted differential that is the leading term of the df^
+  part, which keeps fill-in low (structured pivoting of Macaulay-like
+  matrices, Faugere and Lachartre, PASCO 2010).
+* If every column key of B is above every key of A, rank([A|B]) - rank(B)
+  of a prefix is its number of pivots in A.  Proof: the stored rows span
+  the prefix and never change, and their leading columns are distinct, so
+  a combination with no B part uses only rows led in A, which lie in A.
 * ``det`` is Bareiss's fraction-free Gaussian elimination (Bareiss 1968,
   *Sylvester's identity and multistep integer-preserving Gaussian
   elimination*): every intermediate entry is a minor of the integer
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
 
@@ -57,11 +60,11 @@ def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
 
 def _eliminate(
     rows: Iterable[Mapping[Hashable, Number]],
-) -> Tuple[Dict[Hashable, Dict[Hashable, int]], List[int]]:
+) -> Tuple[Dict[Hashable, Dict[Hashable, int]], List[Optional[Hashable]]]:
     """The pivot rows {pivot column: primitive integer row} of one pass over
-    the rows, and the rank after each row."""
+    the rows, and each row's new pivot column (None for a dependent row)."""
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
-    ranks: List[int] = []
+    columns: List[Optional[Hashable]] = []
     for sparse in rows:
         row = _primitive(_integer_row(sparse))
         while row:
@@ -76,25 +79,22 @@ def _eliminate(
                 row = {key: a * v for key, v in row.items()}
             for key, v in pivot.items():
                 row[key] = row.get(key, 0) - b * v
+            # The pivot column cancelled; _primitive need not rebuild for it.
+            del row[col]
             row = _primitive(row)
-        ranks.append(len(pivots))
-    return pivots, ranks
+        columns.append(col if row else None)
+    return pivots, columns
 
 
-def prefix_ranks(rows: Iterable[Mapping[Hashable, Number]]) -> List[int]:
-    """Exact ranks of the prefixes of sparse rational rows {column key:
-    int | Fraction}: entry i is the rank of the first i + 1 rows.
+def pivot_columns(rows: Iterable[Mapping[Hashable, Number]]) -> List[Optional[Hashable]]:
+    """Eliminate sparse rational rows {column key: int | Fraction} in one
+    pass: entry i is the column of row i's new pivot, the largest key of
+    row i reduced by the earlier rows, or None when it reduced to zero.
 
     Column keys must be mutually comparable; only their order matters.
     The rows are not modified.
     """
     return _eliminate(rows)[1]
-
-
-def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
-    """Exact rank of sparse rational rows: the last of their prefix ranks."""
-    ranks = prefix_ranks(rows)
-    return ranks[-1] if ranks else 0
 
 
 def det(rows: Sequence[Sequence[Number]]) -> Fraction:

@@ -4,14 +4,41 @@ The library has no use for these: they build test inputs or restate a
 result a second way, so they live with the tests.
 """
 
+import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
+from secantinv.compositions import composition_parts
 from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
 from secantinv.exactalg import MultiPoly
-from secantinv.linalg import rank
+from secantinv.hodge import _weighted_strata_sum
+from secantinv.linalg import Number, pivot_columns
+
+
+def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
+    """Exact rank of sparse rational rows: the number of their pivots."""
+    return sum(column is not None for column in pivot_columns(rows))
+
+
+def gbundle_hodge_bruteforce(n: int, d: int) -> MultiPoly:
+    """Independent stratum-sum oracle for :func:`secantinv.hodge.gbundle_hodge`.
+
+    On the stratum of a composition P the defining monomial equation cuts
+    one torus factor out of an (|P|+1)-torus and leaves gcd(d, P) parallel
+    copies, giving gcd(d, p_1, ..., p_l) * t^n * (t-1)^l per stratum.  As
+    in :func:`secantinv.hodge.milnor_hodge_bruteforce`, the gcds are summed
+    into one integer weight per length before any polynomial is built.
+    """
+    if n < 1:
+        raise ValueError(f"defined for n >= 1, got {n}")
+    if d < 1 or (n + 1) % d != 0:
+        raise ValueError(f"{d} does not divide {n + 1}")
+    weights = [0] * (n + 2)
+    for parts in composition_parts(n + 1):
+        weights[len(parts)] += math.gcd(d, *parts)
+    return _weighted_strata_sum(n, weights)
 
 
 def proportionality(a: ExtForm, b: ExtForm) -> Optional[Fraction]:

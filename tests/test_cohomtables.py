@@ -17,8 +17,8 @@ from secantinv.cohomtables import (
 )
 from secantinv.compositions import divisors, euler_phi
 from secantinv.exactalg import MultiPoly
-from secantinv.hodge import gbundle_hodge_bruteforce, milnor_betti
-from tests.references import origin_eigenvalues
+from secantinv.hodge import milnor_betti
+from tests.references import gbundle_hodge_bruteforce, origin_eigenvalues
 
 
 class TestRootOfUnity:

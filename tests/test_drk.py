@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from secantinv import drk
+from secantinv import drk, linalg
 from secantinv.drk import (
     ExtForm,
     GradedClass,
@@ -25,7 +25,7 @@ from secantinv.drk import (
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack
-from secantinv.linalg import prefix_ranks
+from secantinv.linalg import pivot_columns
 from tests.references import dims_at, proportionality
 
 
@@ -273,12 +273,14 @@ class TestColumnKey:
     @given(monomial_form_pairs())
     @example((7, 7, (tuple(range(7)), pack([MAX_DEGREE] + [0] * 6)), (tuple(range(7)), 0)))
     @example((7, 3, ((4, 5, 6), pack([0] * 6 + [MAX_DEGREE])), ((0, 1, 2), 0)))
+    @example((7, 3, ((4, 5, 6), 0), ((0, 1, 2), pack([1] + [0] * 6))))
     def test_orders_as_the_pair_and_round_trips(self, case):
-        # The largest-key pivot and the fill-in of the D_f elimination
-        # depend only on this order.
+        # Keys order as the (packed key, index tuple) pair, so by coefficient
+        # degree first.  The largest-key pivot and the fill-in of the D_f
+        # elimination depend only on this order.
         nvars, k, a, b = case
         key_a, key_b = (drk._column_key(idx, key, nvars) for idx, key in (a, b))
-        assert (key_a < key_b) == (a < b)
+        assert (key_a < key_b) == (a[::-1] < b[::-1])
         assert (key_a == key_b) == (a == b)
         for column, (idx, key) in ((key_a, a), (key_b, b)):
             assert drk._split_column_key(column, nvars, k) == (idx, key)
@@ -292,7 +294,7 @@ class TestColumnKey:
         )
 
     def test_d_f_past_the_packed_degree_limit_raises(self):
-        # x0 * x1 times x0^MAX_DEGREE dx1 would spill into the index code.
+        # x0 * x1 times x0^MAX_DEGREE dx1 would overflow the packed key.
         f = p(2, "x0*x1")
         below = ExtForm(2, 1, {(1,): MultiPoly(2, {(MAX_DEGREE - 1, 0): 1})})
         top = MultiPoly(2, {(MAX_DEGREE - 1, 1): 1, (MAX_DEGREE - 2, 0): MAX_DEGREE - 1})
@@ -428,22 +430,26 @@ class TestTruncatedDims:
         assert result.stabilized == stabilized
 
     def test_one_elimination_per_form_degree(self, monkeypatch):
-        # Every needed form degree is eliminated once, and each form degree
-        # k >= 1 ranks its rows beyond the cap once per truncation level.
-        passes = []
+        # Every needed form degree is eliminated once, and both truncation
+        # levels are read from those eliminations: no other elimination runs.
+        eliminated = []
 
-        def counting(name, entry):
-            def wrapped(rows):
-                passes.append(name)
-                return entry(rows)
+        def counting(rows):
+            rows = list(rows)
+            eliminated.append(len(rows))
+            return eliminate(rows)
 
-            return wrapped
-
-        monkeypatch.setattr(drk, "prefix_ranks", counting("prefix", drk.prefix_ranks))
-        monkeypatch.setattr(drk, "rank", counting("beyond", drk.rank))
-        result = truncated_drk_dims(hankel_determinant_poly(1), 2, 1, 6)
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        f = hankel_determinant_poly(1)
+        result = truncated_drk_dims(f, 2, 1, 6)
         assert result.dims == ((0, 0), (1, 0), (2, 0), (3, 1))
-        assert sorted(passes) == ["beyond"] * 6 + ["prefix"] * 4
+        # Form degrees 0-2 are read up to truncation + 1 as the image side
+        # of the next degree; the top degree only up to the truncation.
+        top = [6 + 1] * 3 + [6]
+        assert sorted(eliminated) == sorted(
+            len(drk._class_basis(f.nvars, j, 2, 1, cap)) for j, cap in enumerate(top)
+        )
 
     def test_inhomogeneous_f_rejected(self):
         with pytest.raises(ValueError):
@@ -564,8 +570,7 @@ class TestEigenvectorPipeline:
             for idx, coeff in alpha.terms.items()
             for key, c in coeff.packed.items()
         }
-        ranks = prefix_ranks(image + [row])
-        assert ranks[-1] == ranks[-2] + 1
+        assert pivot_columns(image + [row])[-1] is not None
 
 
 class TestExtFormBasics:

@@ -8,13 +8,13 @@ from secantinv.exactalg import MultiPoly
 from secantinv.hodge import (
     BettiTable,
     gbundle_hodge,
-    gbundle_hodge_bruteforce,
     hodge_atom,
     milnor_betti,
     milnor_hodge_bruteforce,
     milnor_hodge_closed,
     quotient_hodge,
 )
+from tests.references import gbundle_hodge_bruteforce
 
 
 def h(coeffs):
@@ -23,23 +23,18 @@ def h(coeffs):
 
 
 class TestAtoms:
-    def test_points(self):
-        assert hodge_atom("point", 3) == h({0: 3})
-
     def test_torus(self):
         assert hodge_atom("torus", 1) == h({1: 1, 0: -1})
 
     def test_affine(self):
         assert hodge_atom("affine", 4) == h({4: 1})
 
-    def test_projective(self):
-        assert hodge_atom("projective", 2) == h({0: 1, 1: 1, 2: 1})
-
     def test_invalid(self):
+        for kind in ("point", "projective", "sphere"):
+            with pytest.raises(ValueError, match="unknown atom kind"):
+                hodge_atom(kind, 2)
         with pytest.raises(ValueError):
-            hodge_atom("point", 0)
-        with pytest.raises(ValueError):
-            hodge_atom("sphere", 2)
+            hodge_atom("torus", -1)
 
 
 class TestMilnorHodge:

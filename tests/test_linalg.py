@@ -1,17 +1,18 @@
-"""Exact sparse rank and dense determinant against a dense Fraction
-reference, and against sympy where it is installed."""
+"""Exact sparse pivots and ranks and the dense determinant against a dense
+Fraction reference, and against sympy where it is installed."""
 
 import copy
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantinv.drk import _class_basis, _d_f_rows, _split_column_key, hankel_determinant_poly
-from secantinv.linalg import _eliminate, det, prefix_ranks, rank
-from tests.references import random_locus_point
+from secantinv.linalg import _eliminate, det, pivot_columns
+from tests.references import random_locus_point, rank
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -51,6 +52,11 @@ def gauss_jordan(rows):
     if r < nrows:
         det_value = Fraction(0)
     return r, transform, det_value
+
+
+def prefix_ranks(rows):
+    """The rank of every prefix of the rows: a running count of pivots."""
+    return list(accumulate(column is not None for column in pivot_columns(rows)))
 
 
 def sparse(rows, tag=None):
@@ -129,7 +135,7 @@ class TestRank:
             {col: v for col, v in enumerate(row) if explicit_zeros or v != 0} for row in rows
         ]
         before = copy.deepcopy(given_rows)
-        prefix_ranks(given_rows)
+        pivot_columns(given_rows)
         assert given_rows == before
 
     def test_an_integer_row_reduced_with_unit_multiplier_is_not_mutated(self):
@@ -137,11 +143,12 @@ class TestRank:
         # dict the elimination holds: it must be a copy.
         rows = [{1: 1, 0: 1}, {1: 1, 0: 2}, {1: 2, 0: 0, 2: 4}]
         before = copy.deepcopy(rows)
-        assert prefix_ranks(rows) == [1, 2, 3]
+        assert pivot_columns(rows) == [1, 0, 2]
         assert rows == before
 
     def test_empty_input(self):
-        assert prefix_ranks([]) == []
+        assert pivot_columns([]) == []
+        assert pivot_columns([{}, {0: 0}]) == [None, None]
         assert rank([]) == 0
         assert rank([{}, {}]) == 0
 
@@ -164,12 +171,17 @@ class TestRank:
         # rank([A|B]) - rank(B) is the rank of the A-parts of the row
         # combinations that vanish on B, i.e. of leftnull(B) @ A.  B is a
         # product through at most 3 dimensions, so it often has relations.
+        # Every ("B", j) key is above every ("A", i) key, so that rank is
+        # also the number of pivots in A of one elimination of [A|B].
         a, u, v = blocks
         b = matmul(u, v)
         rank_b, transform, _ = gauss_jordan(b)
         projected = matmul(transform[rank_b:], a) if rank_b < len(b) else []
+        expected = gauss_jordan(projected)[0]
         joined = [ra | rb for ra, rb in zip(sparse(a, "A"), sparse(b, "B"))]
-        assert rank(joined) - rank(sparse(b, "B")) == gauss_jordan(projected)[0]
+        assert rank(joined) - rank(sparse(b, "B")) == expected
+        columns = pivot_columns(joined)
+        assert sum(column is not None and column[0] == "A" for column in columns) == expected
 
 
 def sympy_rank(sympy, rows, columns):
@@ -205,20 +217,21 @@ class TestRankAgainstSympy:
 class TestDfSlicePivots:
     def test_stored_pivot_entries_on_a_det_h2_slice(self):
         # The 750-row slice of det H_2, class 1, form degree 3, cap 4 (rank
-        # 605).  Integer column keys order as the (index tuple, packed key)
+        # 605).  Integer column keys order as the (packed key, index tuple)
         # pairs, so the pivots and their fill-in match those of the pair
-        # keys: 3879 stored entries, as with pair keys before.
+        # keys: 3772 stored entries either way.
         f = hankel_determinant_poly(2)
         rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4))
         pair_rows = [
-            {_split_column_key(key, f.nvars, 4): c for key, c in row.items()} for row in rows
+            {_split_column_key(key, f.nvars, 4)[::-1]: c for key, c in row.items()}
+            for row in rows
         ]
         counts = []
         for keyed in (rows, pair_rows):
-            pivots, ranks = _eliminate(keyed)
-            assert (len(keyed), ranks[-1]) == (750, 605)
+            pivots, _ = _eliminate(keyed)
+            assert (len(keyed), len(pivots)) == (750, 605)
             counts.append(sum(len(row) for row in pivots.values()))
-        assert counts == [3879, 3879]
+        assert counts == [3772, 3772]
 
 
 def hankel_point_matrix(n, rng):

@@ -1,6 +1,7 @@
 """The package exports only what the library itself or the benchmark uses:
-a name that only tests call belongs with the tests.  The same holds for the
-public methods and properties of its classes."""
+a name that only tests call belongs with the tests.  The same holds for
+every public module-level function and class, exported or not, and for
+the public methods and properties of its classes."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,30 @@ def test_every_public_method_is_used_outside_the_tests():
     ]
     unused = [where for where, name in methods if name not in used]
     assert methods and not unused, f"public methods used only by tests: {unused}"
+
+
+def test_every_public_function_and_class_is_used_outside_the_tests():
+    # A use is a bare name read in any module (its own included), or the
+    # name qualified by its module (`cli.main`).  An import alone is none,
+    # and neither is a field or an attribute of that name: `rank: int` and
+    # `summand.rank` do not use `linalg.rank`.
+    users = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add(f"{node.value.id}.{node.attr}")
+    defined = [
+        (path.stem, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and f"{module}.{name}" not in used
+    ]
+    assert defined and not unused, f"defined but used only by tests: {unused}"
