@@ -2,6 +2,7 @@
 Fraction reference, and against sympy where it is installed."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -145,6 +146,20 @@ class TestRank:
         before = copy.deepcopy(rows)
         assert pivot_columns(rows) == [1, 0, 2]
         assert rows == before
+
+    @SETTINGS
+    @given(st.one_of(matrices(), matrices(entries=st.integers(-3, 3))))
+    def test_stored_pivot_rows_are_primitive_and_led_by_their_column(self, rows):
+        # The pivot-count argument needs stored rows led by distinct columns
+        # that span the input; the reduction step deletes the cancelled pivot
+        # column itself, so no other zero entry may survive in a stored row.
+        pivots, columns = _eliminate(sparse(rows))
+        assert sorted(pivots) == sorted(c for c in columns if c is not None)
+        for col, row in pivots.items():
+            assert max(row) == col
+            assert all(v.__class__ is int and v != 0 for v in row.values())
+            assert math.gcd(*row.values()) == 1
+        assert rank(list(pivots.values())) == gauss_jordan(rows)[0]
 
     def test_empty_input(self):
         assert pivot_columns([]) == []
