@@ -46,7 +46,6 @@ from .hankel import (
 from .hodge import (
     BettiTable,
     gbundle_hodge,
-    hodge_atom,
     milnor_betti,
     milnor_hodge_bruteforce,
     milnor_hodge_closed,

@@ -145,8 +145,11 @@ def monodromy_eigentable(n: int) -> List[Tuple[RootOfUnity, int, int]]:
     """Monodromy eigenvalues on the Hankel Milnor fiber cohomology.
 
     For each divisor d of n+1 and each primitive (n+1)/d-th root of unity,
-    one entry (eigenvalue, degree n+1-d, multiplicity 1).  Entries are
-    ordered by degree, then by eigenvalue numerator.
+    one entry (eigenvalue, j = n+1-d, multiplicity 1).  The index j is the
+    Hodge level, as in :func:`secantinv.hodge.milnor_betti`: the eigenvector
+    lies in H^(2j), and for j > 0 it shows up in form degree 2j + 1 of the
+    twisted complex, in class p*(n+1)/q for the eigenvalue e(2*pi*i*p/q).
+    Entries are ordered by j, then by eigenvalue numerator.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")

@@ -17,31 +17,32 @@ Representation:
   univariate basis element dz/z is such a form; nothing computes with them.
 
 D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
-x^e dx_I is a sparse row of ints keyed by the column keys of the image's
-monomial forms.  A column key is one int, (packed monomial key << code
-bits) | index code, where the index code is the sorted index tuple read as
-a base-nvars number; for index tuples of one length it orders exactly as
-the (packed key, index tuple) pair.  The top field of a packed key is its
-total degree, so column keys order by coefficient degree first.
-``_column_key``, ``_split_column_key`` and ``_column_degree`` are the only
-code that knows this layout.  ``d_f`` sums the rows of a form's monomial
-forms weighted by its coefficients.  The residue connecting map across
-{x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is
-(D_f(w) ^ dx_v) / x_v, divided exactly.
+x^e dx_I is a sparse row, of ints when f has integer coefficients, keyed
+by the column keys of the image's monomial forms.  A column key is one
+int, (packed monomial key << code bits) | index code, where the index code
+is the sorted index tuple read as a base-nvars number; for index tuples of
+one length it orders exactly as the (packed key, index tuple) pair.  The
+top field of a packed key is its total degree, so column keys order by
+coefficient degree first.  ``_column_key``, ``_split_column_key`` and
+``_column_degree`` are the only code that knows this layout.  ``d_f`` sums
+the rows of a form's monomial forms weighted by its coefficients.  The
+residue connecting map across {x_v = 0} needs no log forms:
+d(dx_v / x_v) = 0, so it is (D_f(w) ^ dx_v) / x_v, divided exactly.
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
 graded slice to a coefficient-degree cap, at the truncation and one modulus
 below it.  The monomial forms of each needed form degree are listed in
 order of coefficient degree, so the slice at any cap is a prefix; their
 D_f rows are built once and eliminated once with ``linalg.pivot_columns``
-(over Z on the integer rows as they are, pivoting on the largest column
-key, the leading term of the df^ part).  At both levels the kernel is the
-number of rows of a prefix that reduced to zero, and the image inside the
-cap is the number of pivots of a prefix of the previous form degree whose
-column has coefficient degree at most the cap.  Proof: every column beyond
-the cap is above every column inside it, and the pivot rows have distinct
-leading columns, so a combination with no part beyond the cap uses only
-rows led inside it, which lie inside it.
+(over Z, pivoting on the largest column key, the leading term of the df^
+part).  The rows are integer because f is first scaled by the lcm of its
+coefficient denominators, which changes no truncated dimension.  At both
+levels the kernel is the number of rows of a prefix that reduced to zero,
+and the image inside the cap is the number of pivots of a prefix of the
+previous form degree whose column has coefficient degree at most the cap.
+Proof: every column beyond the cap is above every column inside it, and
+the pivot rows have distinct leading columns, so a combination with no
+part beyond the cap uses only rows led inside it, which lie inside it.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -51,6 +52,7 @@ rather than trusting the closed-form description.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -230,8 +232,9 @@ def _column_degree(column: int, nvars: int) -> int:
 
 
 def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[dict]:
-    """D_f of each domain monomial form x^e dx_I, as a sparse row of ints
-    keyed by the column keys of the image's monomial forms:
+    """D_f of each domain monomial form x^e dx_I, as a sparse row (of ints
+    when f has integer coefficients) keyed by the column keys of the
+    image's monomial forms:
     the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
     Distinct j give distinct index tuples, and the two parts differ in
     degree, so no two contributions share a key.  This is the only place
@@ -426,10 +429,6 @@ def _class_basis(nvars: int, k: int, modulus: int, residue: int, cap: int):
 
 
 def _exponents_of_degree(nvars: int, total: int):
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
     if nvars == 1:
         yield (total,)
         return
@@ -464,6 +463,10 @@ def truncated_drk_dims(
         raise ValueError("truncation must be at least the modulus")
     if not 0 <= residue < modulus:
         raise ValueError("residue out of range")
+    # x -> t*x with t^N = c maps the complex of D_f isomorphically onto that
+    # of D_(cf), keeping form degree, class and coefficient degree, so
+    # clearing the denominators of f leaves every truncated rank unchanged.
+    f = f.scale(math.lcm(*(c.denominator for c in f.packed.values())))
     nvars = f.nvars
     wanted = tuple(range(nvars + 1)) if degrees is None else tuple(degrees)
 

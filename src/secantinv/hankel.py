@@ -257,9 +257,7 @@ def factorization_identity(r: BlockReduction) -> bool:
 
     with sign = r.factorization_sign."""
     lhs = poly_det(restricted_hankel(r.n, r.k))
-    rhs = r.y_coords[0] ** (r.k + 1)
-    if r.k < r.n:
-        rhs = rhs * poly_det(residual_hankel(r))
+    rhs = r.y_coords[0] ** (r.k + 1) * poly_det(residual_hankel(r))
     if r.factorization_sign == -1:
         rhs = -rhs
     return lhs == rhs
@@ -322,9 +320,7 @@ def factorization_identity_at_point(
         [[x[i + j] for j in range(n + 1)] for i in range(n + 1)]
     )
     size = n - k
-    rhs = y[0] ** (k + 1)
-    if size:
-        rhs *= det(
-            [[y[k + 2 + i + j] for j in range(size)] for i in range(size)]
-        )
+    rhs = y[0] ** (k + 1) * det(
+        [[y[k + 2 + i + j] for j in range(size)] for i in range(size)]
+    )
     return lhs == _factorization_sign(k) * rhs

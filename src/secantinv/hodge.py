@@ -14,6 +14,14 @@ gcd(P) * t^n * (t-1)^(|P|-1) over all compositions P of n+1 (one summand
 per torus stratum of the ambient affine space).  The Betti table reads the
 totient multiplicities off the Hodge coefficients: the cohomology is pure
 and of Hodge-Tate type, so no extra cancellation can occur.
+
+Index convention: the Betti table is indexed by the Hodge level j.  The
+term phi((n+1)/d) * t^(n-1+d) lies in H_c^(2(n-1+d)) of the smooth affine
+2n-fold {f = 1}, which Poincare duality moves to H^(2j) with j = n+1-d, of
+type (j, j).  So index j is cohomological degree 2j, and the twisted
+complex of ``drk`` shows the class (j > 0) in form degree 2j + 1.  For
+n = 1, f = x0*x2 - x1^2 is an A1 singularity whose Milnor fiber is
+homotopic to S^2: the eigenvalue -1 sits at index 1, in H^2.
 """
 
 from __future__ import annotations
@@ -33,11 +41,12 @@ def _t_poly(coeffs: Mapping[int, int]) -> MultiPoly:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Dimensions per cohomological degree, with optional annotations.
+    """Dimensions per index, with optional annotations.
 
-    ``dims[j]`` is the dimension in degree j.  ``weights`` and
-    ``eigenvalues`` optionally annotate individual degrees; they carry no
-    dimension information of their own.
+    ``dims[j]`` is the dimension at index j: the cohomological degree, or
+    for the Milnor fiber the Hodge level (see :func:`milnor_betti`).
+    ``weights`` and ``eigenvalues`` optionally annotate individual indices;
+    they carry no dimension information of their own.
     """
 
     dims: Tuple[int, ...]
@@ -63,37 +72,17 @@ class BettiTable:
         return obj
 
 
-# -- Hodge polynomial atoms ---------------------------------------------------
-
-#: Atom kinds accepted by :func:`hodge_atom`.
-_ATOM_KINDS = ("affine", "torus")
-
-
-def hodge_atom(kind: str, param: int) -> MultiPoly:
-    """Hodge polynomial of a basic variety.
-
-    * ``affine(n)``     -> t^n
-    * ``torus(l)``      -> (t - 1)^l    (an l-dimensional algebraic torus)
-    """
-    if kind not in _ATOM_KINDS:
-        raise ValueError(f"unknown atom kind {kind!r}; expected one of {_ATOM_KINDS}")
-    if param < 0:
-        raise ValueError(f"{kind} dimension must be nonnegative")
-    if kind == "affine":
-        return _t_poly({param: 1})
-    return _t_poly({1: 1, 0: -1}) ** param
-
-
 # -- Milnor fiber of the Hankel determinant -----------------------------------
 
 
 def _weighted_strata_sum(n: int, weights: Sequence[int]) -> MultiPoly:
     """sum_l weights[l] * t^n * (t-1)^l."""
-    tn = hodge_atom("affine", n)
+    term, torus = _t_poly({n: 1}), _t_poly({1: 1, 0: -1})
     total = MultiPoly.zero(1)
-    for l, w in enumerate(weights):
+    for w in weights:
         if w:
-            total = total + (tn * hodge_atom("torus", l)).scale(w)
+            total = total + term.scale(w)
+        term = term * torus
     return total
 
 
@@ -141,15 +130,16 @@ def quotient_hodge(n: int, d: int) -> MultiPoly:
 def gbundle_hodge(n: int, d: int) -> MultiPoly:
     """Hodge polynomial of the torus bundle {y^d f(x) = 1} over the quotient
     fiber: (t - 1) * quotient_hodge(n, d)."""
-    return hodge_atom("torus", 1) * quotient_hodge(n, d)
+    return _t_poly({1: 1, 0: -1}) * quotient_hodge(n, d)
 
 
 def milnor_betti(n: int) -> BettiTable:
-    """Betti table of the Hankel Milnor fiber.
+    """Betti table of the Hankel Milnor fiber, indexed by Hodge level.
 
-    dim H^i = phi((n+1)/d) at i = n+1-d for each divisor d of n+1, zero
-    elsewhere.  The cohomology is pure of Hodge-Tate type, which is what
-    justifies reading dimensions straight off Hodge coefficients.
+    Index j = n+1-d holds phi((n+1)/d) for each divisor d of n+1, zero
+    elsewhere: dim H^(2j) = phi((n+1)/d), and every odd degree vanishes.
+    The cohomology is pure of Hodge-Tate type, which is what justifies
+    reading dimensions straight off Hodge coefficients.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")

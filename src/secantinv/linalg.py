@@ -1,18 +1,14 @@
-"""Exact linear algebra over Z for rational input: the pivots of sparse rows
-and the determinant of a dense matrix, both by fraction-free elimination.
+"""Exact linear algebra by fraction-free elimination: the pivots of sparse
+integer rows and the determinant of a dense rational matrix.
 
-Each row is first scaled to integers by the lcm of its denominators (a row
-of ints is taken as it is).  That leaves the rank unchanged and multiplies
-the determinant by a known integer, so all elimination runs on Python ints
-and builds no Fraction.
-
-* ``pivot_columns`` takes sparse rows {column key: value} and eliminates
-  them one at a time against the pivot rows found so far, with
+* ``pivot_columns`` takes sparse integer rows {column key: int} and
+  eliminates them one at a time against the pivot rows found so far, with
   ``row = a*row - b*pivot`` (a, b coprime), and returns each row's new
   pivot column, or None when it reduced to zero: the rank of a prefix is
-  its number of pivots.  Each input row is copied once, never mutated, and
-  every stored row is divided by its content, the gcd of its entries, so
-  entries stay small.  A row's pivot is its largest column key; on the
+  its number of pivots.  Each input row is copied once, dropping zeros,
+  and that copy is reduced in place: every step first divides it by its
+  content, the gcd of its entries, so entries stay small, and drops each
+  entry that cancels.  A row's pivot is its largest column key; on the
   rows of the twisted differential that is the leading term of the df^
   part, which keeps fill-in low (structured pivoting of Macaulay-like
   matrices, Faugere and Lachartre, PASCO 2010).
@@ -20,10 +16,12 @@ and builds no Fraction.
   of a prefix is its number of pivots in A.  Proof: the stored rows span
   the prefix and never change, and their leading columns are distinct, so
   a combination with no B part uses only rows led in A, which lie in A.
-* ``det`` is Bareiss's fraction-free Gaussian elimination (Bareiss 1968,
-  *Sylvester's identity and multistep integer-preserving Gaussian
-  elimination*): every intermediate entry is a minor of the integer
-  matrix, so each division is exact.
+* ``det`` scales each row to integers by the lcm of its denominators,
+  which multiplies the determinant by a known integer, and then runs
+  Bareiss's fraction-free Gaussian elimination (Bareiss 1968, *Sylvester's
+  identity and multistep integer-preserving Gaussian elimination*): every
+  intermediate entry is a minor of the integer matrix, so each division is
+  exact.
 """
 
 from __future__ import annotations
@@ -35,39 +33,20 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 Number = Union[int, Fraction]
 
 
-def _denominator_lcm(values: Iterable[Number]) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _integer_row(sparse: Mapping[Hashable, Number]) -> Dict[Hashable, int]:
-    """A new dict of the row's entries as integers: a copy of a row of ints,
-    else the row scaled by the lcm of its denominators."""
-    if all(v.__class__ is int for v in sparse.values()):
-        return dict(sparse)
-    scale = _denominator_lcm(sparse.values())
-    return {key: v.numerator * (scale // v.denominator) for key, v in sparse.items()}
-
-
-def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
-    """Drop zero entries, if there are any, and divide by the content."""
-    if 0 in row.values():
-        row = {key: v for key, v in row.items() if v}
-    content = math.gcd(*row.values())
-    if content > 1:
-        row = {key: v // content for key, v in row.items()}
-    return row
-
-
 def _eliminate(
-    rows: Iterable[Mapping[Hashable, Number]],
+    rows: Iterable[Mapping[Hashable, int]],
 ) -> Tuple[Dict[Hashable, Dict[Hashable, int]], List[Optional[Hashable]]]:
     """The pivot rows {pivot column: primitive integer row} of one pass over
     the rows, and each row's new pivot column (None for a dependent row)."""
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     columns: List[Optional[Hashable]] = []
     for sparse in rows:
-        row = _primitive(_integer_row(sparse))
+        row = {key: v for key, v in sparse.items() if v}
         while row:
+            content = math.gcd(*row.values())
+            if content > 1:
+                for key in row:
+                    row[key] //= content
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
@@ -76,20 +55,24 @@ def _eliminate(
             g = math.gcd(pivot[col], row[col])
             a, b = pivot[col] // g, row[col] // g
             if a != 1:
-                row = {key: a * v for key, v in row.items()}
+                for key in row:
+                    row[key] *= a
+            # A key that cancels was in the row, since b * v is never 0;
+            # the pivot column always cancels.
             for key, v in pivot.items():
-                row[key] = row.get(key, 0) - b * v
-            # The pivot column cancelled; _primitive need not rebuild for it.
-            del row[col]
-            row = _primitive(row)
+                value = row.get(key, 0) - b * v
+                if value:
+                    row[key] = value
+                else:
+                    del row[key]
         columns.append(col if row else None)
     return pivots, columns
 
 
-def pivot_columns(rows: Iterable[Mapping[Hashable, Number]]) -> List[Optional[Hashable]]:
-    """Eliminate sparse rational rows {column key: int | Fraction} in one
-    pass: entry i is the column of row i's new pivot, the largest key of
-    row i reduced by the earlier rows, or None when it reduced to zero.
+def pivot_columns(rows: Iterable[Mapping[Hashable, int]]) -> List[Optional[Hashable]]:
+    """Eliminate sparse integer rows {column key: int} in one pass: entry i
+    is the column of row i's new pivot, the largest key of row i reduced by
+    the earlier rows, or None when it reduced to zero.
 
     Column keys must be mutually comparable; only their order matters.
     The rows are not modified.
@@ -105,7 +88,7 @@ def det(rows: Sequence[Sequence[Number]]) -> Fraction:
     for row in rows:
         if len(row) != size:
             raise ValueError("determinant of a non-square matrix")
-        row_scale = _denominator_lcm(row)
+        row_scale = math.lcm(*(v.denominator for v in row))
         scale *= row_scale
         a.append([v.numerator * (row_scale // v.denominator) for v in row])
     if not size:

@@ -124,7 +124,8 @@ def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:
         pos = nonzero_positions()
         if len(pos) <= 1:
             break
-        progressed = False
+        # Every sweep reduces its first pair, which is nonzero, so the sum
+        # of the exponents falls and the loop ends.
         for a, b in zip(pos, pos[1:]):
             if exps[a] == 0 or exps[b] == 0:
                 continue
@@ -135,9 +136,6 @@ def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:
             exps[dropped] -= q * exps[keep]
             for row in u:
                 row[keep] += q * row[dropped]
-            progressed = True
-        if not progressed:
-            break
     pos = nonzero_positions()
     target = pos[0]
     if target != 0:

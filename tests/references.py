@@ -17,9 +17,17 @@ from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
 
 
+def integer_row(row: Mapping[Hashable, Number]) -> Dict[Hashable, int]:
+    """A sparse rational row scaled by the lcm of its denominators: the
+    scaling keeps the rank and every pivot column of the rows."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {key: v.numerator * (scale // v.denominator) for key, v in row.items()}
+
+
 def rank(rows: Iterable[Mapping[Hashable, Number]]) -> int:
-    """Exact rank of sparse rational rows: the number of their pivots."""
-    return sum(column is not None for column in pivot_columns(rows))
+    """Exact rank of sparse rational rows: the number of pivots of the
+    rows with their denominators cleared."""
+    return sum(column is not None for column in pivot_columns(map(integer_row, rows)))
 
 
 def gbundle_hodge_bruteforce(n: int, d: int) -> MultiPoly:

@@ -429,6 +429,31 @@ class TestTruncatedDims:
         assert result.dims == ((7, 1),)
         assert result.stabilized == stabilized
 
+    @pytest.mark.parametrize("n, a", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_eigentable_entries_sit_in_form_degree_two_j_plus_one(self, n, a):
+        # Each eigenvalue e^(2 pi i p/q) at index j > 0 of the eigentable is
+        # one class of D_f in the graded class p*(n+1)/q and form degree
+        # 2j + 1; eigenvalue 1 sits at j = 0 only, which reduced cohomology
+        # drops, so class 0 vanishes.  `stabilized` is pinned as it comes out.
+        f = hankel_determinant_poly(n)
+        expected = [0] * (f.nvars + 1)
+        for lam, j, mult in monodromy_eigentable(n):
+            if j > 0 and lam.p * (n + 1) // lam.q == a:
+                expected[2 * j + 1] += mult
+        assert sum(expected) == (a != 0)
+        result = truncated_drk_dims(f, n + 1, a, 6)
+        assert result.dims == tuple(enumerate(expected))
+        assert result.stabilized
+
+    @pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(-5, 7)])
+    @pytest.mark.parametrize("n, residue, truncation", [(1, 0, 6), (1, 1, 6), (2, 1, 3)])
+    def test_a_rational_multiple_of_f_has_the_same_dims(self, c, n, residue, truncation):
+        # x -> t*x with t^N = c carries D_f onto D_(cf) degree by degree, so
+        # clearing the denominators of cf changes nothing.
+        f = hankel_determinant_poly(n)
+        scaled = truncated_drk_dims(f.scale(c), n + 1, residue, truncation)
+        assert scaled == truncated_drk_dims(f, n + 1, residue, truncation)
+
     def test_one_elimination_per_form_degree(self, monkeypatch):
         # Every needed form degree is eliminated once, and both truncation
         # levels are read from those eliminations: no other elimination runs.

@@ -8,7 +8,6 @@ from secantinv.exactalg import MultiPoly
 from secantinv.hodge import (
     BettiTable,
     gbundle_hodge,
-    hodge_atom,
     milnor_betti,
     milnor_hodge_bruteforce,
     milnor_hodge_closed,
@@ -20,21 +19,6 @@ from tests.references import gbundle_hodge_bruteforce
 def h(coeffs):
     """The polynomial sum c * t^d in t = x0, from {d: c}."""
     return MultiPoly(1, {(d,): c for d, c in coeffs.items()})
-
-
-class TestAtoms:
-    def test_torus(self):
-        assert hodge_atom("torus", 1) == h({1: 1, 0: -1})
-
-    def test_affine(self):
-        assert hodge_atom("affine", 4) == h({4: 1})
-
-    def test_invalid(self):
-        for kind in ("point", "projective", "sphere"):
-            with pytest.raises(ValueError, match="unknown atom kind"):
-                hodge_atom(kind, 2)
-        with pytest.raises(ValueError):
-            hodge_atom("torus", -1)
 
 
 class TestMilnorHodge:
@@ -87,8 +71,8 @@ class TestQuotientHodge:
 
 class TestGBundleHodge:
     def test_examples(self):
-        assert gbundle_hodge(2, 1) == hodge_atom("torus", 1) * h({4: 1})
-        assert gbundle_hodge(2, 3) == hodge_atom("torus", 1) * h({2: 2, 4: 1})
+        assert gbundle_hodge(2, 1) == h({1: 1, 0: -1}) * h({4: 1})
+        assert gbundle_hodge(2, 3) == h({1: 1, 0: -1}) * h({2: 2, 4: 1})
 
     def test_brute_force_oracle_agreement(self):
         for n in range(1, 8):
@@ -103,7 +87,7 @@ class TestGBundleHodge:
     def test_torus_bundle_property(self):
         for n in range(1, 10):
             for d in divisors(n + 1):
-                assert gbundle_hodge(n, d) == hodge_atom("torus", 1) * quotient_hodge(
+                assert gbundle_hodge(n, d) == h({1: 1, 0: -1}) * quotient_hodge(
                     n, d
                 )
 
@@ -126,7 +110,6 @@ class TestHodgePolyType:
 
     def test_every_hodge_function_returns_a_one_variable_multipoly(self):
         for poly in (
-            hodge_atom("torus", 2),
             milnor_hodge_bruteforce(3),
             milnor_hodge_closed(3),
             quotient_hodge(5, 3),

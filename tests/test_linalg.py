@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from secantinv.drk import _class_basis, _d_f_rows, _split_column_key, hankel_determinant_poly
 from secantinv.linalg import _eliminate, det, pivot_columns
-from tests.references import random_locus_point, rank
+from tests.references import integer_row, random_locus_point, rank
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -56,8 +56,10 @@ def gauss_jordan(rows):
 
 
 def prefix_ranks(rows):
-    """The rank of every prefix of the rows: a running count of pivots."""
-    return list(accumulate(column is not None for column in pivot_columns(rows)))
+    """The rank of every prefix of the rational rows: a running count of the
+    pivots of the rows with their denominators cleared."""
+    pivots = pivot_columns(map(integer_row, rows))
+    return list(accumulate(column is not None for column in pivots))
 
 
 def sparse(rows, tag=None):
@@ -131,9 +133,11 @@ class TestRank:
         st.booleans(),
     )
     def test_rows_are_not_mutated(self, rows, explicit_zeros):
-        # Integer rows are copied once, not stored or reduced in place.
+        # Each row is copied once; the copy, not the input, is reduced in
+        # place and stored.
         given_rows = [
-            {col: v for col, v in enumerate(row) if explicit_zeros or v != 0} for row in rows
+            integer_row({col: v for col, v in enumerate(row) if explicit_zeros or v != 0})
+            for row in rows
         ]
         before = copy.deepcopy(given_rows)
         pivot_columns(given_rows)
@@ -151,9 +155,9 @@ class TestRank:
     @given(st.one_of(matrices(), matrices(entries=st.integers(-3, 3))))
     def test_stored_pivot_rows_are_primitive_and_led_by_their_column(self, rows):
         # The pivot-count argument needs stored rows led by distinct columns
-        # that span the input; the reduction step deletes the cancelled pivot
-        # column itself, so no other zero entry may survive in a stored row.
-        pivots, columns = _eliminate(sparse(rows))
+        # that span the input; the reduction step pops every entry that
+        # cancels, so no zero entry may survive in a stored row.
+        pivots, columns = _eliminate(map(integer_row, sparse(rows)))
         assert sorted(pivots) == sorted(c for c in columns if c is not None)
         for col, row in pivots.items():
             assert max(row) == col
@@ -195,7 +199,7 @@ class TestRank:
         expected = gauss_jordan(projected)[0]
         joined = [ra | rb for ra, rb in zip(sparse(a, "A"), sparse(b, "B"))]
         assert rank(joined) - rank(sparse(b, "B")) == expected
-        columns = pivot_columns(joined)
+        columns = pivot_columns(map(integer_row, joined))
         assert sum(column is not None and column[0] == "A" for column in columns) == expected
 
 
