@@ -44,6 +44,8 @@ GOLDEN_COMMANDS = [
     ["blockreduce", "-n", "2", "-k", "1"],
     ["blockreduce", "-n", "2", "-k", "1", "--format", "table"],
     ["blockreduce", "-n", "4", "-k", "1"],
+    ["blockreduce", "-n", "5", "-k", "0"],
+    ["blockreduce", "-n", "5", "-k", "4"],
     ["verify", "-n", "3"],
     ["verify", "-n", "3", "--format", "table"],
     ["verify", "-n", "5"],
