@@ -67,8 +67,10 @@ from .exactalg import (
     _make,
     key_degree,
     pack,
+    poly_det,
     unpack,
 )
+from .hankel import hankel_matrix
 from .linalg import pivot_columns
 
 
@@ -515,9 +517,6 @@ def truncated_drk_dims(
 
 def hankel_determinant_poly(n: int) -> MultiPoly:
     """det H_n as a plain polynomial in x_0 .. x_{2n}."""
-    from .exactalg import poly_det
-    from .hankel import hankel_matrix
-
     det = poly_det(hankel_matrix(n))
     if det.power != 0:
         raise RuntimeError(f"det H_{n} came out with a pole of order {det.power}")

@@ -15,6 +15,10 @@ Representation conventions:
   monomial is the largest key, and the product of two monomials is the sum
   of their keys.  A total degree above ``MAX_DEGREE`` would overflow a
   field; every input or product that would need one raises OverflowError.
+* Every product of polynomials is one kernel, ``_sum_of_products``: it sums
+  the products of pairs of term maps into a single dict.  ``MultiPoly``
+  multiplication, the cofactor determinant and the block reduction's
+  matrix product in ``hankel`` all call it.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
 * At the public boundary a monomial is its dense exponent tuple
@@ -26,7 +30,11 @@ Representation conventions:
 * A localized polynomial is numerator / x_k^power for one designated
   variable x_k, normalized so that x_k does not divide the numerator unless
   power = 0.  All poles in one computation must sit at one variable;
-  ``_pole_var`` alone decides that variable.
+  ``_pole_var`` alone decides that variable.  Pipelines whose denominators
+  are known powers of x_k compute numerators over Z[x] and localize each
+  result once.
+* ``PolyMatrix`` holds localized entries for determinants and output; it
+  has no matrix product.
 
 All values are immutable after construction; every operation is a pure
 function.
@@ -68,6 +76,20 @@ def _clean(terms: Terms) -> Terms:
         for k, c in terms.items()
         if c
     }
+
+
+def _sum_of_products(pairs: Iterable[Tuple[Terms, Terms]]) -> Terms:
+    """The sum of a * b over the pairs of packed-term maps, accumulated in
+    one dict and cleaned once.  The caller keeps every total degree within
+    ``MAX_DEGREE``: a key past it would carry into the next field."""
+    out: Terms = {}
+    get = out.get
+    for a, b in pairs:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return _clean(out)
 
 
 def _check_degree(degree: int) -> None:
@@ -224,13 +246,7 @@ class MultiPoly:
         if not a or not b:
             return _make(self.nvars, {})
         _check_degree(key_degree(max(a) + max(b), self.nvars))
-        out: Terms = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return _make(self.nvars, _clean(out))
+        return _make(self.nvars, _sum_of_products([(a, b)]))
 
     def scale(self, value) -> "MultiPoly":
         c = _rational(value)
@@ -451,10 +467,8 @@ class LocalizedPoly:
         return LocalizedPoly(self.num * other.num, var, self.power + other.power)
 
     def mul_var_power(self, e: int) -> "LocalizedPoly":
-        """Multiply by x_var^e (e may be negative, deepening the localization)."""
-        if e >= 0:
-            return LocalizedPoly(self.num.mul_var_power(self.var, e), self.var, self.power)
-        return LocalizedPoly(self.num, self.var, self.power - e)
+        """Multiply by x_var^e, e >= 0."""
+        return LocalizedPoly(self.num.mul_var_power(self.var, e), self.var, self.power)
 
     def __pow__(self, exp: int) -> "LocalizedPoly":
         if exp < 0:
@@ -512,49 +526,6 @@ class PolyMatrix:
     def at(self, i: int, j: int) -> LocalizedPoly:
         return self.entries[i * self.cols + j]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols,
-            self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix product.  Each entry sum_t a_it * b_tj is accumulated in one
-        packed-term dict: every product is shifted to the entry's common pole
-        order max(a.power + b.power), and the sum is normalized once."""
-        if self.cols != other.rows:
-            raise DimensionError("matrix shapes do not compose")
-        arities = {e.nvars for e in self.entries + other.entries}
-        if len(arities) > 1:
-            raise DimensionError("variable count mismatch")
-        nvars = arities.pop() if arities else 0
-        out: List[LocalizedPoly] = []
-        for i in range(self.rows):
-            row = self.entries[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                pairs = [
-                    (a, b)
-                    for a, b in zip(row, other.entries[j :: other.cols])
-                    if a.num.packed and b.num.packed
-                ]
-                var = _pole_var((e for pair in pairs for e in pair), row[0].var)
-                common = max((a.power + b.power for a, b in pairs), default=0)
-                step = _var_key(nvars, var) if common else 0
-                acc: Terms = {}
-                get = acc.get
-                for a, b in pairs:
-                    lift = common - a.power - b.power
-                    _check_degree(a.num.total_degree() + b.num.total_degree() + lift)
-                    lift *= step
-                    for k1, c1 in a.num.packed.items():
-                        k1 += lift
-                        for k2, c2 in b.num.packed.items():
-                            k = k1 + k2
-                            acc[k] = get(k, 0) + c1 * c2
-                out.append(LocalizedPoly(_make(nvars, _clean(acc)), var, common))
-        return PolyMatrix(self.rows, other.cols, out)
-
     def to_obj(self) -> List[List[str]]:
         return [
             [self.at(i, j).to_str() for j in range(self.cols)]
@@ -579,32 +550,30 @@ class PolyMatrix:
 def _det_cofactor(mat: List[List[Terms]]) -> Terms:
     """Determinant of a matrix of packed terms by cofactor expansion along
     the rows in order, memoizing the minor on each set of remaining columns."""
-    n = len(mat)
-    memo: Dict[Tuple[int, ...], Terms] = {(): {0: 1}}
+    return _minor(mat, {(): {0: 1}}, tuple(range(len(mat))))
 
-    def minor(cols: Tuple[int, ...]) -> Terms:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = mat[n - len(cols)]
-        acc: Terms = {}
-        get = acc.get
-        for pos, c in enumerate(cols):
-            entry = row[c]
-            if not entry:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            if pos % 2:
-                entry = {k: -v for k, v in entry.items()}
-            for k1, c1 in entry.items():
-                for k2, c2 in sub.items():
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        acc = _clean(acc)
-        memo[cols] = acc
-        return acc
 
-    return minor(tuple(range(n)))
+def _minor(
+    mat: List[List[Terms]], memo: Dict[Tuple[int, ...], Terms], cols: Tuple[int, ...]
+) -> Terms:
+    """The minor of the last len(cols) rows on the columns ``cols``.  A
+    function of its own, not a closure: a recursive closure is a reference
+    cycle, which would keep every memoized minor alive until the cyclic
+    garbage collector runs."""
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    row = mat[len(mat) - len(cols)]
+    acc = _sum_of_products(
+        (
+            {k: -v for k, v in row[c].items()} if pos % 2 else row[c],
+            _minor(mat, memo, cols[:pos] + cols[pos + 1 :]),
+        )
+        for pos, c in enumerate(cols)
+        if row[c]
+    )
+    memo[cols] = acc
+    return acc
 
 
 def _clear_denominators(m: PolyMatrix) -> Tuple[List[List[MultiPoly]], int, int]:

@@ -38,6 +38,8 @@ from .exactalg import (
     LocalizedPoly,
     MultiPoly,
     PolyMatrix,
+    _make,
+    _sum_of_products,
     poly_det,
 )
 from .linalg import det
@@ -103,39 +105,60 @@ class BlockReduction:
         }
 
 
+def _p_numerators(x: Sequence, k: int, count: int) -> list:
+    """P_0 .. P_(count-1), the numerators of p_l = P_l / x_k^(l+1), over
+    whatever ring the coordinates x live in (ints or polynomials):
+
+        P_0 = 1,  P_l = -sum_{j<l} x_k^(l-1-j) * P_j * x_{k+l-j},
+
+    the p-recurrence multiplied by x_k^(l+1), run by Horner in x_k."""
+    xk = x[k]
+    p = [xk**0]  # the 1 of that ring
+    for ell in range(1, count):
+        acc = p[0] * x[k + ell]
+        for j in range(1, ell):
+            acc = acc * xk + p[j] * x[k + ell - j]
+        p.append(-acc)
+    return p
+
+
 def block_reduce(n: int, k: int) -> BlockReduction:
     """Run the reduction of H_n on the locus {x_j = 0 for j < k, x_k != 0}.
 
-    The p-sequence is computed by the forward recurrence in the localization
-    at x_k, never by matrix inversion, so every entry stays exact.
+    Every denominator is a known power of x_k, so the whole reduction runs
+    on integer-coefficient numerators and each output is localized once:
+    p_l = P_l / x_k^(l+1) (see :func:`_p_numerators`), and with
+    Q_ij = P_(j-i) and H~_ab = x_k^(a+b) * x_(a+b) (zero for a+b < k),
+    N_ij = (Q^T H~ Q)_ij / x_k^(i+j+2) and y_i = +-P_i / x_k^(i-1).
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
-    nvars = 2 * n + 1
-    xk_inv = LocalizedPoly(MultiPoly.const(nvars, 1), k, 1)
-    xvar = [LocalizedPoly(MultiPoly.variable(nvars, i), k, 0) for i in range(nvars)]
+    nvars, size = 2 * n + 1, n + 1
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    x = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+    big_p = _p_numerators(x, k, 2 * n - k + 1)
+    q = [num.packed for num in big_p]
+    # Every degree below is at most that of h[2n], which MultiPoly checked.
+    h = [(x[k] ** s * x[s]).packed if s >= k else {} for s in range(nvars)]
+    hq = {(a, j): _sum_of_products((h[a + b], q[j - b]) for b in range(j + 1)) for a, j in cells}
 
-    p: List[LocalizedPoly] = [xk_inv]
-    for ell in range(1, 2 * n - k + 1):
-        acc = p[0] * xvar[k + ell]
-        for j in range(1, ell):
-            acc = acc + p[j] * xvar[k + ell - j]
-        p.append(-(acc * xk_inv))
+    def localized(num, power: int) -> LocalizedPoly:
+        return LocalizedPoly(_make(nvars, num), k, power)
 
-    zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
-    pm_entries = [
-        p[j - i] if j >= i else zero for i in range(n + 1) for j in range(n + 1)
+    n_matrix = PolyMatrix(
+        size,
+        size,
+        [
+            localized(_sum_of_products((q[i - a], hq[a, j]) for a in range(i + 1)), i + j + 2)
+            for i, j in cells
+        ],
+    )
+    p = [localized(num, ell + 1) for ell, num in enumerate(q)]
+    zero = localized({}, 0)
+    p_matrix = PolyMatrix(size, size, [p[j - i] if j >= i else zero for i, j in cells])
+    y = [localized(x[k].packed, 0)] + [
+        localized((big_p[i] if i <= k else -big_p[i]).packed, i - 1) for i in range(1, len(q))
     ]
-    p_matrix = PolyMatrix(n + 1, n + 1, pm_entries)
-    h_restricted = restricted_hankel(n, k)
-    n_matrix = p_matrix.transpose().mul(h_restricted.mul(p_matrix))
-
-    xk2 = LocalizedPoly(MultiPoly.variable(nvars, k) ** 2, k, 0)
-    y: List[LocalizedPoly] = [xvar[k]]
-    for i in range(1, 2 * n - k + 1):
-        yi = xk2 * p[i]
-        y.append(yi if i <= k else -yi)
-
     return BlockReduction(
         n=n,
         k=k,
@@ -272,23 +295,15 @@ def _y_at_point(n: int, k: int, x: Sequence[Fraction]) -> List[Fraction]:
 
     Each p_i is homogeneous of degree -1 with denominator x_k^(i+1), so
     clearing the point's denominators once (X = scale * x, scale = their
-    lcm) gives p_i(x) = scale * P_i / X_k^(i+1) with integers P_i that obey
-
-        P_0 = 1,  P_l = -sum_{j<l} X_k^(l-1-j) * P_j * X_{k+l-j}
-
-    (the p-recurrence multiplied by X_k^(l+1), run by Horner in X_k).  Then
-    y_i = +-x_k^2 p_i(x) = +-P_i / (X_k^(i-1) * scale): the same rationals
-    as the recurrence run in Fractions, each built once from integers.
+    lcm) gives p_i(x) = scale * P_i / X_k^(i+1), where the integers P_i are
+    the :func:`_p_numerators` of X.  Then y_i = +-x_k^2 p_i(x) =
+    +-P_i / (X_k^(i-1) * scale): the same rationals as the recurrence run
+    in Fractions, each built once from integers.
     """
     scale = math.lcm(*(v.denominator for v in x))
     big = [v.numerator * (scale // v.denominator) for v in x]
     xk = big[k]
-    p = [1]
-    for ell in range(1, 2 * n - k + 1):
-        acc = 0
-        for j in range(ell):
-            acc = acc * xk + p[j] * big[k + ell - j]
-        p.append(-acc)
+    p = _p_numerators(big, k, 2 * n - k + 1)
     y = [x[k]]
     power = scale  # X_k^(i-1) * scale
     for i in range(1, 2 * n - k + 1):

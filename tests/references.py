@@ -12,7 +12,8 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
 from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
-from secantinv.exactalg import MultiPoly
+from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, PolyMatrix
+from secantinv.hankel import BlockReduction, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
 
@@ -82,6 +83,48 @@ def origin_eigenvalues(n: int) -> List[Tuple[RootOfUnity, int]]:
         if (n + 1) % q == 0:
             out.append((summand.eigenvalue, n + 1 - (n + 1) // q))
     return out
+
+
+def reference_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The matrix product as entrywise LocalizedPoly products and sums."""
+    if a.cols != b.rows:
+        raise DimensionError("matrix shapes do not compose")
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.at(i, 0) * b.at(0, j)
+            for t in range(1, a.cols):
+                acc = acc + a.at(i, t) * b.at(t, j)
+            out.append(acc)
+    return PolyMatrix(a.rows, b.cols, out)
+
+
+def reference_block_reduce(n: int, k: int) -> BlockReduction:
+    """The block reduction built step by step in the localization at x_k:
+    p_0 = 1/x_k and p_l = -(p_0 x_{k+l} + ... + p_{l-1} x_{k+1}) / x_k as
+    LocalizedPoly values, N = P^T H P by :func:`reference_mul`, and
+    y_i = +-x_k^2 p_i."""
+    nvars = 2 * n + 1
+    xk_inv = LocalizedPoly(MultiPoly.const(nvars, 1), k, 1)
+    xvar = [LocalizedPoly(MultiPoly.variable(nvars, i), k, 0) for i in range(nvars)]
+    p = [xk_inv]
+    for ell in range(1, 2 * n - k + 1):
+        acc = p[0] * xvar[k + ell]
+        for j in range(1, ell):
+            acc = acc + p[j] * xvar[k + ell - j]
+        p.append(-(acc * xk_inv))
+    zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
+    size = n + 1
+    p_matrix = PolyMatrix(
+        size, size, [p[j - i] if j >= i else zero for i in range(size) for j in range(size)]
+    )
+    p_transpose = PolyMatrix(
+        size, size, [p_matrix.at(j, i) for i in range(size) for j in range(size)]
+    )
+    n_matrix = reference_mul(p_transpose, reference_mul(restricted_hankel(n, k), p_matrix))
+    xk2 = xvar[k] ** 2
+    y = [xvar[k]] + [xk2 * p[i] if i <= k else -(xk2 * p[i]) for i in range(1, len(p))]
+    return BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
 
 
 def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:

@@ -157,6 +157,83 @@ class TestDecompositionTheoremOracle:
                 assert ih_betti(g, k).dims == tuple(expected), (g, k)
 
 
+def poly_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def series_mul(a, b, k):
+    """Product of two power series in s whose coefficients are integer
+    polynomials in u (a list indexed by the power of s), dropped past s^k."""
+    out = [[0] for _ in range(k + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: k + 1 - i]):
+            out[i + j] = poly_add(out[i + j], poly_mul(x, y))
+    return out
+
+
+def weight_polynomial(g, k):
+    """W(Sigma_k) = sum over i = 1..k of [s^i] (Z_C(u^2 s) / Z_C(s)) / (u^2 - 1)
+    with Z_C(s) = (1 - us)^(2g) / ((1 - s)(1 - u^2 s)), as integer
+    coefficients of u^0, u^1, ...
+
+    Sigma_k is the disjoint union of the pieces Sigma_i minus Sigma_(i-1),
+    each fibred over C_i (Bertram, J. Diff. Geom. 35, 1992); summing the
+    fibres over the multiplicity strata of C_i is a power-structure
+    computation (Gusein-Zade, Luengo and Melle-Hernandez, Michigan Math. J.
+    52, 2004).  The ratio is (1 - u^3 s)^(2g) (1 - s) / ((1 - us)^(2g)
+    (1 - u^4 s)), expanded here factor by factor."""
+
+    def geometric(step):  # 1 / (1 - u^step s)
+        return [[0] * (step * m) + [1] for m in range(k + 1)]
+
+    ratio = series_mul([[1], [-1]], geometric(4), k)
+    curve_factor = series_mul([[1], [0, 0, 0, -1]], geometric(1), k)  # (1 - u^3 s) / (1 - us)
+    for _ in range(2 * g):
+        ratio = series_mul(ratio, curve_factor, k)
+    total = [0]
+    for coefficient in ratio[1:]:
+        total = poly_add(total, coefficient)
+    # Divide by u^2 - 1 from the top: total_j = q_(j-2) - q_j.
+    q = [0] * (len(total) + 2)
+    for j in range(len(total) - 1, 1, -1):
+        q[j - 2] = total[j] + q[j]
+    assert [total[0] + q[0], total[1] + q[1]] == [0, 0], "not divisible by u^2 - 1"
+    return strip(q)
+
+
+def strip(coefficients):
+    coefficients = list(coefficients)
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return coefficients
+
+
+def alternating_weight_sum(table):
+    """sum_j (-1)^j dims[j] u^(weight of H^j), weight j where unannotated."""
+    weights = dict(table.weights)
+    out = [0] * (2 * len(table.dims))
+    for j, d in enumerate(table.dims):
+        out[weights.get(j, j)] += (-1) ** j * d
+    return strip(out)
+
+
+class TestWeightPolynomialOracle:
+    @pytest.mark.parametrize("g", range(11))
+    def test_sec2_singular_betti(self, g):
+        assert weight_polynomial(g, 2) == alternating_weight_sum(sec2_singular_betti(g))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rational_normal_curve_ih_betti(self, k):
+        # For g = 0, Sigma_k is a rational homology manifold, so its
+        # cohomology is its intersection cohomology.
+        assert weight_polynomial(0, k) == alternating_weight_sum(ih_betti(0, k))
+
+
 class TestSec2Betti:
     def test_genus_zero_matches_projective_behavior(self):
         # C^(2) is the projective plane; the table is palindromic because

@@ -5,8 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from secantinv.exactalg import (
     DimensionError,
@@ -18,7 +16,7 @@ from secantinv.exactalg import (
 )
 from secantinv.hankel import block_reduce, hankel_matrix, residual_hankel
 from secantinv.linalg import det
-from tests.references import random_locus_point
+from tests.references import random_locus_point, reference_mul
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
 
@@ -72,7 +70,7 @@ class TestPolyDet:
         for _ in range(6):
             a = PolyMatrix(3, 3, [loc(random_poly(rng, 2, 2, 2)) for _ in range(9)])
             b = PolyMatrix(3, 3, [loc(random_poly(rng, 2, 2, 2)) for _ in range(9)])
-            assert poly_det(a.mul(b)) == poly_det(a) * poly_det(b)
+            assert poly_det(reference_mul(a, b)) == poly_det(a) * poly_det(b)
 
     def test_singular_matrix(self):
         row = [loc(p(2, "x0")), loc(p(2, "x1"))]
@@ -175,85 +173,6 @@ class TestRowOrder:
                 assert d.eval(pt) == det(at_point(m, pt))
 
 
-def reference_mul(a, b):
-    """The entrywise matrix product as LocalizedPoly products and sums: an
-    oracle for the fused accumulation in PolyMatrix.mul."""
-    if a.cols != b.rows:
-        raise DimensionError("matrix shapes do not compose")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = a.at(i, 0) * b.at(0, j)
-            for t in range(1, a.cols):
-                acc = acc + a.at(i, t) * b.at(t, j)
-            out.append(acc)
-    return PolyMatrix(a.rows, b.cols, out)
-
-
-MUL_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
-
-MUL_NVARS = 3
-mul_coefficients = st.one_of(
-    st.integers(-7, 7),
-    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 3, 5])),
-)
-mul_polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * MUL_NVARS), mul_coefficients, max_size=3
-).map(lambda d: MultiPoly(MUL_NVARS, d))
-
-
-@st.composite
-def composable_pairs(draw):
-    """Two matrices of shapes r x s and s x c, all entries localized at one
-    variable with pole orders 0..3; an empty term map gives a zero entry."""
-    r, s, c = (draw(st.integers(1, 3)) for _ in range(3))
-    var = draw(st.integers(0, MUL_NVARS - 1))
-
-    def matrix(rows, cols):
-        entries = [
-            LocalizedPoly(draw(mul_polys), var, draw(st.integers(0, 3)))
-            for _ in range(rows * cols)
-        ]
-        return PolyMatrix(rows, cols, entries)
-
-    return matrix(r, s), matrix(s, c)
-
-
-class TestFusedProduct:
-    @MUL_SETTINGS
-    @given(composable_pairs())
-    def test_product_matches_the_reference(self, pair):
-        a, b = pair
-        got, expected = a.mul(b), reference_mul(a, b)
-        assert got == expected
-        assert got.to_obj() == expected.to_obj()
-        assert [e.var for e in got.entries] == [e.var for e in expected.entries]
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            ([LocalizedPoly(p(2, "x1"), 0, 1)], [LocalizedPoly(p(2, "x0"), 1, 1)]),
-            (
-                [LocalizedPoly(p(2, "x1"), 0, 1), LocalizedPoly(p(2, "x0"), 1, 2)],
-                [loc(p(2, "x0 + x1")), loc(p(2, "3"))],
-            ),
-        ],
-        ids=["in-one-product", "across-the-sum"],
-    )
-    def test_mixed_localizations_rejected(self, a, b):
-        left = PolyMatrix(1, len(a), a)
-        right = PolyMatrix(len(b), 1, b)
-        with pytest.raises(DimensionError):
-            reference_mul(left, right)
-        with pytest.raises(DimensionError):
-            left.mul(right)
-
-    def test_shapes_must_compose(self):
-        m = PolyMatrix(1, 2, [loc(p(1, "x0")), loc(p(1, "1"))])
-        with pytest.raises(DimensionError):
-            m.mul(m)
-
-
 class TestMonomialBoundary:
     """A monomial enters and leaves MultiPoly as its dense exponent tuple."""
 
@@ -279,10 +198,9 @@ POLE_AT_X1 = LocalizedPoly(p(2, "x0"), 1, 1)
     [
         lambda a, b: a + b,
         lambda a, b: a * b,
-        lambda a, b: PolyMatrix(1, 2, [a, b]).mul(PolyMatrix(2, 1, [b, a])),
         lambda a, b: poly_det(PolyMatrix(2, 2, [a, a, b, b])),
     ],
-    ids=["add", "mul", "matrix-mul", "det"],
+    ids=["add", "mul", "det"],
 )
 def test_poles_at_two_variables_rejected(combine):
     for a, b in [(POLE_AT_X0, POLE_AT_X1), (POLE_AT_X1, POLE_AT_X0)]:
@@ -408,6 +326,12 @@ class TestLocalizedPoly:
         # [1] is too short to hold x2: the arity error comes before the index.
         with pytest.raises(DimensionError):
             LocalizedPoly(MultiPoly.variable(3, 0), 2, 1).eval(point)
+
+    def test_negative_variable_power_rejected(self):
+        q = LocalizedPoly(p(2, "x1"), 0, 1)
+        assert q.mul_var_power(2) == LocalizedPoly(p(2, "x0*x1"), 0, 0)
+        with pytest.raises(ValueError):
+            q.mul_var_power(-1)
 
     def test_mixed_localizations_rejected(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)

@@ -17,7 +17,7 @@ from secantinv.hankel import (
     restricted_hankel,
     verify_block_reduction,
 )
-from tests.references import random_locus_point
+from tests.references import random_locus_point, reference_block_reduce
 
 
 def p(nvars, text):
@@ -120,6 +120,19 @@ class TestBlockReduceSmall:
         assert r.N_matrix.at(0, 1).num.is_zero()
         assert r.N_matrix.at(2, 0).num.is_zero()
 
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 7) for k in range(n)], ids=lambda v: str(v)
+    )
+    def test_matches_the_construction_in_the_localization(self, n, k):
+        r, expected = block_reduce(n, k), reference_block_reduce(n, k)
+        assert r == expected
+        assert r.to_obj() == expected.to_obj()
+
+        def variables(b):
+            return [e.var for e in b.p_seq + b.P_matrix.entries + b.N_matrix.entries + b.y_coords]
+
+        assert variables(r) == variables(expected)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             block_reduce(2, 2)
@@ -184,8 +197,8 @@ class TestFactorization:
                     assert factorization_identity_at_point(n, k, point)
 
     def test_symbolic_and_numeric_recurrences_agree_at_points(self):
-        # The symbolic p/y sequences and the pure-Fraction recurrence used
-        # by the point checks are independent code paths; they must agree.
+        # The Fraction recurrence below, run step by step at each point, is
+        # independent of the integer numerators behind the symbolic p and y.
         rng = random.Random(33)
         for n, k in [(2, 0), (3, 1), (4, 2)]:
             r = block_reduce(n, k)
