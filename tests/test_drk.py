@@ -24,7 +24,7 @@ from secantinv.drk import (
     univariate_drk_cohomology,
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
-from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack
+from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack, unpack
 from secantinv.linalg import pivot_columns
 from tests.references import dims_at, proportionality
 
@@ -288,7 +288,7 @@ class TestColumnKey:
 
     def test_d_f_rows_have_int_keys_and_entries(self):
         f = hankel_determinant_poly(2)
-        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4))
+        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4)[0])
         assert all(
             key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
         )
@@ -455,8 +455,9 @@ class TestTruncatedDims:
         assert scaled == truncated_drk_dims(f, n + 1, residue, truncation)
 
     def test_one_elimination_per_form_degree(self, monkeypatch):
-        # Every needed form degree is eliminated once, and both truncation
-        # levels are read from those eliminations: no other elimination runs.
+        # Every needed form degree is eliminated once, over its forms of
+        # mirror weight h <= 0 only, and both truncation levels are read from
+        # those eliminations: no other elimination runs.
         eliminated = []
 
         def counting(rows):
@@ -472,9 +473,19 @@ class TestTruncatedDims:
         # Form degrees 0-2 are read up to truncation + 1 as the image side
         # of the next degree; the top degree only up to the truncation.
         top = [6 + 1] * 3 + [6]
-        assert sorted(eliminated) == sorted(
-            len(drk._class_basis(f.nvars, j, 2, 1, cap)) for j, cap in enumerate(top)
-        )
+        weights = drk._mirror_weights(f)
+        kept = [
+            len(drk._class_basis(f.nvars, j, 2, 1, cap, weights)[0]) for j, cap in enumerate(top)
+        ]
+        full = [len(drk._class_basis(f.nvars, j, 2, 1, cap)[0]) for j, cap in enumerate(top)]
+        assert sorted(eliminated) == sorted(kept)
+        assert kept == [40, 86, 120, 30] and full == [70, 150, 210, 50]
+
+    @pytest.mark.parametrize("degrees", [[7], [-1], [1, 4]])
+    def test_form_degrees_outside_zero_to_nvars_rejected(self, degrees):
+        # A 3-variable f has form degrees 0..3 only.
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            truncated_drk_dims(hankel_determinant_poly(1), 2, 1, 4, degrees)
 
     def test_inhomogeneous_f_rejected(self):
         with pytest.raises(ValueError):
@@ -492,6 +503,25 @@ def reference_truncated_dims(f, modulus, residue, truncation, degrees=None):
     current = dims_at(f, modulus, residue, truncation, wanted)
     previous = dims_at(f, modulus, residue, truncation - modulus, wanted)
     return tuple(sorted(current.items())), current == previous
+
+
+QUADRIC_EXPONENTS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+@st.composite
+def quadrics(draw):
+    """Nonzero quadrics in 3 variables with coefficients in -2..2.  Half are
+    mirror-symmetric by construction (x0^2 and x2^2 share a coefficient, and
+    so do x0*x1 and x1*x2), and half of those have mirror weight 0 too: only
+    x0*x2 and x1^2, like det H_1, which takes the halved path."""
+    coeffs = {expo: draw(st.integers(-2, 2)) for expo in QUADRIC_EXPONENTS}
+    if draw(st.booleans()):
+        coeffs[(0, 0, 2)], coeffs[(0, 1, 1)] = coeffs[(2, 0, 0)], coeffs[(1, 1, 0)]
+        if draw(st.booleans()):
+            coeffs = {expo: c for expo, c in coeffs.items() if expo in ((1, 0, 1), (0, 2, 0))}
+    f = MultiPoly(3, {expo: Fraction(c) for expo, c in coeffs.items()})
+    assume(not f.is_zero())
+    return f
 
 
 class TestTruncatedDimsAgainstThePerCapReference:
@@ -512,6 +542,72 @@ class TestTruncatedDimsAgainstThePerCapReference:
         assert (result.dims, result.stabilized) == reference_truncated_dims(
             f, 3, residue, 3, degrees
         )
+
+    @pytest.mark.parametrize(
+        "nvars, text, modulus, truncations",
+        [
+            # Mirror weight 0, but the mirror sends f to -f.
+            (5, "x0*x3^2 - x1^2*x4", 3, (3, 4)),
+            # Mirror weight 0, but the mirror moves f.
+            (5, "x0*x3^2 + x2^3", 3, (3, 4)),
+            # Fixed by the mirror, but not of mirror weight 0.
+            (3, "x0^2 + x1^2 + x2^2", 2, range(2, 7)),
+        ],
+    )
+    def test_without_the_mirror_symmetry_every_class(self, nvars, text, modulus, truncations):
+        # Such an f is one block: every form has weight 0 and counts once.
+        f = p(nvars, text)
+        assert drk._mirror_weights(f) == (0,) * nvars
+        for truncation in truncations:
+            for residue in range(modulus):
+                result = truncated_drk_dims(f, modulus, residue, truncation)
+                assert (result.dims, result.stabilized) == reference_truncated_dims(
+                    f, modulus, residue, truncation
+                ), (truncation, residue)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(quadrics())
+    @example(p(3, "x0*x2 - x1^2"))
+    @example(p(3, "2*x0*x2 + x1^2"))
+    def test_random_quadrics_every_class(self, f):
+        # Truncations 3 and 4 compare caps 1, 2, 3 and 4.
+        for truncation in (3, 4):
+            for residue in (0, 1):
+                result = truncated_drk_dims(f, 2, residue, truncation)
+                assert (result.dims, result.stabilized) == reference_truncated_dims(
+                    f, 2, residue, truncation
+                ), (truncation, residue)
+
+
+def mirror_form(form, nvars):
+    """The monomial form (indices, key) with x_(nvars-1-i) for x_i, up to
+    the sign of reordering its dx's."""
+    indices, key = form
+    return tuple(sorted(nvars - 1 - i for i in indices)), pack(unpack(key, nvars)[::-1])
+
+
+class TestMirrorBlocks:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_kept_forms_and_their_mirror_images_are_the_full_basis(self, n):
+        # Every det H_1 / det H_2 slice at cap 4: the kept multiplicities sum
+        # to the full basis size, the kept forms plus the mirror images of
+        # those of multiplicity 2 are the full basis, and the kept forms come
+        # in the order of the full basis.
+        f = hankel_determinant_poly(n)
+        nvars, modulus = f.nvars, n + 1
+        weights = drk._mirror_weights(f)
+        assert weights == tuple(range(-2 * n, 2 * n + 1, 2))
+        for residue in range(modulus):
+            for k in range(nvars + 1):
+                full = drk._class_basis(nvars, k, modulus, residue, 4)[0]
+                kept, multiplicities = drk._class_basis(nvars, k, modulus, residue, 4, weights)
+                assert sum(multiplicities) == len(full), (residue, k)
+                doubled = [
+                    mirror_form(form, nvars) for form, m in zip(kept, multiplicities) if m == 2
+                ]
+                assert sorted(kept + doubled) == sorted(full), (residue, k)
+                kept_set = set(kept)
+                assert kept == [form for form in full if form in kept_set], (residue, k)
 
 
 class TestConnectingMap:
@@ -589,7 +685,7 @@ class TestEigenvectorPipeline:
         alpha = n2_eigenvectors()[which]
         residue = homogeneous_class(alpha, 3).residue
         assert residue == which + 1
-        image = drk._d_f_rows(f, drk._class_basis(5, 4, 3, residue, truncation + 1))
+        image = drk._d_f_rows(f, drk._class_basis(5, 4, 3, residue, truncation + 1)[0])
         row = {
             drk._column_key(idx, key, 5): c
             for idx, coeff in alpha.terms.items()
