@@ -44,24 +44,18 @@ Proof: every column beyond the cap is above every column inside it, and
 the pivot rows have distinct leading columns, so a combination with no
 part beyond the cap uses only rows led inside it, which lie inside it.
 
-Mirror blocks halve each slice.  Give x^e dx_I the weight
-h = sum_i (2i - (nvars-1)) (e_i + [i in I]).  If every monomial of f has
-weight 0, D_f preserves h, since d and df^ each trade an x_j for a dx_j;
-so a row of weight h has only columns of weight h, and the elimination
-never mixes blocks.  If the mirror s: x_i -> x_(nvars-1-i) also fixes f,
-then s^*, with the sign of reordering the dx's, commutes with d and with
-df^ (s^* df = df), keeps coefficient degree, form degree and graded class,
-and maps block h onto block -h: blocks h and -h have equal truncated
-kernels and images.  det H_n has both properties (each term of the
-determinant has weight 0, and reversing the rows and the columns of H_n
-is the mirror).  ``_class_basis`` then lists only the forms with h <= 0,
-with multiplicity 1 at h = 0 and 2 at h < 0, and the dimensions count
-zero rows and in-cap pivots with those multiplicities.  The h <= 0 half,
-not h >= 0: the pivot is the largest key, the form with the most x_0, and
-those blocks fill in less (det H_3, class 2, form degree 5, truncation 5:
-17 s against 40 s, and 57 s for whole slices; one run each, 2-core VM,
-Python 3.11).  When f lacks either property every weight is 0: one
-block, each form counted once.
+Only the weight-0 block is eliminated.  Give x^e dx_I the weight
+h = sum_i w_i (e_i + [i in I]) with w_i = 2i - (nvars-1).  If every term
+of f has weight 0, D_f preserves h, since d and df^ each trade an x_j for
+a dx_j, so each truncated dimension is a sum over the h-blocks; and every
+block h != 0 adds 0 to it.  With xi = sum_i w_i x_i d/dx_i, xi(f) = 0, so
+Cartan's formula gives i_xi D_f + D_f i_xi = L_xi + xi(f) = h on block h.
+i_xi keeps the graded class and the weight, lowers form degree by one and
+raises coefficient degree by one, so a cocycle z of block h != 0 and
+coefficient degree <= c is D_f(i_xi z / h), the D_f of a form of
+coefficient degree <= c + 1 that lies inside cap c: a truncated
+coboundary.  det H_n has such terms.  When some term of f has another
+weight, every weight is taken to be 0: one block, the whole slice.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -435,15 +429,11 @@ class TruncatedDims:
     stabilized: bool
 
 
-def _mirror_weights(f: MultiPoly) -> Tuple[int, ...]:
-    """The weights w_i = 2i - (nvars-1) of the mirror blocks if every term of
-    f has weight 0 and the mirror x_i -> x_(nvars-1-i) fixes f, else 0s."""
+def _weights(f: MultiPoly) -> Tuple[int, ...]:
+    """The weights w_i = 2i - (nvars-1) if every term of f has weight 0,
+    else 0s."""
     weights = tuple(2 * i - (f.nvars - 1) for i in range(f.nvars))
-    terms = {unpack(key, f.nvars): c for key, c in f.packed.items()}
-    if all(
-        sum(w * e for w, e in zip(weights, expo)) == 0 and terms.get(expo[::-1]) == c
-        for expo, c in terms.items()
-    ):
+    if all(sum(w * e for w, e in zip(weights, unpack(key, f.nvars))) == 0 for key in f.packed):
         return weights
     return (0,) * f.nvars
 
@@ -455,20 +445,18 @@ def _class_basis(
     residue: int,
     cap: int,
     weights: Optional[Sequence[int]] = None,
-) -> Tuple[List[Tuple[IndexTuple, int]], List[int]]:
-    """Monomial k-form basis of the graded-class slice with coefficient
-    degree <= cap, and the multiplicity of each form: pairs (index tuple,
-    packed monomial key) in order of coefficient degree, so the basis at
-    any lower cap is a prefix, and within one degree index tuples outer,
-    packed keys ascending.  With the ``weights`` of ``_mirror_weights``
-    only the forms of weight h <= 0 are listed, of multiplicity 1 at h = 0
-    and 2 at h < 0 (for the mirror image at -h); without, all of weight 0."""
+) -> List[Tuple[IndexTuple, int]]:
+    """Monomial k-form basis of the weight-0 block of the graded-class slice
+    with coefficient degree <= cap: pairs (index tuple, packed monomial key)
+    in order of coefficient degree, so the basis at any lower cap is a
+    prefix, and within one degree index tuples outer, packed keys
+    ascending.  Without ``weights`` every form has weight 0: the whole
+    slice."""
     weights = weights or (0,) * nvars
     index_weights = [
         (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
     ]
     domain: List[Tuple[IndexTuple, int]] = []
-    multiplicities: List[int] = []
     for total in range(cap + 1):
         if (total + k) % modulus != residue:
             continue
@@ -477,11 +465,10 @@ def _class_basis(
             for expo in _exponents_of_degree(nvars, total)
         ]
         for indices, index_weight in index_weights:
-            for key, key_weight in exponents:
-                if index_weight + key_weight <= 0:
-                    domain.append((indices, key))
-                    multiplicities.append(2 if index_weight + key_weight else 1)
-    return domain, multiplicities
+            domain.extend(
+                (indices, key) for key, key_weight in exponents if index_weight + key_weight == 0
+            )
+    return domain
 
 
 def _exponents_of_degree(nvars: int, total: int):
@@ -514,11 +501,10 @@ def truncated_drk_dims(
     degrees in 0..nvars (the slice sizes grow quickly with the variable
     count); a degree outside that range raises ValueError.
 
-    If every term of f has mirror weight 0 and the mirror
-    x_i -> x_(nvars-1-i) fixes f, as for det H_n, only the forms of weight
-    h <= 0 are eliminated, and a zero row or in-cap pivot of weight h < 0
-    counts twice, once for its mirror image (see the module docstring).
-    Otherwise every form has weight 0: one block, counted once.
+    If every term of f has weight 0, as for det H_n, only the forms of
+    weight 0 are eliminated: every other weight block adds 0 to every
+    truncated dimension (see the module docstring).  Otherwise every form
+    has weight 0: the whole slice.
     """
     if not f.is_homogeneous() or f.is_zero() or f.total_degree() != modulus:
         raise ValueError("f must be homogeneous of degree equal to the modulus")
@@ -534,20 +520,19 @@ def truncated_drk_dims(
     wanted = tuple(range(nvars + 1)) if degrees is None else tuple(degrees)
     if any(not 0 <= k <= nvars for k in wanted):
         raise ValueError(f"form degrees must lie in 0..{nvars}, got {list(wanted)}")
-    weights = _mirror_weights(f)
+    weights = _weights(f)
 
     # The D_f rows of each needed form degree j are built and eliminated
     # once, in order of coefficient degree, up to the largest cap they are
     # read at: truncation + 1 when they are the image side of degree j + 1.
     # Every dimension below is then read off the pivots of a prefix of that
-    # one pass: columns[i] is the new pivot of row i, or None, and counts
-    # with the multiplicity of row i.
+    # one pass: columns[i] is the new pivot of row i, or None.
     slices = {}
     for j in set(wanted) | {k - 1 for k in wanted if k >= 1}:
         top = truncation + 1 if j + 1 in wanted else truncation
-        domain, multiplicities = _class_basis(nvars, j, modulus, residue, top, weights)
+        domain = _class_basis(nvars, j, modulus, residue, top, weights)
         coeff_degrees = [key_degree(key, nvars) for _, key in domain]
-        slices[j] = (coeff_degrees, multiplicities, pivot_columns(_d_f_rows(f, domain)))
+        slices[j] = (coeff_degrees, pivot_columns(_d_f_rows(f, domain)))
 
     levels = []
     for cap in (truncation, truncation - modulus):
@@ -555,21 +540,20 @@ def truncated_drk_dims(
         for k in wanted:
             # Kernel of D_f on the slice: full image, no truncation of the
             # target, so one dimension per row that reduced to zero.
-            coeff_degrees, multiplicities, columns = slices[k]
+            coeff_degrees, columns = slices[k]
             end = bisect_right(coeff_degrees, cap)
-            dims[k] = sum(m for m, column in zip(multiplicities[:end], columns) if column is None)
+            dims[k] = columns[:end].count(None)
             if k == 0:
                 continue
             # Image inside the truncation: combinations of the (k-1)-forms one
             # coefficient degree above the cap (the exterior derivative lowers
             # coefficient degree by one) whose D_f has no part beyond the cap.
             # They are spanned by the pivot rows led inside the cap.
-            coeff_degrees, multiplicities, columns = slices[k - 1]
+            coeff_degrees, columns = slices[k - 1]
             end = bisect_right(coeff_degrees, cap + 1)
             dims[k] -= sum(
-                m
-                for m, column in zip(multiplicities[:end], columns)
-                if column is not None and _column_degree(column, nvars) <= cap
+                column is not None and _column_degree(column, nvars) <= cap
+                for column in columns[:end]
             )
         levels.append(dims)
     current, previous = levels

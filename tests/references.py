@@ -154,7 +154,7 @@ def dims_at(
     nvars = f.nvars
     dims: Dict[int, int] = {}
     for k in wanted:
-        domain = _class_basis(nvars, k, modulus, residue, cap)[0]
+        domain = _class_basis(nvars, k, modulus, residue, cap)
         if not domain:
             dims[k] = 0
             continue
@@ -167,7 +167,7 @@ def dims_at(
         # Their within-cap parts A span the projection onto A of
         # rowspace[A|B] intersected with {B = 0}, of dimension
         # rank([A|B]) - rank(B).
-        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1)[0] if k >= 1 else []
+        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
         full = _d_f_rows(f, prev)
         beyond = [
             {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}

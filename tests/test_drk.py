@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -288,7 +288,7 @@ class TestColumnKey:
 
     def test_d_f_rows_have_int_keys_and_entries(self):
         f = hankel_determinant_poly(2)
-        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4)[0])
+        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4))
         assert all(
             key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
         )
@@ -445,6 +445,21 @@ class TestTruncatedDims:
         assert result.dims == tuple(enumerate(expected))
         assert result.stabilized
 
+    @pytest.mark.parametrize("a, k, stabilized", [(1, 7, True), (2, 5, False), (3, 7, True)])
+    def test_det_h3_eigentable_entries_at_truncation_eight(self, a, k, stabilized):
+        # The same map on n = 3, in the one form degree 2j + 1 the eigentable
+        # names for class a: +-i at j = 3 (form degree 7), -1 at j = 2 (form
+        # degree 5).  Class 2 gives 0 at truncation 4, so it is not
+        # stabilized at 8; `stabilized` is pinned as it comes out.
+        expected = [0] * 8
+        for lam, j, mult in monodromy_eigentable(3):
+            if j > 0 and lam.p * 4 // lam.q == a:
+                expected[2 * j + 1] += mult
+        assert expected[k] == sum(expected) == 1
+        result = truncated_drk_dims(hankel_determinant_poly(3), 4, a, 8, [k])
+        assert result.dims == ((k, 1),)
+        assert result.stabilized == stabilized
+
     @pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(-5, 7)])
     @pytest.mark.parametrize("n, residue, truncation", [(1, 0, 6), (1, 1, 6), (2, 1, 3)])
     def test_a_rational_multiple_of_f_has_the_same_dims(self, c, n, residue, truncation):
@@ -456,8 +471,8 @@ class TestTruncatedDims:
 
     def test_one_elimination_per_form_degree(self, monkeypatch):
         # Every needed form degree is eliminated once, over its forms of
-        # mirror weight h <= 0 only, and both truncation levels are read from
-        # those eliminations: no other elimination runs.
+        # weight 0 only, and both truncation levels are read from those
+        # eliminations: no other elimination runs.
         eliminated = []
 
         def counting(rows):
@@ -473,13 +488,11 @@ class TestTruncatedDims:
         # Form degrees 0-2 are read up to truncation + 1 as the image side
         # of the next degree; the top degree only up to the truncation.
         top = [6 + 1] * 3 + [6]
-        weights = drk._mirror_weights(f)
-        kept = [
-            len(drk._class_basis(f.nvars, j, 2, 1, cap, weights)[0]) for j, cap in enumerate(top)
-        ]
-        full = [len(drk._class_basis(f.nvars, j, 2, 1, cap)[0]) for j, cap in enumerate(top)]
+        weights = drk._weights(f)
+        kept = [len(drk._class_basis(f.nvars, j, 2, 1, cap, weights)) for j, cap in enumerate(top)]
+        full = [len(drk._class_basis(f.nvars, j, 2, 1, cap)) for j, cap in enumerate(top)]
         assert sorted(eliminated) == sorted(kept)
-        assert kept == [40, 86, 120, 30] and full == [70, 150, 210, 50]
+        assert kept == [10, 22, 30, 10] and full == [70, 150, 210, 50]
 
     @pytest.mark.parametrize("degrees", [[7], [-1], [1, 4]])
     def test_form_degrees_outside_zero_to_nvars_rejected(self, degrees):
@@ -512,14 +525,31 @@ QUADRIC_EXPONENTS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 
 def quadrics(draw):
     """Nonzero quadrics in 3 variables with coefficients in -2..2.  Half are
     mirror-symmetric by construction (x0^2 and x2^2 share a coefficient, and
-    so do x0*x1 and x1*x2), and half of those have mirror weight 0 too: only
-    x0*x2 and x1^2, like det H_1, which takes the halved path."""
+    so do x0*x1 and x1*x2), and half of those have weight 0 too: only
+    x0*x2 and x1^2, like det H_1, which takes the weight-0 block path."""
     coeffs = {expo: draw(st.integers(-2, 2)) for expo in QUADRIC_EXPONENTS}
     if draw(st.booleans()):
         coeffs[(0, 0, 2)], coeffs[(0, 1, 1)] = coeffs[(2, 0, 0)], coeffs[(1, 1, 0)]
         if draw(st.booleans()):
             coeffs = {expo: c for expo, c in coeffs.items() if expo in ((1, 0, 1), (0, 2, 0))}
     f = MultiPoly(3, {expo: Fraction(c) for expo, c in coeffs.items()})
+    assume(not f.is_zero())
+    return f
+
+
+WEIGHT_ZERO_CUBICS = [
+    expo
+    for expo in product(range(4), repeat=5)
+    if sum(expo) == 3 and sum((2 * i - 4) * e for i, e in enumerate(expo)) == 0
+]
+
+
+@st.composite
+def weight_zero_cubics(draw):
+    """Nonzero combinations, with coefficients in -2..2, of the cubics of
+    weight 0 in 5 variables (x0*x2*x4, x0*x3^2, x1^2*x4, x1*x2*x3, x2^3:
+    the terms of det H_2), with no mirror symmetry imposed."""
+    f = MultiPoly(5, {expo: Fraction(draw(st.integers(-2, 2))) for expo in WEIGHT_ZERO_CUBICS})
     assume(not f.is_zero())
     return f
 
@@ -546,18 +576,20 @@ class TestTruncatedDimsAgainstThePerCapReference:
     @pytest.mark.parametrize(
         "nvars, text, modulus, truncations",
         [
-            # Mirror weight 0, but the mirror sends f to -f.
+            # Weight 0, but the mirror x_i -> x_(nvars-1-i) sends f to -f.
             (5, "x0*x3^2 - x1^2*x4", 3, (3, 4)),
-            # Mirror weight 0, but the mirror moves f.
+            # Weight 0, but the mirror moves f.
             (5, "x0*x3^2 + x2^3", 3, (3, 4)),
-            # Fixed by the mirror, but not of mirror weight 0.
+            # Fixed by the mirror, but not of weight 0.
             (3, "x0^2 + x1^2 + x2^2", 2, range(2, 7)),
         ],
     )
     def test_without_the_mirror_symmetry_every_class(self, nvars, text, modulus, truncations):
-        # Such an f is one block: every form has weight 0 and counts once.
+        # The two cubics take the weight-0 block path although the mirror
+        # does not fix them; the quadric is one block, the whole slice.
         f = p(nvars, text)
-        assert drk._mirror_weights(f) == (0,) * nvars
+        weighted = tuple(2 * i - (nvars - 1) for i in range(nvars))
+        assert drk._weights(f) == (weighted if nvars == 5 else (0,) * nvars)
         for truncation in truncations:
             for residue in range(modulus):
                 result = truncated_drk_dims(f, modulus, residue, truncation)
@@ -578,36 +610,43 @@ class TestTruncatedDimsAgainstThePerCapReference:
                     f, 2, residue, truncation
                 ), (truncation, residue)
 
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(weight_zero_cubics())
+    def test_random_weight_zero_cubics_every_class(self, f):
+        # Every such f takes the weight-0 block path; truncations 3 and 4
+        # compare caps 0, 1, 3 and 4 with the whole-slice reference.
+        assert drk._weights(f) == (-4, -2, 0, 2, 4)
+        for truncation in (3, 4):
+            for residue in range(3):
+                result = truncated_drk_dims(f, 3, residue, truncation)
+                assert (result.dims, result.stabilized) == reference_truncated_dims(
+                    f, 3, residue, truncation
+                ), (truncation, residue)
 
-def mirror_form(form, nvars):
-    """The monomial form (indices, key) with x_(nvars-1-i) for x_i, up to
-    the sign of reordering its dx's."""
+
+def form_weight(form, nvars):
+    """The weight h = sum_i (2i - (nvars-1)) (e_i + [i in I]) of the
+    monomial form (I, packed key of x^e)."""
     indices, key = form
-    return tuple(sorted(nvars - 1 - i for i in indices)), pack(unpack(key, nvars)[::-1])
+    expo = unpack(key, nvars)
+    return sum((2 * i - (nvars - 1)) * (expo[i] + (i in indices)) for i in range(nvars))
 
 
-class TestMirrorBlocks:
+class TestWeightBlocks:
     @pytest.mark.parametrize("n", [1, 2])
-    def test_kept_forms_and_their_mirror_images_are_the_full_basis(self, n):
-        # Every det H_1 / det H_2 slice at cap 4: the kept multiplicities sum
-        # to the full basis size, the kept forms plus the mirror images of
-        # those of multiplicity 2 are the full basis, and the kept forms come
-        # in the order of the full basis.
+    def test_kept_forms_are_the_weight_0_forms_of_the_full_basis(self, n):
+        # Every det H_1 / det H_2 slice at cap 4: the kept forms are exactly
+        # the full basis forms of weight 0, in the order of the full basis.
         f = hankel_determinant_poly(n)
         nvars, modulus = f.nvars, n + 1
-        weights = drk._mirror_weights(f)
+        weights = drk._weights(f)
         assert weights == tuple(range(-2 * n, 2 * n + 1, 2))
         for residue in range(modulus):
             for k in range(nvars + 1):
-                full = drk._class_basis(nvars, k, modulus, residue, 4)[0]
-                kept, multiplicities = drk._class_basis(nvars, k, modulus, residue, 4, weights)
-                assert sum(multiplicities) == len(full), (residue, k)
-                doubled = [
-                    mirror_form(form, nvars) for form, m in zip(kept, multiplicities) if m == 2
-                ]
-                assert sorted(kept + doubled) == sorted(full), (residue, k)
-                kept_set = set(kept)
-                assert kept == [form for form in full if form in kept_set], (residue, k)
+                full = drk._class_basis(nvars, k, modulus, residue, 4)
+                kept = drk._class_basis(nvars, k, modulus, residue, 4, weights)
+                weight_0 = [form for form in full if form_weight(form, nvars) == 0]
+                assert kept == weight_0, (residue, k)
 
 
 class TestConnectingMap:
@@ -675,17 +714,22 @@ class TestEigenvectorPipeline:
     @pytest.mark.parametrize("which, truncation", [(0, 6), (1, 3)])
     def test_outputs_are_not_exact_at_a_stabilized_truncation(self, which, truncation):
         """alpha_1 at truncation 6 and alpha_2 at truncation 3, where their
-        classes stabilize (pinned in TestTruncatedDims), lie outside the
-        span of D_f of the class's 4-forms of coefficient degree up to
-        truncation + 1: alpha_i is not D_f of any form of coefficient
-        degree <= truncation + 1.  That is evidence, not a proof, that
-        alpha_i is not exact: a preimage of higher coefficient degree is
-        not ruled out."""
+        classes stabilize (pinned in TestTruncatedDims), have weight 0 and
+        lie outside the span of D_f of the class's weight-0 4-forms of
+        coefficient degree up to truncation + 1.  D_f preserves the weight,
+        so alpha_i is not D_f of any form of coefficient degree
+        <= truncation + 1.  That is evidence, not a proof, that alpha_i is
+        not exact: a preimage of higher coefficient degree is not ruled
+        out."""
         f = hankel_determinant_poly(2)
         alpha = n2_eigenvectors()[which]
         residue = homogeneous_class(alpha, 3).residue
         assert residue == which + 1
-        image = drk._d_f_rows(f, drk._class_basis(5, 4, 3, residue, truncation + 1)[0])
+        assert {
+            form_weight((idx, key), 5) for idx, coeff in alpha.terms.items() for key in coeff.packed
+        } == {0}
+        weight_0 = drk._class_basis(5, 4, 3, residue, truncation + 1, drk._weights(f))
+        image = drk._d_f_rows(f, weight_0)
         row = {
             drk._column_key(idx, key, 5): c
             for idx, coeff in alpha.terms.items()
