@@ -4,7 +4,7 @@ secant varieties of rational normal curves.
 Modules by theme:
 
 * exactalg     -- rationals, sparse multivariate polynomials, localization,
-                  symbolic matrices and determinants;
+                  and determinants of matrices given as rows;
 * hankel       -- Hankel matrices and the block-reduction coordinate change;
 * compositions -- ordered partitions, Moebius and totient counting;
 * linalg       -- exact sparse pivots and dense determinants by
@@ -33,7 +33,6 @@ from .exactalg import (
     DimensionError,
     LocalizedPoly,
     MultiPoly,
-    PolyMatrix,
     poly_det,
 )
 from .hankel import (

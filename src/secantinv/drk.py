@@ -444,15 +444,14 @@ def _class_basis(
     modulus: int,
     residue: int,
     cap: int,
-    weights: Optional[Sequence[int]] = None,
+    weights: Sequence[int],
 ) -> List[Tuple[IndexTuple, int]]:
     """Monomial k-form basis of the weight-0 block of the graded-class slice
     with coefficient degree <= cap: pairs (index tuple, packed monomial key)
     in order of coefficient degree, so the basis at any lower cap is a
     prefix, and within one degree index tuples outer, packed keys
-    ascending.  Without ``weights`` every form has weight 0: the whole
+    ascending.  With all weights 0 every form has weight 0: the whole
     slice."""
-    weights = weights or (0,) * nvars
     index_weights = [
         (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
     ]

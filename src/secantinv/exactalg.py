@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: rationals, sparse multivariate polynomials,
-localization at a single variable, and symbolic matrices with determinants.
+localization at a single variable, and determinants of matrices of
+localized polynomials.
 
 Representation conventions:
 
@@ -33,8 +34,8 @@ Representation conventions:
   ``_pole_var`` alone decides that variable.  Pipelines whose denominators
   are known powers of x_k compute numerators over Z[x] and localize each
   result once.
-* ``PolyMatrix`` holds localized entries for determinants and output; it
-  has no matrix product.
+* A matrix is ``Rows``, a tuple of row tuples of ``LocalizedPoly``;
+  ``poly_det`` takes its rows, as ``linalg.det`` takes rational rows.
 
 All values are immutable after construction; every operation is a pure
 function.
@@ -509,39 +510,8 @@ class LocalizedPoly:
         return f"LocalizedPoly({self.to_str()!r})"
 
 
-class PolyMatrix:
-    """Row-major matrix of localized polynomials."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[LocalizedPoly]):
-        if len(entries) != rows * cols:
-            raise DimensionError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-
-    def at(self, i: int, j: int) -> LocalizedPoly:
-        return self.entries[i * self.cols + j]
-
-    def to_obj(self) -> List[List[str]]:
-        return [
-            [self.at(i, j).to_str() for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+#: A matrix of localized polynomials, as a tuple of its rows.
+Rows = Tuple[Tuple[LocalizedPoly, ...], ...]
 
 
 # -- determinants -----------------------------------------------------------
@@ -576,34 +546,37 @@ def _minor(
     return acc
 
 
-def _clear_denominators(m: PolyMatrix) -> Tuple[List[List[MultiPoly]], int, int]:
+def _clear_denominators(m: Rows) -> Tuple[List[List[MultiPoly]], int, int]:
     """Rescale rows to polynomial entries; returns (matrix, var, total power)."""
-    var = _pole_var(m.entries, 0)
+    var = _pole_var((e for row in m for e in row), 0)
     total = 0
     cleared: List[List[MultiPoly]] = []
-    for i in range(m.rows):
-        row = [m.at(i, j) for j in range(m.cols)]
+    for row in m:
         row_pow = max(e.power for e in row)
         total += row_pow
         cleared.append([e.num.mul_var_power(var, row_pow - e.power) for e in row])
     return cleared, var, total
 
 
-def poly_det(m: PolyMatrix) -> LocalizedPoly:
-    """Exact determinant of a square matrix of localized polynomials, by
-    memoized cofactor expansion after clearing each row's denominator."""
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
+def poly_det(m: Rows) -> LocalizedPoly:
+    """Exact determinant of a square matrix of localized polynomials, given
+    as its rows, by memoized cofactor expansion after clearing each row's
+    denominator."""
+    size = len(m)
+    if size == 0:
         raise DimensionError("determinant of an empty matrix")
-    nvars = m.entries[0].nvars
+    if any(len(row) != size for row in m):
+        raise DimensionError(f"determinant of a non-square matrix with {size} rows")
+    nvars = m[0][0].nvars
+    if any(e.nvars != nvars for row in m for e in row):
+        raise DimensionError("determinant of entries with different variable counts")
     cleared, var, total = _clear_denominators(m)
     # Every term of a minor has degree at most the sum of its rows' degrees.
     _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
     # Expand the heaviest rows (most terms) first, so the memoized minors are
     # built over the lightest ones; the stable sort keeps equal rows in order.
     weight = [sum(len(p.packed) for p in row) for row in cleared]
-    order = sorted(range(m.rows), key=lambda i: -weight[i])
+    order = sorted(range(size), key=lambda i: -weight[i])
     det = _det_cofactor([[p.packed for p in cleared[i]] for i in order])
     inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
     if inversions % 2:

@@ -34,18 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exactalg import (
-    LocalizedPoly,
-    MultiPoly,
-    PolyMatrix,
-    _make,
-    _sum_of_products,
-    poly_det,
-)
+from .exactalg import LocalizedPoly, MultiPoly, Rows, _make, _sum_of_products, poly_det
 from .linalg import det
 
 
-def hankel_matrix(n: int) -> PolyMatrix:
+def _hankel(seq: Sequence, size: int) -> tuple:
+    """The size x size Hankel matrix with entry (i, j) = seq[i + j], as rows."""
+    return tuple(tuple(seq[i + j] for j in range(size)) for i in range(size))
+
+
+def hankel_matrix(n: int) -> Rows:
     """The generic (n+1) x (n+1) Hankel matrix in x_0 .. x_{2n}, with entry
     (i, j) = x_{i+j}."""
     if n < 0:
@@ -53,17 +51,14 @@ def hankel_matrix(n: int) -> PolyMatrix:
     return restricted_hankel(n, 0)
 
 
-def restricted_hankel(n: int, k: int) -> PolyMatrix:
+def restricted_hankel(n: int, k: int) -> Rows:
     """H_n with x_j = 0 substituted for j < k, localized at x_k."""
     nvars = 2 * n + 1
-    entries = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i + j < k:
-                entries.append(LocalizedPoly(MultiPoly.zero(nvars), k, 0))
-            else:
-                entries.append(LocalizedPoly(MultiPoly.variable(nvars, i + j), k, 0))
-    return PolyMatrix(n + 1, n + 1, entries)
+    x = [
+        LocalizedPoly(MultiPoly.zero(nvars) if j < k else MultiPoly.variable(nvars, j), k, 0)
+        for j in range(nvars)
+    ]
+    return _hankel(x, n + 1)
 
 
 def _factorization_sign(k: int) -> int:
@@ -85,8 +80,8 @@ class BlockReduction:
     n: int
     k: int
     p_seq: Tuple[LocalizedPoly, ...]
-    P_matrix: PolyMatrix
-    N_matrix: PolyMatrix
+    P_matrix: Rows
+    N_matrix: Rows
     y_coords: Tuple[LocalizedPoly, ...]
 
     @property
@@ -98,8 +93,8 @@ class BlockReduction:
             "n": self.n,
             "k": self.k,
             "p": [p.to_str() for p in self.p_seq],
-            "P": self.P_matrix.to_obj(),
-            "N": self.N_matrix.to_obj(),
+            "P": [[e.to_str() for e in row] for row in self.P_matrix],
+            "N": [[e.to_str() for e in row] for row in self.N_matrix],
             "y": [y.to_str() for y in self.y_coords],
             "factorization_sign": self.factorization_sign,
         }
@@ -145,17 +140,16 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     def localized(num, power: int) -> LocalizedPoly:
         return LocalizedPoly(_make(nvars, num), k, power)
 
-    n_matrix = PolyMatrix(
-        size,
-        size,
-        [
+    n_matrix = tuple(
+        tuple(
             localized(_sum_of_products((q[i - a], hq[a, j]) for a in range(i + 1)), i + j + 2)
-            for i, j in cells
-        ],
+            for j in range(size)
+        )
+        for i in range(size)
     )
     p = [localized(num, ell + 1) for ell, num in enumerate(q)]
     zero = localized({}, 0)
-    p_matrix = PolyMatrix(size, size, [p[j - i] if j >= i else zero for i, j in cells])
+    p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
     y = [localized(x[k].packed, 0)] + [
         localized((big_p[i] if i <= k else -big_p[i]).packed, i - 1) for i in range(1, len(q))
     ]
@@ -224,7 +218,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
 
     def first_mismatch(pairs) -> Optional[Tuple[int, int]]:
         for i, j, expected in pairs:
-            if r.N_matrix.at(i, j) != expected:
+            if r.N_matrix[i][j] != expected:
                 return (i, j)
         return None
 
@@ -264,15 +258,6 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     return VerificationReport(n, k, checks)
 
 
-def residual_hankel(r: BlockReduction) -> PolyMatrix:
-    """The (n-k) x (n-k) Hankel matrix in the coordinates y_{k+2} .. y_{2n-k}."""
-    size = r.n - r.k
-    entries = [
-        r.y_coords[r.k + 2 + i + j] for i in range(size) for j in range(size)
-    ]
-    return PolyMatrix(size, size, entries)
-
-
 def factorization_identity(r: BlockReduction) -> bool:
     """Exact symbolic check of the factorization
 
@@ -280,7 +265,8 @@ def factorization_identity(r: BlockReduction) -> bool:
 
     with sign = r.factorization_sign."""
     lhs = poly_det(restricted_hankel(r.n, r.k))
-    rhs = r.y_coords[0] ** (r.k + 1) * poly_det(residual_hankel(r))
+    residual = _hankel(r.y_coords[r.k + 2 :], r.n - r.k)
+    rhs = r.y_coords[0] ** (r.k + 1) * poly_det(residual)
     if r.factorization_sign == -1:
         rhs = -rhs
     return lhs == rhs
@@ -331,11 +317,6 @@ def factorization_identity_at_point(
         raise ValueError("point is not on the reduction locus")
 
     y = _y_at_point(n, k, x)
-    lhs = det(
-        [[x[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    )
-    size = n - k
-    rhs = y[0] ** (k + 1) * det(
-        [[y[k + 2 + i + j] for j in range(size)] for i in range(size)]
-    )
+    lhs = det(_hankel(x, n + 1))
+    rhs = y[0] ** (k + 1) * det(_hankel(y[k + 2 :], n - k))
     return lhs == _factorization_sign(k) * rhs

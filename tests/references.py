@@ -12,7 +12,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
 from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
-from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, PolyMatrix
+from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, Rows
 from secantinv.hankel import BlockReduction, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
@@ -85,18 +85,20 @@ def origin_eigenvalues(n: int) -> List[Tuple[RootOfUnity, int]]:
     return out
 
 
-def reference_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+def reference_mul(a: Rows, b: Rows) -> Rows:
     """The matrix product as entrywise LocalizedPoly products and sums."""
-    if a.cols != b.rows:
+    if any(len(row) != len(b) for row in a):
         raise DimensionError("matrix shapes do not compose")
     out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = a.at(i, 0) * b.at(0, j)
-            for t in range(1, a.cols):
-                acc = acc + a.at(i, t) * b.at(t, j)
-            out.append(acc)
-    return PolyMatrix(a.rows, b.cols, out)
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for t in range(1, len(b)):
+                acc = acc + row[t] * b[t][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def reference_block_reduce(n: int, k: int) -> BlockReduction:
@@ -115,12 +117,10 @@ def reference_block_reduce(n: int, k: int) -> BlockReduction:
         p.append(-(acc * xk_inv))
     zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
     size = n + 1
-    p_matrix = PolyMatrix(
-        size, size, [p[j - i] if j >= i else zero for i in range(size) for j in range(size)]
+    p_matrix = tuple(
+        tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size)
     )
-    p_transpose = PolyMatrix(
-        size, size, [p_matrix.at(j, i) for i in range(size) for j in range(size)]
-    )
+    p_transpose = tuple(zip(*p_matrix))
     n_matrix = reference_mul(p_transpose, reference_mul(restricted_hankel(n, k), p_matrix))
     xk2 = xvar[k] ** 2
     y = [xvar[k]] + [xk2 * p[i] if i <= k else -(xk2 * p[i]) for i in range(1, len(p))]
@@ -154,7 +154,7 @@ def dims_at(
     nvars = f.nvars
     dims: Dict[int, int] = {}
     for k in wanted:
-        domain = _class_basis(nvars, k, modulus, residue, cap)
+        domain = _class_basis(nvars, k, modulus, residue, cap, (0,) * nvars)
         if not domain:
             dims[k] = 0
             continue
@@ -167,7 +167,9 @@ def dims_at(
         # Their within-cap parts A span the projection onto A of
         # rowspace[A|B] intersected with {B = 0}, of dimension
         # rank([A|B]) - rank(B).
-        prev = _class_basis(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else []
+        prev = (
+            _class_basis(nvars, k - 1, modulus, residue, cap + 1, (0,) * nvars) if k >= 1 else []
+        )
         full = _d_f_rows(f, prev)
         beyond = [
             {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}

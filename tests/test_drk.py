@@ -288,7 +288,7 @@ class TestColumnKey:
 
     def test_d_f_rows_have_int_keys_and_entries(self):
         f = hankel_determinant_poly(2)
-        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4))
+        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4, (0,) * 5))
         assert all(
             key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
         )
@@ -490,7 +490,9 @@ class TestTruncatedDims:
         top = [6 + 1] * 3 + [6]
         weights = drk._weights(f)
         kept = [len(drk._class_basis(f.nvars, j, 2, 1, cap, weights)) for j, cap in enumerate(top)]
-        full = [len(drk._class_basis(f.nvars, j, 2, 1, cap)) for j, cap in enumerate(top)]
+        full = [
+            len(drk._class_basis(f.nvars, j, 2, 1, cap, (0,) * f.nvars)) for j, cap in enumerate(top)
+        ]
         assert sorted(eliminated) == sorted(kept)
         assert kept == [10, 22, 30, 10] and full == [70, 150, 210, 50]
 
@@ -643,7 +645,7 @@ class TestWeightBlocks:
         assert weights == tuple(range(-2 * n, 2 * n + 1, 2))
         for residue in range(modulus):
             for k in range(nvars + 1):
-                full = drk._class_basis(nvars, k, modulus, residue, 4)
+                full = drk._class_basis(nvars, k, modulus, residue, 4, (0,) * nvars)
                 kept = drk._class_basis(nvars, k, modulus, residue, 4, weights)
                 weight_0 = [form for form in full if form_weight(form, nvars) == 0]
                 assert kept == weight_0, (residue, k)

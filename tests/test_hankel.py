@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from secantinv.exactalg import LocalizedPoly, MultiPoly, PolyMatrix, poly_det
+from secantinv.exactalg import LocalizedPoly, MultiPoly, poly_det
 from secantinv.hankel import (
+    _hankel,
     _y_at_point,
     block_reduce,
     factorization_identity,
     factorization_identity_at_point,
     hankel_matrix,
-    residual_hankel,
     restricted_hankel,
     verify_block_reduction,
 )
@@ -56,18 +56,18 @@ def coprime_denominator_point(n, k, rng):
 class TestHankelMatrix:
     def test_n0(self):
         m = hankel_matrix(0)
-        assert (m.rows, m.cols) == (1, 1)
-        assert m.at(0, 0).to_str() == "x0"
+        assert (len(m), len(m[0])) == (1, 1)
+        assert m[0][0].to_str() == "x0"
 
     def test_n1(self):
         m = hankel_matrix(1)
-        assert [[m.at(i, j).to_str() for j in range(2)] for i in range(2)] == [
+        assert [[m[i][j].to_str() for j in range(2)] for i in range(2)] == [
             ["x0", "x1"],
             ["x1", "x2"],
         ]
 
     def test_n2_corner(self):
-        assert hankel_matrix(2).at(2, 2).to_str() == "x4"
+        assert hankel_matrix(2)[2][2].to_str() == "x4"
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -116,9 +116,9 @@ class TestBlockReduceSmall:
         r = block_reduce(2, 0)
         for i in (1, 2):
             for j in (1, 2):
-                assert r.N_matrix.at(i, j) == -r.p_seq[i + j]
-        assert r.N_matrix.at(0, 1).num.is_zero()
-        assert r.N_matrix.at(2, 0).num.is_zero()
+                assert r.N_matrix[i][j] == -r.p_seq[i + j]
+        assert r.N_matrix[0][1].num.is_zero()
+        assert r.N_matrix[2][0].num.is_zero()
 
     @pytest.mark.parametrize(
         "n, k", [(n, k) for n in range(1, 7) for k in range(n)], ids=lambda v: str(v)
@@ -129,7 +129,8 @@ class TestBlockReduceSmall:
         assert r.to_obj() == expected.to_obj()
 
         def variables(b):
-            return [e.var for e in b.p_seq + b.P_matrix.entries + b.N_matrix.entries + b.y_coords]
+            entries = [e for m in (b.P_matrix, b.N_matrix) for row in m for e in row]
+            return [e.var for e in [*b.p_seq, *entries, *b.y_coords]]
 
         assert variables(r) == variables(expected)
 
@@ -156,13 +157,11 @@ class TestVerification:
 
     def test_tampered_off_diagonal_entry_is_named(self):
         r = block_reduce(2, 0)
-        entries = list(r.N_matrix.entries)
+        rows = [list(row) for row in r.N_matrix]
         one = LocalizedPoly(MultiPoly.const(5, 1), 0)
         # Perturb entry (0, 2), which lies in the top-right off-diagonal block.
-        entries[0 * 3 + 2] = entries[0 * 3 + 2] + one
-        tampered = dataclasses.replace(
-            r, N_matrix=PolyMatrix(3, 3, entries)
-        )
+        rows[0][2] = rows[0][2] + one
+        tampered = dataclasses.replace(r, N_matrix=tuple(map(tuple, rows)))
         report = verify_block_reduction(tampered)
         assert not report.all_ok
         assert "off_diagonal" in report.failing_cases()
@@ -183,10 +182,10 @@ class TestFactorization:
 
     def test_residual_matrix_shape(self):
         r = block_reduce(3, 1)
-        m = residual_hankel(r)
-        assert (m.rows, m.cols) == (2, 2)
-        assert m.at(0, 0) == r.y_coords[3]
-        assert m.at(1, 1) == r.y_coords[5]
+        m = _hankel(r.y_coords[r.k + 2 :], r.n - r.k)
+        assert (len(m), len(m[0])) == (2, 2)
+        assert m[0][0] == r.y_coords[3]
+        assert m[1][1] == r.y_coords[5]
 
     def test_point_identity_samples(self):
         rng = random.Random(30)

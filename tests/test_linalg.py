@@ -228,7 +228,7 @@ class TestRankAgainstSympy:
         f = hankel_determinant_poly(1)
         for residue in (0, 1):
             for k in range(f.nvars + 1):
-                rows = _d_f_rows(f, _class_basis(f.nvars, k, 2, residue, cap))
+                rows = _d_f_rows(f, _class_basis(f.nvars, k, 2, residue, cap, (0,) * f.nvars))
                 columns = sorted({key for row in rows for key in row})
                 assert rank(rows) == sympy_rank(sympy, rows, columns), (residue, k)
 
@@ -240,7 +240,7 @@ class TestDfSlicePivots:
         # pairs, so the pivots and their fill-in match those of the pair
         # keys: 3772 stored entries either way.
         f = hankel_determinant_poly(2)
-        rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4))
+        rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4, (0,) * f.nvars))
         pair_rows = [
             {_split_column_key(key, f.nvars, 4)[::-1]: c for key, c in row.items()}
             for row in rows
