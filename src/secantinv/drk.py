@@ -55,7 +55,12 @@ raises coefficient degree by one, so a cocycle z of block h != 0 and
 coefficient degree <= c is D_f(i_xi z / h), the D_f of a form of
 coefficient degree <= c + 1 that lies inside cap c: a truncated
 coboundary.  det H_n has such terms.  When some term of f has another
-weight, every weight is taken to be 0: one block, the whole slice.
+weight, every weight is taken to be 0: one block, the whole slice.  The
+weight-0 forms are enumerated directly, never filtered out of the slice:
+for each coefficient degree and each weight of dx_I, the monomials of that
+degree and the opposite weight are listed once, in packed-key order,
+skipping every exponent head whose remaining degree cannot reach the
+remaining weight; the basis order is that of the whole slice.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -414,19 +419,23 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
     out: List[ExtForm] = []
     if log:
         out.append(ExtForm(1, 1, {(0,): MultiPoly.const(1, 1)}, log_var=0))
-    for j in range(m):
-        coeff = MultiPoly.variable(1, 0) ** j if j else MultiPoly.const(1, 1)
-        out.append(ExtForm(1, 1, {(0,): coeff}))
+    out.extend(ExtForm(1, 1, {(0,): MultiPoly(1, {(j,): 1})}) for j in range(m))
     return out
 
 
 @dataclass(frozen=True)
 class TruncatedDims:
-    """Per-degree cohomology dimensions at one coefficient-degree truncation."""
+    """Per-degree cohomology dimensions at one coefficient-degree truncation.
+
+    ``lower_forms`` gives, per form degree, how many forms the eliminated
+    slice has at truncation - N, the level ``stabilized`` compares with.  A
+    0 there in a degree of nonzero dimension marks a false negative of
+    ``stabilized``: that level has no form to carry the class."""
 
     dims: Tuple[Tuple[int, int], ...]
     truncation: int
     stabilized: bool
+    lower_forms: Tuple[Tuple[int, int], ...]
 
 
 def _weights(f: MultiPoly) -> Tuple[int, ...]:
@@ -450,8 +459,10 @@ def _class_basis(
     with coefficient degree <= cap: pairs (index tuple, packed monomial key)
     in order of coefficient degree, so the basis at any lower cap is a
     prefix, and within one degree index tuples outer, packed keys
-    ascending.  With all weights 0 every form has weight 0: the whole
-    slice."""
+    ascending.  Only weight-0 forms are enumerated: x^e dx_I has weight 0
+    when x^e has weight minus that of dx_I, and the keys of each (degree,
+    weight) pair are listed once by ``_weighted_keys``.  With all weights 0
+    every form has weight 0: the whole slice."""
     index_weights = [
         (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
     ]
@@ -459,24 +470,42 @@ def _class_basis(
     for total in range(cap + 1):
         if (total + k) % modulus != residue:
             continue
-        exponents = [
-            (pack(expo), sum(w * e for w, e in zip(weights, expo)))
-            for expo in _exponents_of_degree(nvars, total)
-        ]
+        keys: Dict[int, List[int]] = {}
         for indices, index_weight in index_weights:
-            domain.extend(
-                (indices, key) for key, key_weight in exponents if index_weight + key_weight == 0
-            )
+            if index_weight not in keys:
+                keys[index_weight] = list(_weighted_keys(weights, total, -index_weight))
+            domain.extend((indices, key) for key in keys[index_weight])
     return domain
 
 
-def _exponents_of_degree(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponents_of_degree(nvars - 1, total - head):
-            yield (head,) + rest
+def _weighted_keys(weights: Sequence[int], total: int, target: int):
+    """Packed keys, ascending, of the monomials x^e of degree ``total`` with
+    sum_i w_i e_i = ``target``.  The exponents are chosen from x_0 on, each
+    ascending, which is packed-key order; a head is skipped when no
+    exponents of the remaining variables reach the remaining weight, whose
+    reach lies between the remaining degree times the least and the
+    greatest of their weights."""
+    nvars = len(weights)
+    shifts = [FIELD_BITS * (nvars - 1 - i) for i in range(nvars)]
+    lows = [min(weights[i:]) for i in range(nvars)]
+    highs = [max(weights[i:]) for i in range(nvars)]
+
+    def tails(i: int, degree: int, weight: int):
+        if i == nvars - 1:
+            if weights[i] * degree == weight:
+                yield degree
+            return
+        w, low, high, shift = weights[i], lows[i + 1], highs[i + 1], shifts[i]
+        for head in range(degree + 1):
+            rest = degree - head
+            need = weight - w * head
+            if rest * low <= need <= rest * high:
+                for tail in tails(i + 1, rest, need):
+                    yield (head << shift) | tail
+
+    top = total << (FIELD_BITS * nvars)
+    for tail in tails(0, total, target):
+        yield top | tail
 
 
 def truncated_drk_dims(
@@ -494,7 +523,9 @@ def truncated_drk_dims(
     D_f stays inside the truncation.  The ``stabilized`` flag records
     whether the same computation one modulus step lower (truncation - N)
     already gives identical dimensions; stabilization is a pragmatic
-    heuristic, not a proof of convergence.
+    heuristic, not a proof of convergence.  ``lower_forms`` counts the
+    forms of each degree at that lower level, where a 0 flags a comparison
+    with nothing.
 
     ``degrees`` optionally restricts the computation to the listed form
     degrees in 0..nvars (the slice sizes grow quickly with the variable
@@ -534,13 +565,14 @@ def truncated_drk_dims(
         slices[j] = (coeff_degrees, pivot_columns(_d_f_rows(f, domain)))
 
     levels = []
+    forms: Dict[int, int] = {}  # left at the counts of the last cap
     for cap in (truncation, truncation - modulus):
         dims: Dict[int, int] = {}
         for k in wanted:
             # Kernel of D_f on the slice: full image, no truncation of the
             # target, so one dimension per row that reduced to zero.
             coeff_degrees, columns = slices[k]
-            end = bisect_right(coeff_degrees, cap)
+            end = forms[k] = bisect_right(coeff_degrees, cap)
             dims[k] = columns[:end].count(None)
             if k == 0:
                 continue
@@ -560,6 +592,7 @@ def truncated_drk_dims(
         dims=tuple(sorted(current.items())),
         truncation=truncation,
         stabilized=current == previous,
+        lower_forms=tuple(sorted(forms.items())),
     )
 
 

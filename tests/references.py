@@ -6,13 +6,14 @@ result a second way, so they live with the tests.
 
 import math
 import random
+from itertools import combinations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
 from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
-from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, Rows
+from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, Rows, pack
 from secantinv.hankel import BlockReduction, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
@@ -141,6 +142,42 @@ def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:
                 break
         point[j] = value
     return point
+
+
+def exponents_of_degree(nvars: int, total: int):
+    """Every exponent vector of ``nvars`` entries summing to ``total``,
+    lexicographically ascending: packed-key order within one degree."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in exponents_of_degree(nvars - 1, total - head):
+            yield (head,) + rest
+
+
+def reference_class_basis(
+    nvars: int, k: int, modulus: int, residue: int, cap: int, weights: Sequence[int]
+) -> List[Tuple[Tuple[int, ...], int]]:
+    """The monomial k-forms of the graded-class slice with coefficient
+    degree <= cap, every one listed and packed, then filtered by its weight
+    sum_i w_i (e_i + [i in I]) == 0; in the order of ``_class_basis``:
+    coefficient degree, then index tuples, then packed keys ascending."""
+    index_weights = [
+        (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
+    ]
+    domain = []
+    for total in range(cap + 1):
+        if (total + k) % modulus != residue:
+            continue
+        exponents = [
+            (pack(expo), sum(w * e for w, e in zip(weights, expo)))
+            for expo in exponents_of_degree(nvars, total)
+        ]
+        for indices, index_weight in index_weights:
+            domain.extend(
+                (indices, key) for key, key_weight in exponents if index_weight + key_weight == 0
+            )
+    return domain
 
 
 def dims_at(

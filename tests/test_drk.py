@@ -1,6 +1,7 @@
 """Twisted de Rham complex: differential, grading, residues, eigenvectors."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -26,7 +27,7 @@ from secantinv.drk import (
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack, unpack
 from secantinv.linalg import pivot_columns
-from tests.references import dims_at, proportionality
+from tests.references import dims_at, proportionality, reference_class_basis
 
 
 def p(nvars, text):
@@ -407,6 +408,37 @@ class TestTruncatedDims:
         assert result.dims == tuple((k, int(k == 5)) for k in range(6))
         assert result.stabilized
 
+    @pytest.mark.parametrize(
+        "n, residue, truncation, degrees",
+        [(2, 1, 3, None), (2, 1, 6, None), (2, 2, 3, None), (3, 1, 4, [7])],
+    )
+    def test_lower_forms_count_the_forms_at_truncation_minus_n(
+        self, n, residue, truncation, degrees
+    ):
+        # One count per wanted form degree: the weight-0 forms of the slice
+        # at coefficient degree <= truncation - N.
+        f = hankel_determinant_poly(n)
+        result = truncated_drk_dims(f, n + 1, residue, truncation, degrees)
+        lower = truncation - (n + 1)
+        assert result.lower_forms == tuple(
+            (k, len(drk._class_basis(f.nvars, k, n + 1, residue, lower, drk._weights(f))))
+            for k, _ in result.dims
+        )
+
+    @pytest.mark.parametrize("n, truncation, k", [(2, 3, 5), (3, 4, 7)])
+    def test_an_empty_lower_level_marks_the_false_negative(self, n, truncation, k):
+        # Class 1 of det H_2 at truncation 3 (and of det H_3 at truncation
+        # 4) has its one class in form degree k, but truncation - N leaves
+        # no form of degree k to carry it: `stabilized` is False only
+        # because that level is empty.
+        f = hankel_determinant_poly(n)
+        result = truncated_drk_dims(f, n + 1, 1, truncation, [k])
+        assert result.dims == ((k, 1),)
+        assert not result.stabilized
+        assert result.lower_forms == ((k, 0),)
+        settled = truncated_drk_dims(f, n + 1, 1, truncation + n + 1, [k])
+        assert dict(settled.lower_forms)[k] > 0
+
     def test_hankel_3x3_class_zero_vanishes(self):
         # Eigenvalue 1 lives only in H^0, which reduced cohomology drops.
         result = truncated_drk_dims(hankel_determinant_poly(2), 3, 0, 3)
@@ -634,6 +666,14 @@ def form_weight(form, nvars):
     return sum((2 * i - (nvars - 1)) * (expo[i] + (i in indices)) for i in range(nvars))
 
 
+def kinds_of_weights(nvars):
+    """The det H_n weights 2i - (nvars-1), all zeros, and the det H_n
+    weights reordered odd positions first, which is not monotone once
+    nvars >= 3."""
+    hankel = tuple(2 * i - (nvars - 1) for i in range(nvars))
+    return {"hankel": hankel, "zeros": (0,) * nvars, "shuffled": hankel[1::2] + hankel[::2]}
+
+
 class TestWeightBlocks:
     @pytest.mark.parametrize("n", [1, 2])
     def test_kept_forms_are_the_weight_0_forms_of_the_full_basis(self, n):
@@ -645,10 +685,31 @@ class TestWeightBlocks:
         assert weights == tuple(range(-2 * n, 2 * n + 1, 2))
         for residue in range(modulus):
             for k in range(nvars + 1):
-                full = drk._class_basis(nvars, k, modulus, residue, 4, (0,) * nvars)
+                full = reference_class_basis(nvars, k, modulus, residue, 4, (0,) * nvars)
                 kept = drk._class_basis(nvars, k, modulus, residue, 4, weights)
                 weight_0 = [form for form in full if form_weight(form, nvars) == 0]
                 assert kept == weight_0, (residue, k)
+
+    @pytest.mark.parametrize("kind", ["hankel", "zeros", "shuffled"])
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5])
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_matches_the_reference_enumeration(self, nvars, modulus, kind):
+        # The pruned enumeration lists exactly the forms the full-slice
+        # reference keeps, in its order, for every form degree, residue and
+        # cap <= 6; the basis at a lower cap is a prefix of that at cap 6.
+        weights = kinds_of_weights(nvars)[kind]
+        for k in range(nvars + 1):
+            for residue in range(modulus):
+                expected = reference_class_basis(nvars, k, modulus, residue, 6, weights)
+                degrees = [key_degree(key, nvars) for _, key in expected]
+                for cap in range(7):
+                    kept = drk._class_basis(nvars, k, modulus, residue, cap, weights)
+                    assert kept == expected[: bisect_right(degrees, cap)], (k, residue, cap)
+
+    def test_shuffled_weights_are_not_monotone(self):
+        for nvars in range(3, 8):
+            shuffled = kinds_of_weights(nvars)["shuffled"]
+            assert sorted(shuffled) != list(shuffled) != sorted(shuffled, reverse=True)
 
 
 class TestConnectingMap:

@@ -79,3 +79,27 @@ def test_every_public_function_and_class_is_used_outside_the_tests():
         if name not in used and f"{module}.{name}" not in used
     ]
     assert defined and not unused, f"defined but used only by tests: {unused}"
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # A private helper is used when some code in src/ outside its own
+    # definition reads its name, bare or as an attribute: a helper only its
+    # own recursion or the tests call is left behind.  Matched by name alone,
+    # like the public methods above.
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append(f"{path.stem}.{own}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    unused = [where for where in defined if where.split(".")[1] not in used]
+    assert defined and not unused, f"private helpers used nowhere in src/: {unused}"
