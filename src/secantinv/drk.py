@@ -461,11 +461,12 @@ def _class_basis(
     prefix, and within one degree index tuples outer, packed keys
     ascending.  Only weight-0 forms are enumerated: x^e dx_I has weight 0
     when x^e has weight minus that of dx_I, and the keys of each (degree,
-    weight) pair are listed once by ``_weighted_keys``.  With all weights 0
-    every form has weight 0: the whole slice."""
+    weight) pair are listed once, by ``_weighted_keys``.  With all weights
+    0 every form has weight 0: the whole slice."""
     index_weights = [
         (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
     ]
+    keys_of = _weighted_keys(weights)
     domain: List[Tuple[IndexTuple, int]] = []
     for total in range(cap + 1):
         if (total + k) % modulus != residue:
@@ -473,39 +474,54 @@ def _class_basis(
         keys: Dict[int, List[int]] = {}
         for indices, index_weight in index_weights:
             if index_weight not in keys:
-                keys[index_weight] = list(_weighted_keys(weights, total, -index_weight))
-            domain.extend((indices, key) for key in keys[index_weight])
+                keys[index_weight] = keys_of(total, -index_weight)
+            domain += [(indices, key) for key in keys[index_weight]]
     return domain
 
 
-def _weighted_keys(weights: Sequence[int], total: int, target: int):
-    """Packed keys, ascending, of the monomials x^e of degree ``total`` with
-    sum_i w_i e_i = ``target``.  The exponents are chosen from x_0 on, each
-    ascending, which is packed-key order; a head is skipped when no
-    exponents of the remaining variables reach the remaining weight, whose
-    reach lies between the remaining degree times the least and the
-    greatest of their weights."""
+def _weighted_keys(weights: Sequence[int]):
+    """The function (total, target) -> packed keys, ascending, of the
+    monomials x^e of degree ``total`` with sum_i w_i e_i = ``target``.
+
+    The exponents are chosen from x_0 on, each ascending, which is
+    packed-key order.  A head is skipped when the remaining variables
+    cannot reach the remaining weight: with remaining degree r their weight
+    lies between r times the least and r times the greatest of their
+    weights.  With two variables left, degree and weight fix the head
+    unless both weights are equal."""
     nvars = len(weights)
     shifts = [FIELD_BITS * (nvars - 1 - i) for i in range(nvars)]
     lows = [min(weights[i:]) for i in range(nvars)]
     highs = [max(weights[i:]) for i in range(nvars)]
 
-    def tails(i: int, degree: int, weight: int):
+    def tails(i: int, degree: int, weight: int) -> List[int]:
+        # The packed fields of the exponents of x_i, x_(i+1), ...
         if i == nvars - 1:
-            if weights[i] * degree == weight:
-                yield degree
-            return
-        w, low, high, shift = weights[i], lows[i + 1], highs[i + 1], shifts[i]
+            return [degree] if weights[i] * degree == weight else []
+        w, shift = weights[i], shifts[i]
+        if i == nvars - 2:
+            v = weights[i + 1]
+            if w != v:
+                head, r = divmod(weight - v * degree, w - v)
+                return [(head << shift) | (degree - head)] if not r and 0 <= head <= degree else []
+            if w * degree != weight:
+                return []
+            return [(head << shift) | (degree - head) for head in range(degree + 1)]
+        out = []
+        low, high = lows[i + 1], highs[i + 1]
         for head in range(degree + 1):
             rest = degree - head
             need = weight - w * head
             if rest * low <= need <= rest * high:
-                for tail in tails(i + 1, rest, need):
-                    yield (head << shift) | tail
+                field = head << shift
+                out += [field | tail for tail in tails(i + 1, rest, need)]
+        return out
 
-    top = total << (FIELD_BITS * nvars)
-    for tail in tails(0, total, target):
-        yield top | tail
+    def keys(total: int, target: int) -> List[int]:
+        top = total << (FIELD_BITS * nvars)
+        return [top | tail for tail in tails(0, total, target)]
+
+    return keys
 
 
 def truncated_drk_dims(
