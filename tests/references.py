@@ -6,13 +6,13 @@ result a second way, so they live with the tests.
 
 import math
 import random
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
-from secantinv.drk import ExtForm, _class_basis, _column_degree, _d_f_rows
+from secantinv.drk import ExtForm, _column_degree, _d_f_rows
 from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, Rows, pack
 from secantinv.hankel import BlockReduction, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
@@ -191,7 +191,7 @@ def dims_at(
     nvars = f.nvars
     dims: Dict[int, int] = {}
     for k in wanted:
-        domain = _class_basis(nvars, k, modulus, residue, cap, (0,) * nvars)
+        domain = reference_class_basis(nvars, k, modulus, residue, cap, (0,) * nvars)
         if not domain:
             dims[k] = 0
             continue
@@ -205,7 +205,9 @@ def dims_at(
         # rowspace[A|B] intersected with {B = 0}, of dimension
         # rank([A|B]) - rank(B).
         prev = (
-            _class_basis(nvars, k - 1, modulus, residue, cap + 1, (0,) * nvars) if k >= 1 else []
+            reference_class_basis(nvars, k - 1, modulus, residue, cap + 1, (0,) * nvars)
+            if k >= 1
+            else []
         )
         full = _d_f_rows(f, prev)
         beyond = [
