@@ -74,7 +74,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (
     FIELD_BITS,
@@ -479,7 +479,7 @@ def _class_basis(
     return domain
 
 
-def _weighted_keys(weights: Sequence[int]):
+def _weighted_keys(weights: Sequence[int]) -> Callable[[int, int], List[int]]:
     """The function (total, target) -> packed keys, ascending, of the
     monomials x^e of degree ``total`` with sum_i w_i e_i = ``target``.
 
