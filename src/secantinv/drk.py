@@ -16,12 +16,14 @@ Representation:
   its true coefficient is the stored polynomial divided by x_v.  Only the
   univariate basis element dz/z is such a form; nothing computes with them.
 
-D_f is built in one place, ``_d_f_rows``: D_f of a monomial form
-x^e dx_I is a sparse row, of ints when f has integer coefficients, keyed
-by the column keys of the image's monomial forms.  A column key is one
-int, (packed monomial key << code bits) | index code, where the index code
-is the sorted index tuple read as a base-nvars number; for index tuples of
-one length it orders exactly as the (packed key, index tuple) pair.  The
+D_f is built in one place, ``_d_f_rows``, except the rows of the
+univariate complex: ``univariate_drk_cohomology`` writes each D_g(z^j)
+by formula, two terms.  D_f of a monomial form x^e dx_I is a sparse row,
+of ints when f has integer coefficients, keyed by the column keys of the
+image's monomial forms.  A column key is one int, (packed monomial key
+<< code bits) | index code, where the index code is the sorted index
+tuple read as a base-nvars number; for index tuples of one length it
+orders exactly as the (packed key, index tuple) pair.  The
 top field of a packed key is its total degree, so column keys order by
 coefficient degree first.  ``_column_key``, ``_split_column_key`` and
 ``_column_degree`` are the only code that knows this layout.  ``d_f`` sums
@@ -64,8 +66,8 @@ remaining weight; the basis order is that of the whole slice.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
-recomputes those dimensions independently by exact truncated linear algebra
-rather than trusting the closed-form description.
+checks that basis independently, by one exact elimination at one
+truncation, rather than trusting the closed-form description.
 """
 
 from __future__ import annotations
@@ -387,33 +389,27 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
 
     H^0 vanishes and H^1 is m-dimensional (m+1 with a log pole at 0); the
     basis dz, z dz, ..., z^(m-1) dz (preceded by dz/z in the log case) is
-    verified to be independent modulo the image at two truncation levels
-    before being returned.  Any disagreement raises CohomologyMismatchError.
+    verified by one elimination at coefficient-degree cap c = 4(m+1): the
+    D_g rows of z^j, j <= c, must be independent (H^0 = 0) and the basis
+    independent modulo their span.  The rows of any lower cap are a
+    prefix, so both hold there too.  The target has c + m + 1 forms z^i dz
+    (one more with dz/z) and the image c + 1 dimensions, so the basis
+    spans the truncated H^1.  Any failure raises CohomologyMismatchError.
     """
     if m < 1:
         raise ValueError(f"defined for m >= 1, got {m}")
-    expected = m + 1 if log else m
-
     # Coordinates are keyed by the exponent i of z^i dz, with i = -1 for the
     # log form dz/z.
     low = -1 if log else 0
-    basis_rows = [{i: 1} for i in range(low, m)]
-    dims = []
-    for cap in (3 * (m + 1), 3 * (m + 1) + m + 1):
-        # Domain: z^j for j <= cap, with D_g(z^j) = j z^(j-1) dz + (m+1) z^(j+m) dz.
-        rows = [{j - 1: j, j + m: m + 1} if j else {m: m + 1} for j in range(cap + 1)]
-        columns = pivot_columns(rows + basis_rows)
-        if None in columns[: len(rows)]:
-            raise CohomologyMismatchError("H^0 of the univariate complex is nonzero")
-        dims.append(cap + m + 1 - low - len(rows))
-        # The stated basis must be independent modulo the image.
-        if None in columns[len(rows) :]:
-            raise CohomologyMismatchError(
-                "stated univariate basis is dependent modulo the image"
-            )
-    if dims[0] != dims[1] or dims[0] != expected:
+    cap = 4 * (m + 1)
+    # Domain: z^j for j <= cap, with D_g(z^j) = j z^(j-1) dz + (m+1) z^(j+m) dz.
+    rows = [{j - 1: j, j + m: m + 1} if j else {m: m + 1} for j in range(cap + 1)]
+    columns = pivot_columns(rows + [{i: 1} for i in range(low, m)])
+    if None in columns[: len(rows)]:
+        raise CohomologyMismatchError("H^0 of the univariate complex is nonzero")
+    if None in columns[len(rows) :]:
         raise CohomologyMismatchError(
-            f"truncated H^1 dimensions {dims} do not stabilize at {expected}"
+            "stated univariate basis is dependent modulo the image"
         )
 
     out: List[ExtForm] = []

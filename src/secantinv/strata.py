@@ -15,16 +15,15 @@ Y_{P,0} on which f vanishes identically; the union of the companion pieces
 is the cone over the top secant variety.  Descriptors only record this as
 metadata, no scheme-theoretic data is stored.
 
-A single Euclidean-algorithm coordinate change on the torus factors turns
-the monomial into z^d with d = gcd(P); `torus_normal_form` returns the
-unimodular exponent matrix realizing that change.
+A unimodular coordinate change on the torus factors turns the monomial
+into z^d with d = gcd(P); `torus_normal_form` builds its exponent matrix,
+of determinant 1, in one extended-Euclid step per exponent after the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Sequence, Tuple
 
 from .compositions import composition_parts
@@ -100,11 +99,13 @@ def stratify(n: int) -> List[StratumDescriptor]:
 def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:
     """Unimodular torus coordinate change turning a monomial into z^d.
 
-    Repeated Euclidean steps on adjacent nonzero exponents (always reducing
-    the larger against the smaller, sweeping left to right to a fixpoint)
-    leave a single exponent equal to d = gcd; a final transposition brings
-    it to the first coordinate.  The accumulated matrix M is unimodular and
-    satisfies M @ (d, 0, ..., 0) = exponents.
+    One extended-Euclid step per coordinate i >= 1: with g the gcd of the
+    exponents before i, h = gcd(g, e_i), a = g/h, b = e_i/h and
+    s*a + t*b = 1 (s = a^-1 mod b, 0 when b = 1), the determinant-1
+    column operation [[a, -t], [b, s]] on columns 0 and i makes column 0
+    the exponents up to i divided by h.  Column i is zero below row i, so
+    only rows 0..i change.  The product M has det M = 1 and
+    M @ (d, 0, ..., 0) = exponents, with d the gcd of all of them.
     """
     exps = list(exponents)
     if not exps:
@@ -112,36 +113,17 @@ def torus_normal_form(exponents: Sequence[int]) -> UnimodularChange:
     if any(e < 1 for e in exps):
         raise ValueError("exponents must be positive")
     size = len(exps)
-    d = reduce(math.gcd, exps)
-    # U columns track the inverse of the elementary steps applied so far,
-    # keeping the invariant U @ exps == original.
-    u = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-
-    def nonzero_positions() -> List[int]:
-        return [i for i, e in enumerate(exps) if e != 0]
-
-    while True:
-        pos = nonzero_positions()
-        if len(pos) <= 1:
-            break
-        # Every sweep reduces its first pair, which is nonzero, so the sum
-        # of the exponents falls and the loop ends.
-        for a, b in zip(pos, pos[1:]):
-            if exps[a] == 0 or exps[b] == 0:
-                continue
-            if exps[a] >= exps[b]:
-                q, keep, dropped = exps[a] // exps[b], b, a
-            else:
-                q, keep, dropped = exps[b] // exps[a], a, b
-            exps[dropped] -= q * exps[keep]
-            for row in u:
-                row[keep] += q * row[dropped]
-    pos = nonzero_positions()
-    target = pos[0]
-    if target != 0:
-        exps[0], exps[target] = exps[target], exps[0]
-        for row in u:
-            row[0], row[target] = row[target], row[0]
-    if exps[0] != d or any(exps[1:]):
-        raise RuntimeError(f"Euclidean reduction of {list(exponents)} stopped at {exps}")
-    return UnimodularChange(tuple(tuple(row) for row in u), d)
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    g = exps[0]
+    for i in range(1, size):
+        h = math.gcd(g, exps[i])
+        a, b = g // h, exps[i] // h
+        s = pow(a, -1, b)
+        t = (1 - s * a) // b
+        for row in u[: i + 1]:
+            row[0], row[i] = a * row[0] + b * row[i], s * row[i] - t * row[0]
+        g = h
+    if any(row[0] * g != e for row, e in zip(u, exps)):
+        column = [row[0] for row in u]
+        raise RuntimeError(f"Euclidean reduction of {exps} left first column {column}")
+    return UnimodularChange(tuple(tuple(row) for row in u), g)

@@ -137,8 +137,8 @@ def test_criterion_5_eigenvector_pipeline():
 def test_criterion_6_univariate_twisted_cohomology():
     with criterion(6, "univariate cohomology dimensions m (m+1 with log), m <= 10"):
         for m in range(1, 11):
-            # The construction itself recomputes the dimensions by truncated
-            # linear algebra at two truncation levels and raises on mismatch.
+            # The construction itself checks its basis by one truncated
+            # elimination and raises on mismatch.
             assert len(univariate_drk_cohomology(m, log=False)) == m
             assert len(univariate_drk_cohomology(m, log=True)) == m + 1
         for m in range(1, 6):

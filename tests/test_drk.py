@@ -350,6 +350,26 @@ class TestUnivariateCohomology:
             assert len(univariate_drk_cohomology(m, log=False)) == m
             assert len(univariate_drk_cohomology(m, log=True)) == m + 1
 
+    @pytest.mark.parametrize(
+        "log, position, message",
+        [
+            (False, 0, "H^0 of the univariate complex is nonzero"),
+            (True, -1, "stated univariate basis is dependent modulo the image"),
+        ],
+        ids=["domain", "basis"],
+    )
+    def test_mismatch_raises(self, monkeypatch, log, position, message):
+        # The first row is a domain row, the last a basis row.
+        def dropped(rows):
+            columns = pivot_columns(rows)
+            columns[position] = None
+            return columns
+
+        monkeypatch.setattr(drk, "pivot_columns", dropped)
+        with pytest.raises(drk.CohomologyMismatchError) as raised:
+            univariate_drk_cohomology(3, log=log)
+        assert str(raised.value) == message
+
     def test_basis_classes_avoid_eigenvalue_one(self):
         # z^j dz has homogeneous degree j+1, never 0 mod m+1 for j < m.
         for m in range(1, 11):

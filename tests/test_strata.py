@@ -112,10 +112,11 @@ class TestTorusNormalForm:
         assert change.pullback_exponents() == (5, 3)
 
     def test_every_stratum_monomial_reduces_to_its_gcd_power(self):
-        for n in range(0, 7):
+        for n in range(0, 11):
             for d in stratify(n):
                 change = torus_normal_form(d.exponent_vector)
                 assert change.exponent == d.gcd
+                assert det(change.matrix) in (-1, 1)
                 assert change.pullback_exponents() == d.exponent_vector
 
     def test_500_random_vectors(self):
