@@ -23,9 +23,9 @@ of ints when f has integer coefficients, keyed by the column keys of the
 image's monomial forms.  A column key is one int, (packed monomial key
 << code bits) | index code, where the index code is the sorted index
 tuple read as a base-nvars number; for index tuples of one length it
-orders exactly as the (packed key, index tuple) pair.  The
-top field of a packed key is its total degree, so column keys order by
-coefficient degree first.  ``_column_key``, ``_split_column_key`` and
+orders exactly as the (packed key, index tuple) pair.  The top field of
+a packed key is its total degree, so column keys order by coefficient
+degree first.  ``_column_key``, ``_split_column_key`` and
 ``_column_degree`` are the only code that knows this layout.  ``d_f`` sums
 the rows of a form's monomial forms weighted by its coefficients.  The
 residue connecting map across {x_v = 0} needs no log forms:
