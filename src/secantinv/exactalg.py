@@ -19,7 +19,9 @@ Representation conventions:
 * Every product of polynomials is one kernel, ``_sum_of_products``: it sums
   the products of pairs of term maps into a single dict.  ``MultiPoly``
   multiplication, the cofactor determinant and the block reduction's
-  matrix product in ``hankel`` all call it.
+  matrix product in ``hankel`` all call it.  The one exception is a
+  ``MultiPoly`` product with a single-term operand, a shift of the other
+  operand's keys and a scaling of its coefficients in one comprehension.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
 * At the public boundary a monomial is its dense exponent tuple
@@ -247,6 +249,18 @@ class MultiPoly:
         if not a or not b:
             return _make(self.nvars, {})
         _check_degree(key_degree(max(a) + max(b), self.nvars))
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial times b: shift b's keys, scale its coefficients
+            ((k1, c1),) = a.items()
+            return _make(
+                self.nvars,
+                {
+                    k1 + k: v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
+                    for k, c in b.items()
+                    for v in (c1 * c,)
+                },
+            )
         return _make(self.nvars, _sum_of_products([(a, b)]))
 
     def scale(self, value) -> "MultiPoly":
@@ -300,21 +314,29 @@ class MultiPoly:
         return _make(self.nvars, _clean(out))
 
     def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point of matching arity."""
+        """Exact evaluation at a rational point of matching arity, over Z.
+
+        With x_i = a_i / b_i and E_i the top exponent of x_i, the term
+        c * x^e is c * prod a_i^e_i * b_i^(E_i - e_i) over the common
+        denominator prod b_i^E_i, so the only division is the last one.
+        """
         if len(point) != self.nvars:
             raise DimensionError(
                 f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
             )
-        vals = [_rational(v) for v in reversed(point)]
-        total = 0
-        for k, c in self.packed.items():
-            for v in vals:
-                e = k & MAX_DEGREE
-                if e:
-                    c *= v**e
-                k >>= FIELD_BITS
-            total += c
-        return Fraction(total)
+        keys = list(self.packed)
+        values = list(self.packed.values())
+        denominator = 1
+        for i, v in enumerate(map(Fraction, point)):
+            shift = self._exponent_field(i)
+            column = [(k >> shift) & MAX_DEGREE for k in keys]
+            top = max(column, default=0)
+            if top:
+                a, b = v.numerator, v.denominator
+                factor = {e: a**e * b ** (top - e) for e in set(column)}
+                values = [c * factor[e] for c, e in zip(values, column)]
+                denominator *= b**top
+        return Fraction(sum(values), denominator)
 
     # -- divisibility -------------------------------------------------------
 

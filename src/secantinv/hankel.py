@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import LocalizedPoly, MultiPoly, Rows, _make, _sum_of_products, poly_det
@@ -87,6 +88,12 @@ class BlockReduction:
     @property
     def factorization_sign(self) -> int:
         return _factorization_sign(self.k)
+
+    @cached_property
+    def _locus_det(self) -> LocalizedPoly:
+        """det H_n on the locus, computed on first use and kept on this
+        instance only; `block_reduce` never reads it."""
+        return poly_det(restricted_hankel(self.n, self.k))
 
     def to_obj(self) -> dict:
         return {
@@ -211,6 +218,12 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     (b) both off-diagonal blocks vanish;
     (c) bottom-right block is Hankel with entries -p_{i+j-k};
     (d) det N' = det H_n on the locus, where N' = p_0^(-2) N.
+
+    det N is taken afresh on every call.  det H_n on the locus depends only
+    on n and k, so it is computed once per reduction and shared with
+    :func:`factorization_identity`.  It is lazy because a reduction that is
+    never checked must not pay for it: ``blockreduce -n 14`` builds the
+    reduction of H_14 and never needs det H_14.
     """
     n, k = r.n, r.k
     nvars = 2 * n + 1
@@ -241,8 +254,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
 
     det_n = poly_det(r.N_matrix)
     det_nprime = det_n.mul_var_power(2 * (n + 1))  # p_0^(-2) per column = x_k^2
-    det_h = poly_det(restricted_hankel(n, k))
-    det_ok = det_nprime == det_h
+    det_ok = det_nprime == r._locus_det
 
     checks = (
         CheckResult("top_left", top is None, top),
@@ -263,8 +275,11 @@ def factorization_identity(r: BlockReduction) -> bool:
 
     det H_n = sign * y_0^(k+1) * det H_{n-k-1}(y_{k+2}..),
 
-    with sign = r.factorization_sign."""
-    lhs = poly_det(restricted_hankel(r.n, r.k))
+    with sign = r.factorization_sign.  The left-hand side is the reduction's
+    locus determinant, shared with check (d) of :func:`verify_block_reduction`
+    and computed on first use (see there); the right-hand side's determinant
+    of the y-Hankel is taken afresh on every call."""
+    lhs = r._locus_det
     residual = _hankel(r.y_coords[r.k + 2 :], r.n - r.k)
     rhs = r.y_coords[0] ** (r.k + 1) * poly_det(residual)
     if r.factorization_sign == -1:

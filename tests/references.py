@@ -13,7 +13,15 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
 from secantinv.drk import ExtForm, _column_degree, _d_f_rows
-from secantinv.exactalg import DimensionError, LocalizedPoly, MultiPoly, Rows, pack
+from secantinv.exactalg import (
+    FIELD_BITS,
+    MAX_DEGREE,
+    DimensionError,
+    LocalizedPoly,
+    MultiPoly,
+    Rows,
+    pack,
+)
 from secantinv.hankel import BlockReduction, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
@@ -84,6 +92,25 @@ def origin_eigenvalues(n: int) -> List[Tuple[RootOfUnity, int]]:
         if (n + 1) % q == 0:
             out.append((summand.eigenvalue, n + 1 - (n + 1) // q))
     return out
+
+
+def reference_eval(poly: MultiPoly, point: Sequence) -> Fraction:
+    """Exact evaluation term by term in Fractions: each term's coefficient
+    times one Fraction power per nonzero exponent, read off its packed key."""
+    if len(point) != poly.nvars:
+        raise DimensionError(
+            f"point has {len(point)} coordinates, polynomial has {poly.nvars} variables"
+        )
+    vals = [Fraction(v) for v in reversed(point)]
+    total = Fraction(0)
+    for k, c in poly.packed.items():
+        for v in vals:
+            e = k & MAX_DEGREE
+            if e:
+                c *= v**e
+            k >>= FIELD_BITS
+        total += c
+    return total
 
 
 def reference_mul(a: Rows, b: Rows) -> Rows:

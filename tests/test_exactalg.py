@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from secantinv.exactalg import (
+    MAX_DEGREE,
     DimensionError,
     LocalizedPoly,
     MultiPoly,
@@ -15,7 +16,7 @@ from secantinv.exactalg import (
 )
 from secantinv.hankel import _hankel, block_reduce, hankel_matrix
 from secantinv.linalg import det
-from tests.references import random_locus_point, reference_mul
+from tests.references import random_locus_point, reference_eval, reference_mul
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
 
@@ -242,9 +243,35 @@ class TestPolyEval:
         det = poly_det(hankel_matrix(2)).num
         assert det.eval([1, 0, 0, 0, 1]) == 0
 
-    def test_arity_mismatch(self):
+    @pytest.mark.parametrize("nvars, point", [(3, [1, 2]), (3, [1, 2, 3, 4]), (0, [1])])
+    def test_arity_mismatch(self, nvars, point):
         with pytest.raises(DimensionError):
-            p(3, "x0").eval([1, 2])
+            MultiPoly.const(nvars, 2).eval(point)
+
+    @pytest.mark.parametrize("nvars", range(7))
+    def test_matches_the_fraction_evaluator(self, nvars):
+        # Integer and Fraction coefficients, at points mixing zero, negative
+        # and non-integral coordinates given as int or Fraction.
+        rng = random.Random(7000 + nvars)
+        coordinates = [0, 1, -1, 3, -7, Fraction(0), Fraction(-4), Fraction(5, 3), Fraction(-2, 9)]
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randint(0, 8)):
+                mono = tuple(rng.randint(0, 5) for _ in range(nvars))
+                if rng.random() < 0.5:
+                    terms[mono] = rng.randint(-9, 9)
+                else:
+                    terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            q = MultiPoly(nvars, terms)
+            pt = [rng.choice(coordinates) for _ in range(nvars)]
+            value = q.eval(pt)
+            assert type(value) is Fraction
+            assert value == reference_eval(q, pt)
+
+    def test_sparse_high_degree_matches_the_fraction_evaluator(self):
+        q = MultiPoly(2, {(MAX_DEGREE, 0): Fraction(1, 3), (1, 7): -2, (0, 0): 5})
+        for pt in ([Fraction(3, 2), Fraction(-5, 7)], [Fraction(-1, 2), 0], [0, Fraction(2, 3)]):
+            assert q.eval(pt) == reference_eval(q, pt)
 
     def test_eval_is_a_ring_homomorphism(self):
         rng = random.Random(22)
@@ -347,6 +374,12 @@ class TestLocalizedPoly:
         # [1] is too short to hold x2: the arity error comes before the index.
         with pytest.raises(DimensionError):
             LocalizedPoly(MultiPoly.variable(3, 0), 2, 1).eval(point)
+
+    def test_eval_at_a_zero_pole_raises(self):
+        q = LocalizedPoly(p(3, "x0 + x2"), 1, 2)
+        assert q.eval([1, Fraction(1, 2), 3]) == 16
+        with pytest.raises(ZeroDivisionError):
+            q.eval([1, 0, 3])
 
     def test_negative_variable_power_rejected(self):
         q = LocalizedPoly(p(2, "x1"), 0, 1)

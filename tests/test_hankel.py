@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from secantinv import hankel
 from secantinv.exactalg import LocalizedPoly, MultiPoly, poly_det
 from secantinv.hankel import (
     _hankel,
@@ -172,6 +173,60 @@ class TestVerification:
         for n, k in [(1, 0), (2, 0), (2, 1), (3, 2)]:
             r = block_reduce(n, k)
             assert poly_det(r.P_matrix) == r.p_seq[0] ** (n + 1)
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The matrices passed to ``hankel.poly_det``, in call order."""
+    calls = []
+
+    def counting_det(m):
+        calls.append(m)
+        return poly_det(m)
+
+    monkeypatch.setattr(hankel, "poly_det", counting_det)
+    return calls
+
+
+class TestLocusDeterminant:
+    """det H_n on the locus is taken once per reduction, on first use."""
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 3)])
+    def test_block_reduce_takes_no_determinant(self, det_calls, n, k):
+        block_reduce(n, k)
+        assert det_calls == []
+
+    @pytest.mark.parametrize("verify_first", [True, False])
+    def test_both_checks_take_three_determinants(self, det_calls, verify_first):
+        n, k = 3, 1
+        r = block_reduce(n, k)
+        if verify_first:
+            assert verify_block_reduction(r).all_ok
+            assert factorization_identity(r)
+        else:
+            assert factorization_identity(r)
+            assert verify_block_reduction(r).all_ok
+        y_hankel = _hankel(r.y_coords[k + 2 :], n - k)
+        expected = [r.N_matrix, restricted_hankel(n, k), y_hankel]
+        if not verify_first:
+            expected = expected[1:] + expected[:1]
+        assert det_calls == expected
+        # A second check takes det N again, not the locus determinant.
+        assert verify_block_reduction(r).all_ok
+        assert det_calls == expected + [r.N_matrix]
+
+    def test_a_replaced_n_matrix_fails_the_determinant_check(self, det_calls):
+        n, k = 2, 0
+        r = block_reduce(n, k)
+        assert verify_block_reduction(r).all_ok
+        rows = [list(row) for row in r.N_matrix]
+        rows[n][n] = rows[n][n] + LocalizedPoly(MultiPoly.const(2 * n + 1, 1), k)
+        tampered = dataclasses.replace(r, N_matrix=tuple(map(tuple, rows)))
+        del det_calls[:]
+        report = verify_block_reduction(tampered)
+        assert "determinant" in report.failing_cases()
+        # The replaced reduction computes its own locus determinant.
+        assert det_calls == [tampered.N_matrix, restricted_hankel(n, k)]
 
 
 class TestFactorization:

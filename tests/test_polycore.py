@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantinv.exactalg import MAX_DEGREE, LocalizedPoly, MultiPoly
+from secantinv.exactalg import MAX_DEGREE, LocalizedPoly, MultiPoly, _sum_of_products
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -151,6 +151,46 @@ class TestAgainstReference:
         assert (la * lb).eval(pt) == va * vb
         # Normal form: x0 does not divide a numerator that carries a pole.
         assert la.power == 0 or la.num.var_multiplicity(0) == 0
+
+
+monomials = st.tuples(exponents, coefficients.filter(bool)).map(lambda ec: {ec[0]: ec[1]})
+
+
+class TestSingleTermProduct:
+    """A product with a single-term operand shifts the other operand's keys
+    instead of running the kernel; it must give what the kernel gives."""
+
+    @SETTINGS
+    @given(monomials, ref_polys)
+    def test_matches_the_kernel_in_both_orders(self, m, a):
+        pm, pa = packed(m), packed(a)
+        assert (pm * pa).packed == _sum_of_products([(pm.packed, pa.packed)])
+        assert (pa * pm).packed == _sum_of_products([(pa.packed, pm.packed)])
+        assert as_ref(pm * pa) == as_ref(pa * pm) == ref_mul(m, a)
+
+    def test_constant_and_fraction_monomials(self):
+        a = MultiPoly.from_str(NVARS, "3/2*x0^2*x1 - 4*x2 + 2/3")
+        for m in (
+            MultiPoly.const(NVARS, 1),  # packed key 0
+            MultiPoly.const(NVARS, Fraction(2, 3)),
+            MultiPoly.from_str(NVARS, "-6*x1^2"),
+            MultiPoly.from_str(NVARS, "1/2*x0*x2"),
+        ):
+            assert (m * a).packed == _sum_of_products([(m.packed, a.packed)])
+            assert (a * m).packed == _sum_of_products([(a.packed, m.packed)])
+            # Integral products such as 3/2 * 2/3 are stored as int.
+            as_ref(m * a)
+            as_ref(a * m)
+        assert MultiPoly.const(NVARS, 1) * a == a
+
+    def test_degree_past_the_field_raises_on_both_paths(self):
+        top = MultiPoly.from_str(2, f"x0^{MAX_DEGREE}")
+        x1 = MultiPoly.variable(2, 1)
+        one = MultiPoly.const(2, 1)
+        single_term = ((top, x1), (x1, top), (top, x1 + one), (x1 + one, top))
+        for a, b in single_term + ((top + one, x1 + one),):
+            with pytest.raises(OverflowError):
+                a * b
 
 
 class TestDegreeLimit:
