@@ -23,8 +23,11 @@ with n - k even, no rational rescaling of the y's removes it), so it is
 carried explicitly as ``BlockReduction.factorization_sign``.
 
 Every identity here is verified symbolically (exact polynomial algebra) by
-`verify_block_reduction`, and numerically at random rational points by
-`factorization_identity_at_point`.
+`verify_block_reduction` and `factorization_identity`, and numerically at
+random rational points by `factorization_identity_at_point`.  The two
+symbolic checks share two determinants per reduction, det H_n on the locus
+and det H_{n-k-1}(y..); det N is read off the latter whenever N's blocks are
+as above and its bottom-right block is x_k^(-2) times the y-Hankel.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .exactalg import LocalizedPoly, MultiPoly, Rows, _make, _sum_of_products, poly_det
+from .exactalg import LocalizedPoly, MultiPoly, Rows, _make, _pole_var, _sum_of_products, poly_det
 from .linalg import det
 
 
@@ -76,6 +79,12 @@ class BlockReduction:
     ``P_matrix`` is the upper triangular change of basis with (i, j) entry
     p_{j-i}; ``N_matrix`` is the exact product P^T H P; ``y_coords`` are the
     new coordinates y_0 .. y_{2n-k}.
+
+    Two determinants are computed lazily, on first use, and kept on the
+    instance: ``_locus_det`` (det H_n on the locus) and ``_residual_det``
+    (det H_{n-k-1}(y_{k+2}, ..)).  Both checks read them, and
+    `block_reduce` reads neither.  ``dataclasses.replace`` makes a new
+    instance, which computes both again from its own fields.
     """
 
     n: int
@@ -94,6 +103,12 @@ class BlockReduction:
         """det H_n on the locus, computed on first use and kept on this
         instance only; `block_reduce` never reads it."""
         return poly_det(restricted_hankel(self.n, self.k))
+
+    @cached_property
+    def _residual_det(self) -> LocalizedPoly:
+        """det H_{n-k-1}(y_{k+2}, ..), the determinant of the y-Hankel,
+        computed on first use and kept on this instance only."""
+        return poly_det(_hankel(self.y_coords[self.k + 2 :], self.n - self.k))
 
     def to_obj(self) -> dict:
         return {
@@ -219,11 +234,25 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     (c) bottom-right block is Hankel with entries -p_{i+j-k};
     (d) det N' = det H_n on the locus, where N' = p_0^(-2) N.
 
-    det N is taken afresh on every call.  det H_n on the locus depends only
-    on n and k, so it is computed once per reduction and shared with
-    :func:`factorization_identity`.  It is lazy because a reduction that is
-    never checked must not pay for it: ``blockreduce -n 14`` builds the
-    reduction of H_14 and never needs det H_14.
+    Check (d) reads the reduction's two lazy determinants, which
+    :func:`factorization_identity` shares.  They are lazy because a
+    reduction that is never checked must not pay for them:
+    ``blockreduce -n 14`` builds the reduction of H_14 and never needs
+    det H_14.
+
+    det N is read off the y-Hankel determinant when (a) and (b) pass and
+    x_k^2 N_ij = y_{i+j-k} for every bottom-right entry.  Then N is block
+    diagonal, its top-left block is antitriangular with p_0 on the
+    antidiagonal, and its bottom-right block is x_k^(-2) times the
+    y-Hankel, so
+
+        det N = sign * p_0^(k+1) * det H_{n-k-1}(y..) / x_k^(2(n-k)),
+
+    exactly, since x_k is a unit of the localization.  The full expansion
+    scales det N at the variable of N's poles, so N's poles must also sit
+    at x_k.  Otherwise det N is expanded in full: every result equals that
+    of the full expansion, on reductions changed by ``dataclasses.replace``
+    too.
     """
     n, k = r.n, r.k
     nvars = 2 * n + 1
@@ -252,8 +281,27 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         for j in range(k + 1, n + 1)
     )
 
-    det_n = poly_det(r.N_matrix)
-    det_nprime = det_n.mul_var_power(2 * (n + 1))  # p_0^(-2) per column = x_k^2
+    xk_sq = LocalizedPoly(MultiPoly.variable(nvars, k) ** 2, k, 0)
+    shares_residual = (
+        top is None
+        and off is None
+        and len(r.y_coords) == 2 * n - k + 1
+        and _pole_var((e for row in r.N_matrix for e in row), 0) == k
+        and all(
+            r.N_matrix[i][j] * xk_sq == r.y_coords[i + j - k]
+            for i in range(k + 1, n + 1)
+            for j in range(k + 1, n + 1)
+        )
+    )
+    if shares_residual:
+        # det N = sign * p_0^(k+1) * det(y-Hankel) / x_k^(2(n-k)), so
+        # det N' = sign * (p_0 x_k^2)^(k+1) * det(y-Hankel).
+        det_nprime = (r.p_seq[0] * xk_sq) ** (k + 1) * r._residual_det
+        if r.factorization_sign == -1:
+            det_nprime = -det_nprime
+    else:
+        # p_0^(-2) per column = x_k^2
+        det_nprime = poly_det(r.N_matrix).mul_var_power(2 * (n + 1))
     det_ok = det_nprime == r._locus_det
 
     checks = (
@@ -275,13 +323,12 @@ def factorization_identity(r: BlockReduction) -> bool:
 
     det H_n = sign * y_0^(k+1) * det H_{n-k-1}(y_{k+2}..),
 
-    with sign = r.factorization_sign.  The left-hand side is the reduction's
-    locus determinant, shared with check (d) of :func:`verify_block_reduction`
-    and computed on first use (see there); the right-hand side's determinant
-    of the y-Hankel is taken afresh on every call."""
+    with sign = r.factorization_sign.  Both determinants, det H_n on the
+    locus and that of the y-Hankel, are the reduction's own, computed on
+    first use and shared with check (d) of :func:`verify_block_reduction`
+    (see there); this function takes no determinant of its own."""
     lhs = r._locus_det
-    residual = _hankel(r.y_coords[r.k + 2 :], r.n - r.k)
-    rhs = r.y_coords[0] ** (r.k + 1) * poly_det(residual)
+    rhs = r.y_coords[0] ** (r.k + 1) * r._residual_det
     if r.factorization_sign == -1:
         rhs = -rhs
     return lhs == rhs

@@ -21,8 +21,9 @@ from secantinv.exactalg import (
     MultiPoly,
     Rows,
     pack,
+    poly_det,
 )
-from secantinv.hankel import BlockReduction, restricted_hankel
+from secantinv.hankel import BlockReduction, CheckResult, _hankel, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
 
@@ -153,6 +154,26 @@ def reference_block_reduce(n: int, k: int) -> BlockReduction:
     xk2 = xvar[k] ** 2
     y = [xvar[k]] + [xk2 * p[i] if i <= k else -(xk2 * p[i]) for i in range(1, len(p))]
     return BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
+
+
+def reference_determinant_check(r: BlockReduction) -> CheckResult:
+    """Check (d) of `verify_block_reduction` computed in full: det N by
+    cofactor expansion, times x_k^2 per column, against det H_n on the locus."""
+    det_nprime = poly_det(r.N_matrix).mul_var_power(2 * (r.n + 1))
+    ok = det_nprime == poly_det(restricted_hankel(r.n, r.k))
+    return CheckResult(
+        "determinant", ok, None, "" if ok else "det(p_0^-2 N) != det H_n on the locus"
+    )
+
+
+def reference_factorization_identity(r: BlockReduction) -> bool:
+    """`factorization_identity` computed in full: det H_n on the locus against
+    sign * y_0^(k+1) * det of the y-Hankel, both determinants taken afresh."""
+    residual = poly_det(_hankel(r.y_coords[r.k + 2 :], r.n - r.k))
+    rhs = r.y_coords[0] ** (r.k + 1) * residual
+    if r.factorization_sign == -1:
+        rhs = -rhs
+    return poly_det(restricted_hankel(r.n, r.k)) == rhs
 
 
 def random_locus_point(n: int, k: int, rng: random.Random) -> List[Fraction]:

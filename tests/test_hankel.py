@@ -18,7 +18,13 @@ from secantinv.hankel import (
     restricted_hankel,
     verify_block_reduction,
 )
-from tests.references import random_locus_point, reference_block_reduce
+from secantinv.linalg import det
+from tests.references import (
+    random_locus_point,
+    reference_block_reduce,
+    reference_determinant_check,
+    reference_factorization_identity,
+)
 
 
 def p(nvars, text):
@@ -189,7 +195,8 @@ def det_calls(monkeypatch):
 
 
 class TestLocusDeterminant:
-    """det H_n on the locus is taken once per reduction, on first use."""
+    """det H_n on the locus and the y-Hankel determinant are taken once per
+    reduction, on first use."""
 
     @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 3)])
     def test_block_reduce_takes_no_determinant(self, det_calls, n, k):
@@ -198,6 +205,9 @@ class TestLocusDeterminant:
 
     @pytest.mark.parametrize("verify_first", [True, False])
     def test_both_checks_take_three_determinants(self, det_calls, verify_first):
+        # Check (d) reads det N off the y-Hankel determinant it shares with
+        # the factorization, so between them the two checks take exactly the
+        # y-Hankel and locus determinants, and det N is never expanded.
         n, k = 3, 1
         r = block_reduce(n, k)
         if verify_first:
@@ -207,13 +217,26 @@ class TestLocusDeterminant:
             assert factorization_identity(r)
             assert verify_block_reduction(r).all_ok
         y_hankel = _hankel(r.y_coords[k + 2 :], n - k)
-        expected = [r.N_matrix, restricted_hankel(n, k), y_hankel]
+        expected = [y_hankel, restricted_hankel(n, k)]
         if not verify_first:
-            expected = expected[1:] + expected[:1]
+            expected.reverse()
         assert det_calls == expected
-        # A second check takes det N again, not the locus determinant.
+        # A second check of either kind takes no determinant.
         assert verify_block_reduction(r).all_ok
-        assert det_calls == expected + [r.N_matrix]
+        assert factorization_identity(r)
+        assert det_calls == expected
+
+    def test_replaced_y_coordinates_take_det_n_in_full(self, det_calls):
+        # N is intact, so all four checks pass, but the bottom-right block
+        # no longer matches the y-Hankel: check (d) must expand det N itself,
+        # and the factorization fails on the replaced coordinate.
+        n, k = 3, 0
+        r = block_reduce(n, k)
+        tampered = _tampered(r, [], {2 * n - k: "1"}, False)
+        assert verify_block_reduction(tampered).all_ok
+        assert det_calls == [tampered.N_matrix, restricted_hankel(n, k)]
+        assert not factorization_identity(tampered)
+        assert det_calls[2:] == [_hankel(tampered.y_coords[k + 2 :], n - k)]
 
     def test_a_replaced_n_matrix_fails_the_determinant_check(self, det_calls):
         n, k = 2, 0
@@ -227,6 +250,105 @@ class TestLocusDeterminant:
         assert "determinant" in report.failing_cases()
         # The replaced reduction computes its own locus determinant.
         assert det_calls == [tampered.N_matrix, restricted_hankel(n, k)]
+
+
+def _plus(entry: LocalizedPoly, term: str, k: int) -> LocalizedPoly:
+    return entry + LocalizedPoly(MultiPoly.from_str(entry.nvars, term), k)
+
+
+def _tampers(n, k):
+    """Changes to the reduction of H_n on Y_k, by name: the cells of N that
+    get 1 added, the y_i that get a term added, whether p_0 gets 1 added,
+    and the structural checks the change must fail.  One off-diagonal entry
+    leaves N block triangular and det N unchanged, the mirrored pair does
+    not; "bottom_right_and_y" keeps N's bottom-right block equal to x_k^-2
+    times the y-Hankel."""
+    last = 2 * n - k
+    return {
+        "none": ([], {}, False, []),
+        "antidiagonal": ([(0, k)], {}, False, ["top_left"]),
+        "top_left": ([(k, k)], {}, False, ["top_left"]),
+        "off_diagonal": ([(0, n)], {}, False, ["off_diagonal"]),
+        "off_diagonal_pair": ([(0, n), (n, 0)], {}, False, ["off_diagonal"]),
+        "bottom_right": ([(n, n)], {}, False, ["bottom_right"]),
+        "bottom_right_and_y": ([(n, n)], {last: f"x{k}^2"}, False, ["bottom_right"]),
+        "y_last": ([], {last: "1"}, False, []),
+        "y_0": ([], {0: "1"}, False, []),
+        "p_0": ([], {}, True, ["top_left"]),
+    }
+
+
+def _tampered(r, cells, y_terms, p0):
+    """A new reduction, through ``dataclasses.replace``, with the changes
+    named by one entry of :func:`_tampers`."""
+    rows = [list(row) for row in r.N_matrix]
+    for i, j in cells:
+        rows[i][j] = _plus(rows[i][j], "1", r.k)
+    y = list(r.y_coords)
+    for i, term in y_terms.items():
+        y[i] = _plus(y[i], term, r.k)
+    p_seq = ((_plus(r.p_seq[0], "1", r.k),) + r.p_seq[1:]) if p0 else r.p_seq
+    return dataclasses.replace(
+        r, p_seq=p_seq, N_matrix=tuple(map(tuple, rows)), y_coords=tuple(y)
+    )
+
+
+class TestSharedResidualDeterminant:
+    """Check (d) and the factorization read one y-Hankel determinant; their
+    verdicts equal the full computations on every reduction, tampered or not."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(n)])
+    def test_verdicts_match_the_full_computations(self, n, k):
+        r = block_reduce(n, k)
+        for kind, (cells, y_terms, p0, structural) in _tampers(n, k).items():
+            tampered = _tampered(r, cells, y_terms, p0)
+            report = verify_block_reduction(tampered)
+            assert [c.case for c in report.checks[:3] if not c.ok] == structural, kind
+            assert report.checks[3] == reference_determinant_check(tampered), kind
+            assert factorization_identity(tampered) == reference_factorization_identity(
+                tampered
+            ), kind
+
+    def test_poles_away_from_x_k_take_det_n_in_full(self, det_calls):
+        # With p_0 = 1, p_1 = 0 and the bottom-right entry -det H_2 / x_0^6,
+        # N's only pole is at x_0, so the full check (d) scales det N by
+        # x_0^6, not x_1^6, and passes, where the shared form would fail.
+        n, k = 2, 1
+        r = block_reduce(n, k)
+        nvars = 2 * n + 1
+        one = LocalizedPoly(MultiPoly.const(nvars, 1), k)
+        zero = LocalizedPoly(MultiPoly.zero(nvars), k)
+        corner = LocalizedPoly(-poly_det(restricted_hankel(n, k)).num, 0, 2 * (n + 1))
+        y = list(r.y_coords)
+        y[3] = corner * LocalizedPoly(p(nvars, "x1^2"), k)
+        tampered = dataclasses.replace(
+            r,
+            p_seq=(one, zero) + r.p_seq[2:],
+            N_matrix=((zero, one, zero), (one, zero, zero), (zero, zero, corner)),
+            y_coords=tuple(y),
+        )
+        report = verify_block_reduction(tampered)
+        assert report.checks[3] == reference_determinant_check(tampered)
+        assert tampered.N_matrix in det_calls
+
+    def test_too_few_y_coordinates_take_det_n_in_full(self, det_calls):
+        # The structural checks read no y; a reduction short of y_{2n-k}
+        # verifies, with det N expanded in full.
+        r = block_reduce(3, 1)
+        tampered = dataclasses.replace(r, y_coords=r.y_coords[:-1])
+        assert verify_block_reduction(tampered).all_ok
+        assert det_calls[0] is tampered.N_matrix
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_residual_det_matches_the_dense_determinant_at_points(self, n):
+        rng = random.Random(900 + n)
+        for k in range(n):
+            r = block_reduce(n, k)
+            y_hankel = _hankel(r.y_coords[k + 2 :], n - k)
+            for _ in range(3):
+                point = random_locus_point(n, k, rng)
+                dense = [[e.eval(point) for e in row] for row in y_hankel]
+                assert r._residual_det.eval(point) == det(dense)
 
 
 class TestFactorization:
