@@ -19,9 +19,10 @@ Representation conventions:
 * Every product of polynomials is one kernel, ``_sum_of_products``: it sums
   the products of pairs of term maps into a single dict.  ``MultiPoly``
   multiplication, the cofactor determinant and the block reduction's
-  matrix product in ``hankel`` all call it.  The one exception is a
-  ``MultiPoly`` product with a single-term operand, a shift of the other
-  operand's keys and a scaling of its coefficients in one comprehension.
+  triangular solves in ``hankel`` (whose every pair has a single-term
+  operand) all call it.  The one exception is a ``MultiPoly`` product with
+  a single-term operand, a shift of the other operand's keys and a scaling
+  of its coefficients in one comprehension.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
 * At the public boundary a monomial is its dense exponent tuple
@@ -29,7 +30,8 @@ Representation conventions:
   ``MultiPoly(nvars, {exponents: coeff})`` takes it, and the read-only
   ``MultiPoly.terms`` view gives it back with ``Fraction`` coefficients.
   Internal results skip validation.  Serialized output lists terms in
-  descending graded-lex order.
+  descending graded-lex order; ``to_str`` formats it straight from the
+  packed keys and the stored coefficients.
 * A localized polynomial is numerator / x_k^power for one designated
   variable x_k, normalized so that x_k does not divide the numerator unless
   power = 0.  All poles in one computation must sit at one variable;
@@ -378,23 +380,28 @@ class MultiPoly:
         ]
 
     def to_str(self) -> str:
-        """Canonical text form, e.g. "2*x1*x3 - 2*x2^2" (parseable back)."""
-        if not self.packed:
+        """Canonical text form, e.g. "2*x1*x3 - 2*x2^2" (parseable back):
+        terms in descending graded-lex order, formatted from the packed keys."""
+        packed = self.packed
+        if not packed:
             return "0"
+        fields = [(f"x{i}", FIELD_BITS * (self.nvars - 1 - i)) for i in range(self.nvars)]
         pieces: List[str] = []
-        for exponents, coeff in self.sorted_terms():
-            factors = [
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(exponents)
+        for key in sorted(packed, reverse=True):
+            coeff = packed[key]
+            factors = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, shift in fields
+                for e in ((key >> shift) & MAX_DEGREE,)
                 if e
-            ]
+            )
             mag = abs(coeff)
             if not factors:
-                body = rational_to_str(mag)
+                body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = rational_to_str(mag) + "*" + "*".join(factors)
+                body = f"{mag}*{factors}"
             if not pieces:
                 pieces.append(body if coeff > 0 else "-" + body)
             else:

@@ -22,12 +22,18 @@ antidiagonal.  It cannot be scaled away over the rationals (for k = 1 mod 4
 with n - k even, no rational rescaling of the y's removes it), so it is
 carried explicitly as ``BlockReduction.factorization_sign``.
 
+`block_reduce` multiplies only by single terms.  The p-recurrence is a
+unit triangular Toeplitz solve whose off-diagonal entries are the single
+terms x_k^(d-1) x_(k+d), and the numerators of N come from the same
+forward solve, run on the columns of H P.
+
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
 random rational points by `factorization_identity_at_point`.  The two
 symbolic checks share two determinants per reduction, det H_n on the locus
 and det H_{n-k-1}(y..); det N is read off the latter whenever N's blocks are
-as above and its bottom-right block is x_k^(-2) times the y-Hankel.
+as above and its bottom-right block is x_k^(-2) times the y-Hankel, which
+check (d) tests once per antidiagonal.
 """
 
 from __future__ import annotations
@@ -38,7 +44,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .exactalg import LocalizedPoly, MultiPoly, Rows, _make, _pole_var, _sum_of_products, poly_det
+from .exactalg import (
+    LocalizedPoly,
+    MultiPoly,
+    Rows,
+    Terms,
+    _make,
+    _pole_var,
+    _sum_of_products,
+    poly_det,
+)
 from .linalg import det
 
 
@@ -122,15 +137,17 @@ class BlockReduction:
         }
 
 
-def _p_numerators(x: Sequence, k: int, count: int) -> list:
-    """P_0 .. P_(count-1), the numerators of p_l = P_l / x_k^(l+1), over
-    whatever ring the coordinates x live in (ints or polynomials):
+def _p_numerators(x: Sequence[int], k: int, count: int) -> List[int]:
+    """P_0 .. P_(count-1), the integer numerators of p_l = P_l / x_k^(l+1)
+    at an integer point x:
 
         P_0 = 1,  P_l = -sum_{j<l} x_k^(l-1-j) * P_j * x_{k+l-j},
 
-    the p-recurrence multiplied by x_k^(l+1), run by Horner in x_k."""
+    the p-recurrence multiplied by x_k^(l+1), run by Horner in x_k.  Only
+    the point check uses it: on ints Horner beats the forward solve that
+    `block_reduce` runs on polynomials (:func:`_forward_solve`)."""
     xk = x[k]
-    p = [xk**0]  # the 1 of that ring
+    p = [1]
     for ell in range(1, count):
         acc = p[0] * x[k + ell]
         for j in range(1, ell):
@@ -139,41 +156,75 @@ def _p_numerators(x: Sequence, k: int, count: int) -> list:
     return p
 
 
+#: The packed term map of the constant 1.
+_ONE = {0: 1}
+
+
+def _forward_solve(minus_m: Sequence[Terms], rhs: Sequence[Terms]) -> List[Terms]:
+    """z with M^T z = rhs, M the unit upper-triangular Toeplitz matrix with
+    first row (1, m_1, m_2, ..): z_l = r_l - sum_{d=1..l} m_d z_(l-d).
+    ``minus_m[d]`` is the single term -m_d, so each z_l is one sum of
+    single-term products."""
+    z: List[Terms] = []
+    for ell, r in enumerate(rhs):
+        z.append(
+            _sum_of_products(
+                [(_ONE, r)] + [(minus_m[d], z[ell - d]) for d in range(1, ell + 1)]
+            )
+        )
+    return z
+
+
 def block_reduce(n: int, k: int) -> BlockReduction:
     """Run the reduction of H_n on the locus {x_j = 0 for j < k, x_k != 0}.
 
     Every denominator is a known power of x_k, so the whole reduction runs
     on integer-coefficient numerators and each output is localized once:
-    p_l = P_l / x_k^(l+1) (see :func:`_p_numerators`), and with
-    Q_ij = P_(j-i) and H~_ab = x_k^(a+b) * x_(a+b) (zero for a+b < k),
-    N_ij = (Q^T H~ Q)_ij / x_k^(i+j+2) and y_i = +-P_i / x_k^(i-1).
+    p_l = P_l / x_k^(l+1), and with Q_ij = P_(j-i) and H~_ab = x_k^(a+b) *
+    x_(a+b) (zero for a+b < k), N_ij = N~_ij / x_k^(i+j+2) for N~ = Q^T H~ Q,
+    and y_i = +-P_i / x_k^(i-1).
+
+    Every product is a single term times a polynomial.  The p-recurrence
+    says M Q = I for M the unit upper-triangular Toeplitz matrix with first
+    row (1, m_1, m_2, ..), m_d = x_k^(d-1) x_(k+d).  So the P_l are the
+    forward solve of M^T z = e_0, and M^T N~ = H~ Q gives each column of N~
+    as the forward solve on that column of H~ Q (:func:`_forward_solve`).
+    H~ Q is built a column at a time by (H~ Q)_(a,j) = (H~ Q)_(a+1,j-1) +
+    h_a P_j with h_s = x_k^s x_s, keeping only the previous column.  N~ is
+    symmetric, so column j is solved down to row j and N~_ij for i > j is
+    read from column i.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
     nvars, size = 2 * n + 1, n + 1
-    cells = [(i, j) for i in range(size) for j in range(size)]
-    x = [MultiPoly.variable(nvars, i) for i in range(nvars)]
-    big_p = _p_numerators(x, k, 2 * n - k + 1)
-    q = [num.packed for num in big_p]
+    x = [MultiPoly.variable(nvars, s) for s in range(nvars)]
     # Every degree below is at most that of h[2n], which MultiPoly checked.
-    h = [(x[k] ** s * x[s]).packed if s >= k else {} for s in range(nvars)]
-    hq = {(a, j): _sum_of_products((h[a + b], q[j - b]) for b in range(j + 1)) for a, j in cells}
+    h = [x[s].mul_var_power(k, s).packed if s >= k else {} for s in range(nvars)]
+    minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, 2 * n - k + 1)]
+    q = _forward_solve(minus_m, [_ONE] + [{}] * (2 * n - k))
+    column = h
+    n_columns = []
+    for j in range(size):
+        if j:
+            column = [
+                _sum_of_products(((_ONE, column[a + 1]), (h[a], q[j])))
+                for a in range(len(column) - 1)
+            ]
+        n_columns.append(_forward_solve(minus_m, column[: j + 1]))
 
-    def localized(num, power: int) -> LocalizedPoly:
+    def localized(num: Terms, power: int) -> LocalizedPoly:
         return LocalizedPoly(_make(nvars, num), k, power)
 
-    n_matrix = tuple(
-        tuple(
-            localized(_sum_of_products((q[i - a], hq[a, j]) for a in range(i + 1)), i + j + 2)
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    upper = [
+        [localized(num, i + j + 2) for i, num in enumerate(col)] for j, col in enumerate(n_columns)
+    ]
+    n_matrix = tuple(tuple(upper[max(i, j)][min(i, j)] for j in range(size)) for i in range(size))
     p = [localized(num, ell + 1) for ell, num in enumerate(q)]
     zero = localized({}, 0)
     p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
     y = [localized(x[k].packed, 0)] + [
-        localized((big_p[i] if i <= k else -big_p[i]).packed, i - 1) for i in range(1, len(q))
+        localized(q[i] if i <= k else {key: -c for key, c in q[i].items()}, i - 1)
+        for i in range(1, len(q))
     ]
     return BlockReduction(
         n=n,
@@ -232,7 +283,8 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         k <= i+j <= 2k;
     (b) both off-diagonal blocks vanish;
     (c) bottom-right block is Hankel with entries -p_{i+j-k};
-    (d) det N' = det H_n on the locus, where N' = p_0^(-2) N.
+    (d) det N' = det H_n on the locus, where N' = x_k^2 N (that is,
+        p_0^(-2) N, as p_0 = 1/x_k).
 
     Check (d) reads the reduction's two lazy determinants, which
     :func:`factorization_identity` shares.  They are lazy because a
@@ -240,19 +292,20 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     ``blockreduce -n 14`` builds the reduction of H_14 and never needs
     det H_14.
 
-    det N is read off the y-Hankel determinant when (a) and (b) pass and
-    x_k^2 N_ij = y_{i+j-k} for every bottom-right entry.  Then N is block
+    Checks (c) and (d) work per antidiagonal s = i+j-k of the bottom-right
+    block: (c) builds each -p_s once.  det N is read off the y-Hankel
+    determinant when (a), (b) and (c) pass, N's poles, if any, sit at x_k,
+    and -x_k^2 p_s = y_s for every s in k+2..2n-k.  Then N is block
     diagonal, its top-left block is antitriangular with p_0 on the
     antidiagonal, and its bottom-right block is x_k^(-2) times the
     y-Hankel, so
 
         det N = sign * p_0^(k+1) * det H_{n-k-1}(y..) / x_k^(2(n-k)),
 
-    exactly, since x_k is a unit of the localization.  The full expansion
-    scales det N at the variable of N's poles, so N's poles must also sit
-    at x_k.  Otherwise det N is expanded in full: every result equals that
-    of the full expansion, on reductions changed by ``dataclasses.replace``
-    too.
+    exactly, since x_k is a unit of the localization.  Otherwise det N is
+    expanded in full: every result equals that of the full expansion, on
+    reductions changed by ``dataclasses.replace`` too.  (Poles at two
+    variables make both the expansion and the pole test raise.)
     """
     n, k = r.n, r.k
     nvars = 2 * n + 1
@@ -275,8 +328,9 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         for j in range(n + 1)
         if (i <= k) != (j <= k)
     )
+    minus_p = {s: -r.p_seq[s] for s in range(k + 2, 2 * n - k + 1)}
     bottom = first_mismatch(
-        (i, j, -r.p_seq[i + j - k])
+        (i, j, minus_p[i + j - k])
         for i in range(k + 1, n + 1)
         for j in range(k + 1, n + 1)
     )
@@ -285,13 +339,10 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     shares_residual = (
         top is None
         and off is None
+        and bottom is None
         and len(r.y_coords) == 2 * n - k + 1
-        and _pole_var((e for row in r.N_matrix for e in row), 0) == k
-        and all(
-            r.N_matrix[i][j] * xk_sq == r.y_coords[i + j - k]
-            for i in range(k + 1, n + 1)
-            for j in range(k + 1, n + 1)
-        )
+        and _pole_var((e for row in r.N_matrix for e in row), k) == k
+        and all(minus_p[s] * xk_sq == r.y_coords[s] for s in minus_p)
     )
     if shares_residual:
         # det N = sign * p_0^(k+1) * det(y-Hankel) / x_k^(2(n-k)), so
@@ -300,8 +351,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         if r.factorization_sign == -1:
             det_nprime = -det_nprime
     else:
-        # p_0^(-2) per column = x_k^2
-        det_nprime = poly_det(r.N_matrix).mul_var_power(2 * (n + 1))
+        det_nprime = poly_det(r.N_matrix) * xk_sq ** (n + 1)
     det_ok = det_nprime == r._locus_det
 
     checks = (

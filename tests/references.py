@@ -22,6 +22,7 @@ from secantinv.exactalg import (
     Rows,
     pack,
     poly_det,
+    rational_to_str,
 )
 from secantinv.hankel import BlockReduction, CheckResult, _hankel, restricted_hankel
 from secantinv.hodge import _weighted_strata_sum
@@ -114,6 +115,29 @@ def reference_eval(poly: MultiPoly, point: Sequence) -> Fraction:
     return total
 
 
+def reference_to_str(poly: MultiPoly) -> str:
+    """The canonical text form of :meth:`MultiPoly.to_str` built from the
+    public view: the dense exponent tuples and Fraction coefficients of
+    ``sorted_terms``, each magnitude through ``rational_to_str``."""
+    if poly.is_zero():
+        return "0"
+    pieces: List[str] = []
+    for exponents, coeff in poly.sorted_terms():
+        factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents) if e]
+        mag = abs(coeff)
+        if not factors:
+            body = rational_to_str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = rational_to_str(mag) + "*" + "*".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(pieces)
+
+
 def reference_mul(a: Rows, b: Rows) -> Rows:
     """The matrix product as entrywise LocalizedPoly products and sums."""
     if any(len(row) != len(b) for row in a):
@@ -159,7 +183,8 @@ def reference_block_reduce(n: int, k: int) -> BlockReduction:
 def reference_determinant_check(r: BlockReduction) -> CheckResult:
     """Check (d) of `verify_block_reduction` computed in full: det N by
     cofactor expansion, times x_k^2 per column, against det H_n on the locus."""
-    det_nprime = poly_det(r.N_matrix).mul_var_power(2 * (r.n + 1))
+    xk_power = MultiPoly.variable(2 * r.n + 1, r.k) ** (2 * (r.n + 1))
+    det_nprime = poly_det(r.N_matrix) * LocalizedPoly(xk_power, r.k)
     ok = det_nprime == poly_det(restricted_hankel(r.n, r.k))
     return CheckResult(
         "determinant", ok, None, "" if ok else "det(p_0^-2 N) != det H_n on the locus"

@@ -16,7 +16,12 @@ from secantinv.exactalg import (
 )
 from secantinv.hankel import _hankel, block_reduce, hankel_matrix
 from secantinv.linalg import det
-from tests.references import random_locus_point, reference_eval, reference_mul
+from tests.references import (
+    random_locus_point,
+    reference_eval,
+    reference_mul,
+    reference_to_str,
+)
 
 DET_H2 = "-x2^3 + 2*x1*x2*x3 - x0*x3^2 - x1^2*x4 + x0*x2*x4"
 
@@ -418,6 +423,33 @@ class TestSerialization:
         for _ in range(40):
             q = random_poly(rng, 3)
             assert MultiPoly.from_str(3, q.to_str()) == q
+
+    @pytest.mark.parametrize("nvars", [1, 3, 6])
+    def test_to_str_matches_the_reference_formatter(self, nvars):
+        rng = random.Random(40 + nvars)
+        seen = set()
+        for _ in range(150):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                mono = tuple(rng.choice((0, 0, 1, 2, 13)) for _ in range(nvars))
+                terms[mono] = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 7)))
+            if rng.random() < 0.3:
+                terms[(0,) * nvars] = Fraction(rng.randint(-3, 3), rng.choice((1, 5)))
+            coeffs = list(terms.values())
+            if 0 in coeffs:
+                seen.add("zero term")
+            if any(c < 0 for c in coeffs):
+                seen.add("negative")
+            if any(c.denominator > 1 for c in coeffs):
+                seen.add("fraction")
+            q = MultiPoly(nvars, terms)
+            if q.is_zero():
+                seen.add("zero polynomial")
+            if (0,) * nvars in q.terms:
+                seen.add("constant")
+            for r in (q, -q, q * q):
+                assert r.to_str() == reference_to_str(r)
+        assert seen == {"zero term", "negative", "fraction", "zero polynomial", "constant"}
 
     def test_exact_fractions_survive(self):
         q = p(2, "1/3*x0 - 2/7")

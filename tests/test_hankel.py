@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from secantinv import hankel
-from secantinv.exactalg import LocalizedPoly, MultiPoly, poly_det
+from secantinv.exactalg import (
+    DimensionError,
+    LocalizedPoly,
+    MultiPoly,
+    _sum_of_products,
+    poly_det,
+)
 from secantinv.hankel import (
     _hankel,
     _y_at_point,
@@ -81,6 +87,20 @@ class TestHankelMatrix:
             hankel_matrix(-1)
 
 
+@pytest.fixture
+def product_pairs(monkeypatch):
+    """The operand pairs passed to ``hankel._sum_of_products``, in call order."""
+    pairs = []
+
+    def recording_sum(call_pairs):
+        call_pairs = list(call_pairs)
+        pairs.extend(call_pairs)
+        return _sum_of_products(call_pairs)
+
+    monkeypatch.setattr(hankel, "_sum_of_products", recording_sum)
+    return pairs
+
+
 class TestBlockReduceSmall:
     def test_n1_k0_hand_recurrence(self):
         r = block_reduce(1, 0)
@@ -128,7 +148,7 @@ class TestBlockReduceSmall:
         assert r.N_matrix[2][0].num.is_zero()
 
     @pytest.mark.parametrize(
-        "n, k", [(n, k) for n in range(1, 7) for k in range(n)], ids=lambda v: str(v)
+        "n, k", [(n, k) for n in range(1, 10) for k in range(n)], ids=lambda v: str(v)
     )
     def test_matches_the_construction_in_the_localization(self, n, k):
         r, expected = block_reduce(n, k), reference_block_reduce(n, k)
@@ -140,6 +160,12 @@ class TestBlockReduceSmall:
             return [e.var for e in [*b.p_seq, *entries, *b.y_coords]]
 
         assert variables(r) == variables(expected)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 4, 6) for k in range(n)])
+    def test_every_product_has_a_single_term_operand(self, product_pairs, n, k):
+        block_reduce(n, k)
+        assert product_pairs
+        assert all(min(len(a), len(b)) <= 1 for a, b in product_pairs)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -311,8 +337,8 @@ class TestSharedResidualDeterminant:
 
     def test_poles_away_from_x_k_take_det_n_in_full(self, det_calls):
         # With p_0 = 1, p_1 = 0 and the bottom-right entry -det H_2 / x_0^6,
-        # N's only pole is at x_0, so the full check (d) scales det N by
-        # x_0^6, not x_1^6, and passes, where the shared form would fail.
+        # N's only pole is at x_0, and det(x_1^2 N) = det H_2 * x_1^6 / x_0^6
+        # is not det H_2: check (d) scales det N by x_k^6 = x_1^6 and fails.
         n, k = 2, 1
         r = block_reduce(n, k)
         nvars = 2 * n + 1
@@ -328,8 +354,27 @@ class TestSharedResidualDeterminant:
             y_coords=tuple(y),
         )
         report = verify_block_reduction(tampered)
+        assert not report.checks[3].ok
         assert report.checks[3] == reference_determinant_check(tampered)
         assert tampered.N_matrix in det_calls
+
+    def test_poles_at_two_variables_raise_as_the_full_check_does(self):
+        # p_2 = 1/x_1 puts N's bottom-right pole at x_1 and its top-left pole
+        # at x_0.  Every structural check passes and y_2 = -x_0^2 p_2, but
+        # the full expansion cannot combine the two poles, so check (d) may
+        # not read det N off the y-Hankel either.
+        r = block_reduce(1, 0)
+        p2 = LocalizedPoly(MultiPoly.const(3, 1), 1, 1)
+        tampered = dataclasses.replace(
+            r,
+            p_seq=r.p_seq[:2] + (p2,),
+            N_matrix=(r.N_matrix[0], (r.N_matrix[1][0], -p2)),
+            y_coords=r.y_coords[:2] + (-(p2 * LocalizedPoly(p(3, "x0^2"), 0)),),
+        )
+        with pytest.raises(DimensionError):
+            reference_determinant_check(tampered)
+        with pytest.raises(DimensionError):
+            verify_block_reduction(tampered)
 
     def test_too_few_y_coordinates_take_det_n_in_full(self, det_calls):
         # The structural checks read no y; a reduction short of y_{2n-k}
