@@ -496,10 +496,6 @@ class LocalizedPoly:
         var = _pole_var((self, other), self.var)
         return LocalizedPoly(self.num * other.num, var, self.power + other.power)
 
-    def mul_var_power(self, e: int) -> "LocalizedPoly":
-        """Multiply by x_var^e, e >= 0."""
-        return LocalizedPoly(self.num.mul_var_power(self.var, e), self.var, self.power)
-
     def __pow__(self, exp: int) -> "LocalizedPoly":
         if exp < 0:
             raise ValueError("negative powers are not supported")

@@ -197,27 +197,25 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
     nvars, size = 2 * n + 1, n + 1
+
+    def localized(num: Terms, power: int) -> LocalizedPoly:
+        return LocalizedPoly(_make(nvars, num), k, power)
+
     x = [MultiPoly.variable(nvars, s) for s in range(nvars)]
     # Every degree below is at most that of h[2n], which MultiPoly checked.
     h = [x[s].mul_var_power(k, s).packed if s >= k else {} for s in range(nvars)]
     minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, 2 * n - k + 1)]
     q = _forward_solve(minus_m, [_ONE] + [{}] * (2 * n - k))
     column = h
-    n_columns = []
+    upper = []  # upper[j][i] = N_ij for i <= j
     for j in range(size):
         if j:
             column = [
                 _sum_of_products(((_ONE, column[a + 1]), (h[a], q[j])))
                 for a in range(len(column) - 1)
             ]
-        n_columns.append(_forward_solve(minus_m, column[: j + 1]))
-
-    def localized(num: Terms, power: int) -> LocalizedPoly:
-        return LocalizedPoly(_make(nvars, num), k, power)
-
-    upper = [
-        [localized(num, i + j + 2) for i, num in enumerate(col)] for j, col in enumerate(n_columns)
-    ]
+        solved = _forward_solve(minus_m, column[: j + 1])
+        upper.append([localized(num, i + j + 2) for i, num in enumerate(solved)])
     n_matrix = tuple(tuple(upper[max(i, j)][min(i, j)] for j in range(size)) for i in range(size))
     p = [localized(num, ell + 1) for ell, num in enumerate(q)]
     zero = localized({}, 0)
@@ -351,6 +349,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         if r.factorization_sign == -1:
             det_nprime = -det_nprime
     else:
+        # x_k^2 per column, whatever variable N's poles sit at
         det_nprime = poly_det(r.N_matrix) * xk_sq ** (n + 1)
     det_ok = det_nprime == r._locus_det
 

@@ -386,12 +386,6 @@ class TestLocalizedPoly:
         with pytest.raises(ZeroDivisionError):
             q.eval([1, 0, 3])
 
-    def test_negative_variable_power_rejected(self):
-        q = LocalizedPoly(p(2, "x1"), 0, 1)
-        assert q.mul_var_power(2) == LocalizedPoly(p(2, "x0*x1"), 0, 0)
-        with pytest.raises(ValueError):
-            q.mul_var_power(-1)
-
     def test_mixed_localizations_rejected(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)
         b = LocalizedPoly(p(2, "x0"), 1, 1)
