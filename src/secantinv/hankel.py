@@ -291,12 +291,12 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     det H_14.
 
     Checks (c) and (d) work per antidiagonal s = i+j-k of the bottom-right
-    block: (c) builds each -p_s once.  det N is read off the y-Hankel
-    determinant when (a), (b) and (c) pass, N's poles, if any, sit at x_k,
-    and -x_k^2 p_s = y_s for every s in k+2..2n-k.  Then N is block
-    diagonal, its top-left block is antitriangular with p_0 on the
-    antidiagonal, and its bottom-right block is x_k^(-2) times the
-    y-Hankel, so
+    block: (c) builds each -p_s once, when it first reaches s.  det N is
+    read off the y-Hankel determinant when (a), (b) and (c) pass, N's
+    poles, if any, sit at x_k, and -x_k^2 p_s = y_s for every s in
+    k+2..2n-k.  Then N is block diagonal, its top-left block is
+    antitriangular with p_0 on the antidiagonal, and its bottom-right
+    block is x_k^(-2) times the y-Hankel, so
 
         det N = sign * p_0^(k+1) * det H_{n-k-1}(y..) / x_k^(2(n-k)),
 
@@ -326,9 +326,17 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         for j in range(n + 1)
         if (i <= k) != (j <= k)
     )
-    minus_p = {s: -r.p_seq[s] for s in range(k + 2, 2 * n - k + 1)}
+    # -p_s, built as check (c) first reaches s: it stops at the first
+    # mismatch and reads no p_s past it, as the cell-by-cell check did.
+    minus_p = {}
+
+    def neg_p(s: int) -> LocalizedPoly:
+        if s not in minus_p:
+            minus_p[s] = -r.p_seq[s]
+        return minus_p[s]
+
     bottom = first_mismatch(
-        (i, j, minus_p[i + j - k])
+        (i, j, neg_p(i + j - k))
         for i in range(k + 1, n + 1)
         for j in range(k + 1, n + 1)
     )
@@ -340,6 +348,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         and bottom is None
         and len(r.y_coords) == 2 * n - k + 1
         and _pole_var((e for row in r.N_matrix for e in row), k) == k
+        # check (c) passed, so minus_p holds every s in k+2..2n-k
         and all(minus_p[s] * xk_sq == r.y_coords[s] for s in minus_p)
     )
     if shares_residual:

@@ -386,6 +386,15 @@ class TestLocalizedPoly:
         with pytest.raises(ZeroDivisionError):
             q.eval([1, 0, 3])
 
+    def test_negative_variable_power_rejected(self):
+        # A power of the pole variable cancels the pole; the numerator's
+        # shift, which addition and clearing denominators use, refuses
+        # negative powers.
+        q = LocalizedPoly(p(2, "x1"), 0, 1)
+        assert q * loc(p(2, "x0^2")) == LocalizedPoly(p(2, "x0*x1"), 0, 0)
+        with pytest.raises(ValueError):
+            q.num.mul_var_power(0, -1)
+
     def test_mixed_localizations_rejected(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)
         b = LocalizedPoly(p(2, "x0"), 1, 1)

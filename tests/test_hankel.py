@@ -335,6 +335,18 @@ class TestSharedResidualDeterminant:
                 tampered
             ), kind
 
+    def test_a_short_p_sequence_fails_at_the_first_bottom_right_mismatch(self):
+        # Check (c) reads p_s as it reaches each cell: a reduction short of
+        # p_{2n-k} whose first bottom-right cell is wrong fails there and
+        # never asks for the missing p.
+        n, k = 3, 1
+        tampered = _tampered(block_reduce(n, k), [(k + 1, k + 1)], {}, False)
+        tampered = dataclasses.replace(tampered, p_seq=tampered.p_seq[:-1])
+        report = verify_block_reduction(tampered)
+        assert [c.case for c in report.checks[:3] if not c.ok] == ["bottom_right"]
+        assert report.checks[2].offending_entry == (k + 1, k + 1)
+        assert report.checks[3] == reference_determinant_check(tampered)
+
     def test_poles_away_from_x_k_take_det_n_in_full(self, det_calls):
         # With p_0 = 1, p_1 = 0 and the bottom-right entry -det H_2 / x_0^6,
         # N's only pole is at x_0, and det(x_1^2 N) = det H_2 * x_1^6 / x_0^6
