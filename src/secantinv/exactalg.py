@@ -19,10 +19,10 @@ Representation conventions:
 * Every product of polynomials is one kernel, ``_sum_of_products``: it sums
   the products of pairs of term maps into a single dict.  ``MultiPoly``
   multiplication, the cofactor determinant and the block reduction's
-  triangular solves in ``hankel`` (whose every pair has a single-term
-  operand) all call it.  The one exception is a ``MultiPoly`` product with
-  a single-term operand, a shift of the other operand's keys and a scaling
-  of its coefficients in one comprehension.
+  triangular solves and certificate in ``hankel`` (whose every pair has a
+  single-term operand) all call it.  The one exception is a ``MultiPoly``
+  product with a single-term operand, a shift of the other operand's keys
+  and a scaling of its coefficients in one comprehension.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
 * At the public boundary a monomial is its dense exponent tuple
@@ -381,27 +381,37 @@ class MultiPoly:
 
     def to_str(self) -> str:
         """Canonical text form, e.g. "2*x1*x3 - 2*x2^2" (parseable back):
-        terms in descending graded-lex order, formatted from the packed keys."""
+        terms in descending graded-lex order, formatted from the packed keys.
+        Only the nonzero exponent fields of a key are visited: the key is
+        shifted down past its lowest set bit's field, lowest field (x_{n-1})
+        first, so a term costs its number of variables, not nvars."""
         packed = self.packed
         if not packed:
             return "0"
-        fields = [(f"x{i}", FIELD_BITS * (self.nvars - 1 - i)) for i in range(self.nvars)]
+        nvars = self.nvars
+        names = [f"x{nvars - 1 - field}" for field in range(nvars)]  # by field
+        exponents = (1 << (FIELD_BITS * nvars)) - 1  # every field below the degree
         pieces: List[str] = []
         for key in sorted(packed, reverse=True):
             coeff = packed[key]
-            factors = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, shift in fields
-                for e in ((key >> shift) & MAX_DEGREE,)
-                if e
-            )
+            rest = key & exponents
+            factors: List[str] = []
+            field = 0
+            while rest:
+                skip = ((rest & -rest).bit_length() - 1) // FIELD_BITS
+                rest >>= FIELD_BITS * skip
+                field += skip
+                e = rest & MAX_DEGREE
+                rest >>= FIELD_BITS
+                factors.append(names[field] if e == 1 else f"{names[field]}^{e}")
+                field += 1
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = factors
+                body = "*".join(reversed(factors))
             else:
-                body = f"{mag}*{factors}"
+                body = f"{mag}*" + "*".join(reversed(factors))
             if not pieces:
                 pieces.append(body if coeff > 0 else "-" + body)
             else:

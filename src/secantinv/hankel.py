@@ -29,11 +29,11 @@ forward solve, run on the columns of H P.
 
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
-random rational points by `factorization_identity_at_point`.  The two
-symbolic checks share two determinants per reduction, det H_n on the locus
-and det H_{n-k-1}(y..); det N is read off the latter whenever N's blocks are
-as above and its bottom-right block is x_k^(-2) times the y-Hankel, which
-check (d) tests once per antidiagonal.
+random rational points by `factorization_identity_at_point`.  Neither
+symbolic check expands a determinant of an intact reduction: both rest on
+one certificate, that N is the exact product P^T H P (see
+:func:`_change_of_basis_holds`), and expand det N, det H_n and the y-Hankel
+determinant in full only when it fails.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import (
+    MAX_DEGREE,
     LocalizedPoly,
     MultiPoly,
     Rows,
     Terms,
     _make,
-    _pole_var,
     _sum_of_products,
+    _var_key,
     poly_det,
 )
 from .linalg import det
@@ -95,11 +97,14 @@ class BlockReduction:
     p_{j-i}; ``N_matrix`` is the exact product P^T H P; ``y_coords`` are the
     new coordinates y_0 .. y_{2n-k}.
 
-    Two determinants are computed lazily, on first use, and kept on the
-    instance: ``_locus_det`` (det H_n on the locus) and ``_residual_det``
-    (det H_{n-k-1}(y_{k+2}, ..)).  Both checks read them, and
-    `block_reduce` reads neither.  ``dataclasses.replace`` makes a new
-    instance, which computes both again from its own fields.
+    These claims are checked, not trusted: ``_certified`` says whether P is
+    the Toeplitz matrix of p_0 .. p_n and the inverse of the Toeplitz
+    matrix of x_k .. x_{k+n}, and whether N is exactly P^T H P
+    (:func:`_change_of_basis_holds`).  It is computed on first use and
+    kept on the instance, so check (d) and the factorization compute it
+    once between them, and `block_reduce` never does.
+    ``dataclasses.replace`` makes a new instance, which computes it again
+    from its own fields.
     """
 
     n: int
@@ -114,16 +119,10 @@ class BlockReduction:
         return _factorization_sign(self.k)
 
     @cached_property
-    def _locus_det(self) -> LocalizedPoly:
-        """det H_n on the locus, computed on first use and kept on this
-        instance only; `block_reduce` never reads it."""
-        return poly_det(restricted_hankel(self.n, self.k))
-
-    @cached_property
-    def _residual_det(self) -> LocalizedPoly:
-        """det H_{n-k-1}(y_{k+2}, ..), the determinant of the y-Hankel,
-        computed on first use and kept on this instance only."""
-        return poly_det(_hankel(self.y_coords[self.k + 2 :], self.n - self.k))
+    def _certified(self) -> bool:
+        """Whether N = P^T H P holds with P tied to p_0 .. p_n, by
+        :func:`_change_of_basis_holds`."""
+        return _change_of_basis_holds(self)
 
     def to_obj(self) -> dict:
         return {
@@ -234,6 +233,74 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     )
 
 
+def _change_of_basis_holds(r: BlockReduction) -> bool:
+    """Whether N = P^T H P exactly, for H the restricted H_n and P the upper
+    triangular Toeplitz matrix of p_0 .. p_n, proved without a determinant.
+
+    ``P_matrix`` must be that P (P_ij = p_(j-i), 0 below the diagonal) and
+    N must be symmetric.  Let T be the upper triangular Toeplitz matrix
+    with T_ij = x_(k+j-i).  Then two identities prove the claim:
+
+    (i)  P T = I.  P is Toeplitz, so this is the p-recurrence
+         sum_(a<=d) p_a x_(k+d-a) = [d = 0] for d = 0..n;
+    (ii) T^T N = H P, that is, for every cell (i, j),
+         sum_(l<=i) x_(k+i-l) N_lj = sum_(l<=j) x_(i+l) p_(j-l).
+
+    By (i) T = P^(-1), so (ii) reads (P^T)^(-1) N = H P, that is N =
+    P^T H P.  Cells with i <= j suffice: with N symmetric, A = T^T N - H P has
+    S = A T = T^T N T - H symmetric, and A = S P.  If A vanishes on and
+    above the diagonal, then by induction on i every row of S vanishes:
+    with rows (so columns) 0..i-1 of S zero, row i of S P vanishes below
+    the diagonal too, as P is upper triangular, and row i of S = A T is 0.
+
+    Every product is a single term times a numerator, and each identity
+    is one `_sum_of_products` over its products, all brought to the
+    largest power of x_k among them: no localized arithmetic.  The claim
+    is refused, and the callers expand determinants instead, when a shape
+    is wrong, a pole sits away from x_k or a product would pass the
+    packed-key degree limit.
+    """
+    n, k = r.n, r.k
+    nvars, size = 2 * n + 1, n + 1
+    p, P, N = r.p_seq[:size], r.P_matrix, r.N_matrix
+    if len(p) < size or (len(P), len(N)) != (size, size) or any(len(row) != size for row in P + N):
+        return False
+    zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
+    if any(P[i][j] != (p[j - i] if j >= i else zero) for i in range(size) for j in range(size)):
+        return False
+    if any(N[i][j] != N[j][i] for i in range(size) for j in range(i)):
+        return False
+    values = p + tuple(e for row in N for e in row)
+    if any(v.nvars != nvars or (v.power and v.var != k) for v in values):
+        return False
+    top = max(v.power for v in values)
+    if max(v.num.total_degree() for v in values) + top + 1 > MAX_DEGREE:
+        return False
+    xk = _var_key(nvars, k)
+    x = [_var_key(nvars, s) for s in range(nvars)]
+    one = LocalizedPoly(MultiPoly.const(nvars, 1), k)
+
+    def vanishes(products) -> bool:
+        """Whether the sum of c * monomial * value over (monomial key, c,
+        value) is zero, each product over the largest power of x_k."""
+        m = max(v.power for _, _, v in products)
+        return not _sum_of_products(
+            ({key + (m - v.power) * xk: c}, v.num.packed) for key, c, v in products
+        )
+
+    recurrence = (  # (i), with the constant -1 at d = 0
+        [(x[k + d - a], 1, p[a]) for a in range(d + 1)] + [(0, -1, one)] * (d == 0)
+        for d in range(size)
+    )
+    cells = (  # (ii) on and above the diagonal; x_(i+l) = 0 for i+l < k
+        [(x[k + i - l], 1, N[l][j]) for l in range(i + 1)]
+        + [(x[i + l], -1, p[j - l]) for l in range(max(k - i, 0), j + 1)]
+        for j in range(size)
+        for i in range(j + 1)
+    )
+    return all(map(vanishes, chain(recurrence, cells)))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Pass/fail of one verification case, with the offending entry if any."""
@@ -274,40 +341,13 @@ class VerificationReport:
         }
 
 
-def verify_block_reduction(r: BlockReduction) -> VerificationReport:
-    """Check the four block-structure identities as exact symbolic algebra.
-
-    (a) top-left block: N_ij = 0 for i+j < k and N_ij = p_{i+j-k} for
-        k <= i+j <= 2k;
-    (b) both off-diagonal blocks vanish;
-    (c) bottom-right block is Hankel with entries -p_{i+j-k};
-    (d) det N' = det H_n on the locus, where N' = x_k^2 N (that is,
-        p_0^(-2) N, as p_0 = 1/x_k).
-
-    Check (d) reads the reduction's two lazy determinants, which
-    :func:`factorization_identity` shares.  They are lazy because a
-    reduction that is never checked must not pay for them:
-    ``blockreduce -n 14`` builds the reduction of H_14 and never needs
-    det H_14.
-
-    Checks (c) and (d) work per antidiagonal s = i+j-k of the bottom-right
-    block: (c) builds each -p_s once, when it first reaches s.  det N is
-    read off the y-Hankel determinant when (a), (b) and (c) pass, N's
-    poles, if any, sit at x_k, and -x_k^2 p_s = y_s for every s in
-    k+2..2n-k.  Then N is block diagonal, its top-left block is
-    antitriangular with p_0 on the antidiagonal, and its bottom-right
-    block is x_k^(-2) times the y-Hankel, so
-
-        det N = sign * p_0^(k+1) * det H_{n-k-1}(y..) / x_k^(2(n-k)),
-
-    exactly, since x_k is a unit of the localization.  Otherwise det N is
-    expanded in full: every result equals that of the full expansion, on
-    reductions changed by ``dataclasses.replace`` too.  (Poles at two
-    variables make both the expansion and the pole test raise.)
-    """
+def _block_mismatches(
+    r: BlockReduction,
+) -> Tuple[Optional[Tuple[int, int]], Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
+    """The first cell of N that fails each of checks (a), (b) and (c) of
+    :func:`verify_block_reduction`, or None where the check passes."""
     n, k = r.n, r.k
-    nvars = 2 * n + 1
-    zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
+    zero = LocalizedPoly(MultiPoly.zero(2 * n + 1), k, 0)
 
     def first_mismatch(pairs) -> Optional[Tuple[int, int]]:
         for i, j, expected in pairs:
@@ -327,7 +367,7 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         if (i <= k) != (j <= k)
     )
     # -p_s, built as check (c) first reaches s: it stops at the first
-    # mismatch and reads no p_s past it, as the cell-by-cell check did.
+    # mismatch and reads no p_s past it.
     minus_p = {}
 
     def neg_p(s: int) -> LocalizedPoly:
@@ -340,28 +380,37 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         for i in range(k + 1, n + 1)
         for j in range(k + 1, n + 1)
     )
+    return top, off, bottom
 
-    xk_sq = LocalizedPoly(MultiPoly.variable(nvars, k) ** 2, k, 0)
-    shares_residual = (
-        top is None
-        and off is None
-        and bottom is None
-        and len(r.y_coords) == 2 * n - k + 1
-        and _pole_var((e for row in r.N_matrix for e in row), k) == k
-        # check (c) passed, so minus_p holds every s in k+2..2n-k
-        and all(minus_p[s] * xk_sq == r.y_coords[s] for s in minus_p)
-    )
-    if shares_residual:
-        # det N = sign * p_0^(k+1) * det(y-Hankel) / x_k^(2(n-k)), so
-        # det N' = sign * (p_0 x_k^2)^(k+1) * det(y-Hankel).
-        det_nprime = (r.p_seq[0] * xk_sq) ** (k + 1) * r._residual_det
-        if r.factorization_sign == -1:
-            det_nprime = -det_nprime
-    else:
+
+def verify_block_reduction(r: BlockReduction) -> VerificationReport:
+    """Check the four block-structure identities as exact symbolic algebra.
+
+    (a) top-left block: N_ij = 0 for i+j < k and N_ij = p_{i+j-k} for
+        k <= i+j <= 2k;
+    (b) both off-diagonal blocks vanish;
+    (c) bottom-right block is Hankel with entries -p_{i+j-k};
+    (d) det N' = det H_n on the locus, where N' = x_k^2 N (that is,
+        p_0^(-2) N, as p_0 = 1/x_k).
+
+    Check (d) holds whenever the reduction's certificate does
+    (:func:`_change_of_basis_holds`, computed once and shared with
+    :func:`factorization_identity`): it proves N = P^T H P with P upper
+    triangular, p_0 on its diagonal and p_0 x_k = 1, so det P =
+    x_k^(-(n+1)) and det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n.
+    The certificate also checks P itself, which checks (a)-(d) never read.
+    When it fails, det N and det H_n are expanded in full, so every result
+    equals that of the full expansion, on reductions changed by
+    ``dataclasses.replace`` too.  (Poles at two variables make the
+    expansion raise.)
+    """
+    n, k = r.n, r.k
+    top, off, bottom = _block_mismatches(r)
+    det_ok = r._certified or (
         # x_k^2 per column, whatever variable N's poles sit at
-        det_nprime = poly_det(r.N_matrix) * xk_sq ** (n + 1)
-    det_ok = det_nprime == r._locus_det
-
+        poly_det(r.N_matrix) * LocalizedPoly(MultiPoly.variable(2 * n + 1, k) ** (2 * n + 2), k)
+        == poly_det(restricted_hankel(n, k))
+    )
     checks = (
         CheckResult("top_left", top is None, top),
         CheckResult("off_diagonal", off is None, off),
@@ -381,15 +430,34 @@ def factorization_identity(r: BlockReduction) -> bool:
 
     det H_n = sign * y_0^(k+1) * det H_{n-k-1}(y_{k+2}..),
 
-    with sign = r.factorization_sign.  Both determinants, det H_n on the
-    locus and that of the y-Hankel, are the reduction's own, computed on
-    first use and shared with check (d) of :func:`verify_block_reduction`
-    (see there); this function takes no determinant of its own."""
-    lhs = r._locus_det
-    rhs = r.y_coords[0] ** (r.k + 1) * r._residual_det
+    with sign = r.factorization_sign.  It holds without a determinant when
+    the reduction's certificate does (see :func:`verify_block_reduction`),
+    checks (a)-(c) pass, y_0 = x_k^2 p_0 and y_s = -x_k^2 p_s for s in
+    k+2..2n-k.  Then det H_n = x_k^(2(n+1)) det N; N is block diagonal,
+    its top-left block is antitriangular with p_0 on the antidiagonal, of
+    determinant sign * p_0^(k+1), and its bottom-right block is x_k^(-2)
+    times the y-Hankel, so
+
+        det H_n = x_k^(2(n+1)) * sign * p_0^(k+1) * x_k^(-2(n-k)) * det H_{n-k-1}(y..)
+                = sign * (x_k^2 p_0)^(k+1) * det H_{n-k-1}(y..),
+
+    and x_k^2 p_0 = y_0.  Otherwise both determinants are expanded in full.
+    """
+    n, k = r.n, r.k
+    y = r.y_coords
+    xk_sq = LocalizedPoly(MultiPoly.variable(2 * n + 1, k) ** 2, k)
+    if (
+        r._certified
+        and _block_mismatches(r) == (None, None, None)
+        and y[0] == xk_sq * r.p_seq[0]
+        # check (c) passed, so p_seq reaches p_{2n-k}
+        and all(y[s] == -(xk_sq * r.p_seq[s]) for s in range(k + 2, 2 * n - k + 1))
+    ):
+        return True
+    rhs = y[0] ** (k + 1) * poly_det(_hankel(y[k + 2 :], n - k))
     if r.factorization_sign == -1:
         rhs = -rhs
-    return lhs == rhs
+    return poly_det(restricted_hankel(n, k)) == rhs
 
 
 # -- exact evaluation at rational points --------------------------------------

@@ -311,6 +311,15 @@ class TestSizeCeilings:
         assert text == ""
         assert f"at most {cli.VERIFY_MAX_N}" in capsys.readouterr().err
 
+    def test_verify_runs_for_real_past_the_determinant_expansions_reach(self):
+        # n = 9 was out of reach while the checks expanded the y-Hankel
+        # determinant; on the certificate it takes a fraction of a second.
+        code, text = run_cli("verify", "-n", "9")
+        assert code == 0
+        reports = json.loads(text)["reports"]
+        assert [r["k"] for r in reports] == list(range(9))
+        assert all(r["all_ok"] for r in reports)
+
     @pytest.mark.parametrize(
         "argv, ceiling",
         [

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantinv import hankel
 from secantinv.exactalg import (
+    MAX_DEGREE,
     DimensionError,
     LocalizedPoly,
     MultiPoly,
@@ -15,6 +18,7 @@ from secantinv.exactalg import (
     poly_det,
 )
 from secantinv.hankel import (
+    _change_of_basis_holds,
     _hankel,
     _y_at_point,
     block_reduce,
@@ -220,9 +224,22 @@ def det_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """The reductions passed to ``hankel._change_of_basis_holds``, in call order."""
+    calls = []
+
+    def recording_certificate(r):
+        calls.append(r)
+        return _change_of_basis_holds(r)
+
+    monkeypatch.setattr(hankel, "_change_of_basis_holds", recording_certificate)
+    return calls
+
+
 class TestLocusDeterminant:
-    """det H_n on the locus and the y-Hankel determinant are taken once per
-    reduction, on first use."""
+    """An intact reduction is verified and factored without a determinant,
+    on one certificate; a tampered one expands its determinants afresh."""
 
     @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 3)])
     def test_block_reduce_takes_no_determinant(self, det_calls, n, k):
@@ -230,39 +247,35 @@ class TestLocusDeterminant:
         assert det_calls == []
 
     @pytest.mark.parametrize("verify_first", [True, False])
-    def test_both_checks_take_three_determinants(self, det_calls, verify_first):
-        # Check (d) reads det N off the y-Hankel determinant it shares with
-        # the factorization, so between them the two checks take exactly the
-        # y-Hankel and locus determinants, and det N is never expanded.
-        n, k = 3, 1
-        r = block_reduce(n, k)
+    def test_both_checks_take_no_determinant(self, det_calls, certificates, verify_first):
+        # The certificate settles check (d) and, with checks (a)-(c) and the
+        # y-relation, the factorization: neither expands a determinant, and
+        # the two compute the certificate once between them.
+        r = block_reduce(3, 1)
         if verify_first:
             assert verify_block_reduction(r).all_ok
             assert factorization_identity(r)
         else:
             assert factorization_identity(r)
             assert verify_block_reduction(r).all_ok
-        y_hankel = _hankel(r.y_coords[k + 2 :], n - k)
-        expected = [y_hankel, restricted_hankel(n, k)]
-        if not verify_first:
-            expected.reverse()
-        assert det_calls == expected
-        # A second check of either kind takes no determinant.
+        assert det_calls == []
+        assert certificates == [r]
+        # A second check of either kind reads the kept verdict.
         assert verify_block_reduction(r).all_ok
         assert factorization_identity(r)
-        assert det_calls == expected
+        assert det_calls == []
+        assert certificates == [r]
 
-    def test_replaced_y_coordinates_take_det_n_in_full(self, det_calls):
-        # N is intact, so all four checks pass, but the bottom-right block
-        # no longer matches the y-Hankel: check (d) must expand det N itself,
-        # and the factorization fails on the replaced coordinate.
+    def test_replaced_y_coordinates_take_the_factorization_in_full(self, det_calls):
+        # N is intact, so all four checks pass on the certificate, which
+        # reads no y; the factorization no longer follows from it and fails
+        # on the replaced coordinate, with both of its determinants expanded.
         n, k = 3, 0
-        r = block_reduce(n, k)
-        tampered = _tampered(r, [], {2 * n - k: "1"}, False)
+        tampered = _tampered(block_reduce(n, k), y={2 * n - k: "1"})
         assert verify_block_reduction(tampered).all_ok
-        assert det_calls == [tampered.N_matrix, restricted_hankel(n, k)]
+        assert det_calls == []
         assert not factorization_identity(tampered)
-        assert det_calls[2:] == [_hankel(tampered.y_coords[k + 2 :], n - k)]
+        assert det_calls == [_hankel(tampered.y_coords[k + 2 :], n - k), restricted_hankel(n, k)]
 
     def test_a_replaced_n_matrix_fails_the_determinant_check(self, det_calls):
         n, k = 2, 0
@@ -283,51 +296,122 @@ def _plus(entry: LocalizedPoly, term: str, k: int) -> LocalizedPoly:
 
 
 def _tampers(n, k):
-    """Changes to the reduction of H_n on Y_k, by name: the cells of N that
-    get 1 added, the y_i that get a term added, whether p_0 gets 1 added,
-    and the structural checks the change must fail.  One off-diagonal entry
-    leaves N block triangular and det N unchanged, the mirrored pair does
-    not; "bottom_right_and_y" keeps N's bottom-right block equal to x_k^-2
-    times the y-Hankel."""
+    """Changes to the reduction of H_n on Y_k, by name: the keyword
+    arguments of :func:`_tampered`, and the structural checks the change
+    must fail.  One off-diagonal entry leaves N block triangular and det N
+    unchanged, the mirrored pair does not; "compensated_pair" also changes
+    N_nn so that every diagonal cell of the certificate's T^T N = H P
+    still holds; "bottom_right_and_y" keeps N's bottom-right block equal to
+    x_k^-2 times the y-Hankel; "below_the_diagonal" leaves every cell on
+    and above N's diagonal intact; "p_1_and_P" keeps P the Toeplitz matrix
+    of p_0 .. p_n, off the recurrence; "p_tail_and_y" keeps y_s = -x_k^2
+    p_s; "scaled" doubles p, P and N, which keeps T^T N = H P."""
     last = 2 * n - k
+    below = "bottom_right" if n - 1 > k else "off_diagonal"
     return {
-        "none": ([], {}, False, []),
-        "antidiagonal": ([(0, k)], {}, False, ["top_left"]),
-        "top_left": ([(k, k)], {}, False, ["top_left"]),
-        "off_diagonal": ([(0, n)], {}, False, ["off_diagonal"]),
-        "off_diagonal_pair": ([(0, n), (n, 0)], {}, False, ["off_diagonal"]),
-        "bottom_right": ([(n, n)], {}, False, ["bottom_right"]),
-        "bottom_right_and_y": ([(n, n)], {last: f"x{k}^2"}, False, ["bottom_right"]),
-        "y_last": ([], {last: "1"}, False, []),
-        "y_0": ([], {0: "1"}, False, []),
-        "p_0": ([], {}, True, ["top_left"]),
+        "none": ({}, []),
+        "antidiagonal": (dict(N={(0, k): "1"}), ["top_left"]),
+        "top_left": (dict(N={(k, k): "1"}), ["top_left"]),
+        "off_diagonal": (dict(N={(0, n): "1"}), ["off_diagonal"]),
+        "off_diagonal_pair": (dict(N={(0, n): "1", (n, 0): "1"}), ["off_diagonal"]),
+        "compensated_pair": (
+            dict(N={(0, n): f"x{k}", (n, 0): f"x{k}", (n, n): f"-x{k + n}"}),
+            ["off_diagonal", "bottom_right"],
+        ),
+        "below_the_diagonal": (dict(N={(n, n - 1): "1"}), [below]),
+        "bottom_right": (dict(N={(n, n): "1"}), ["bottom_right"]),
+        "bottom_right_and_y": (dict(N={(n, n): "1"}, y={last: f"x{k}^2"}), ["bottom_right"]),
+        "y_last": (dict(y={last: "1"}), []),
+        "y_0": (dict(y={0: "1"}), []),
+        "p_0": (dict(p={0: "1"}), ["top_left"]),
+        "p_tail": (dict(p={last: f"x{n}"}), ["bottom_right"]),
+        "p_tail_and_y": (dict(p={last: f"x{n}"}, y={last: f"-x{k}^2*x{n}"}), ["bottom_right"]),
+        "P_only": (dict(P={(0, n): f"x{n}"}), []),
+        "p_1_and_P": (
+            dict(p={1: "1"}, P={(i, i + 1): "1" for i in range(n)}),
+            ["top_left"] if k else [],
+        ),
+        "scaled": (dict(scale=2), []),
     }
 
 
-def _tampered(r, cells, y_terms, p0):
-    """A new reduction, through ``dataclasses.replace``, with the changes
-    named by one entry of :func:`_tampers`."""
-    rows = [list(row) for row in r.N_matrix]
-    for i, j in cells:
-        rows[i][j] = _plus(rows[i][j], "1", r.k)
-    y = list(r.y_coords)
-    for i, term in y_terms.items():
-        y[i] = _plus(y[i], term, r.k)
-    p_seq = ((_plus(r.p_seq[0], "1", r.k),) + r.p_seq[1:]) if p0 else r.p_seq
+def _tampered(r, N=None, P=None, p=None, y=None, scale=1):
+    """A new reduction, through ``dataclasses.replace``, with each term
+    string added to its cell of N or P, or to its p_i or y_i, and then p,
+    P and N multiplied by ``scale``."""
+    factor = LocalizedPoly(MultiPoly.const(2 * r.n + 1, scale), r.k)
+
+    def changed(entries, terms, factor):
+        entries = list(entries)
+        for i, term in (terms or {}).items():
+            entries[i] = _plus(entries[i], term, r.k)
+        return tuple(e * factor for e in entries)
+
+    def changed_cells(rows, terms):
+        rows = [list(row) for row in rows]
+        for (i, j), term in (terms or {}).items():
+            rows[i][j] = _plus(rows[i][j], term, r.k)
+        return tuple(tuple(e * factor for e in row) for row in rows)
+
+    one = LocalizedPoly(MultiPoly.const(2 * r.n + 1, 1), r.k)
     return dataclasses.replace(
-        r, p_seq=p_seq, N_matrix=tuple(map(tuple, rows)), y_coords=tuple(y)
+        r,
+        p_seq=changed(r.p_seq, p, factor),
+        P_matrix=changed_cells(r.P_matrix, P),
+        N_matrix=changed_cells(r.N_matrix, N),
+        y_coords=changed(r.y_coords, y, one),
     )
 
 
-class TestSharedResidualDeterminant:
-    """Check (d) and the factorization read one y-Hankel determinant; their
-    verdicts equal the full computations on every reduction, tampered or not."""
+class TestCertificate:
+    """`_change_of_basis_holds` proves N = P^T H P with P the Toeplitz
+    matrix of p_0 .. p_n: it holds on every intact reduction and fails on
+    every change to N, P or p_0 .. p_n."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_holds_for_every_k(self, n):
+        assert all(_change_of_basis_holds(block_reduce(n, k)) for k in range(n))
+
+    def test_a_tampered_p_matrix_no_longer_slips_by(self, det_calls):
+        # p_2 + x_3 in P's cell (0, 2): the four checks read no P, so the
+        # certificate is what catches it, and check (d) falls back to the
+        # full expansion, which N, still intact, passes.
+        r = _tampered(block_reduce(5, 1), P={(0, 2): "x3"})
+        assert not _change_of_basis_holds(r)
+        assert verify_block_reduction(r).all_ok
+        assert det_calls == [r.N_matrix, restricted_hankel(5, 1)]
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n)])
+    def test_every_change_to_n_p_or_the_head_of_p_is_refused(self, n, k):
+        for kind, (changes, _) in _tampers(n, k).items():
+            if {"N", "P", "scale"} & set(changes) or any(i <= n for i in changes.get("p", {})):
+                assert not _change_of_basis_holds(_tampered(block_reduce(n, k), **changes)), kind
+
+    def test_a_product_past_the_degree_limit_is_refused(self):
+        # A term of x_1 in N's corner, of the largest degree its entry can
+        # hold, keeps N symmetric, but its products with x_k and x_(k+i)
+        # would carry out of the exponent field: the certificate refuses,
+        # and check (d) raises as the full expansion does.
+        r = block_reduce(2, 0)
+        power = r.N_matrix[2][2].power
+        r = _tampered(r, N={(2, 2): f"x1^{MAX_DEGREE - power}"})
+        assert r.N_matrix[2][2].num.total_degree() == MAX_DEGREE
+        assert not _change_of_basis_holds(r)
+        with pytest.raises(OverflowError):
+            reference_determinant_check(r)
+        with pytest.raises(OverflowError):
+            verify_block_reduction(r)
+
+
+class TestTamperedReductions:
+    """Check (d) and the factorization give the full computations' verdicts
+    on every reduction, tampered or not."""
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(n)])
     def test_verdicts_match_the_full_computations(self, n, k):
         r = block_reduce(n, k)
-        for kind, (cells, y_terms, p0, structural) in _tampers(n, k).items():
-            tampered = _tampered(r, cells, y_terms, p0)
+        for kind, (changes, structural) in _tampers(n, k).items():
+            tampered = _tampered(r, **changes)
             report = verify_block_reduction(tampered)
             assert [c.case for c in report.checks[:3] if not c.ok] == structural, kind
             assert report.checks[3] == reference_determinant_check(tampered), kind
@@ -335,12 +419,38 @@ class TestSharedResidualDeterminant:
                 tampered
             ), kind
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_added_term_anywhere_matches_the_full_computations(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        k = data.draw(st.integers(0, n - 1), label="k")
+        r = block_reduce(n, k)
+        nvars = 2 * n + 1
+        exponents = data.draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+        coeff = data.draw(st.sampled_from([-2, -1, 1, 3]), label="coeff")
+        power = data.draw(st.integers(0, 2), label="power of x_k in the denominator")
+        term = LocalizedPoly(MultiPoly(nvars, {tuple(exponents): coeff}), k, power)
+        field = data.draw(st.sampled_from(["N", "P", "p", "y"]), label="field")
+        if field in ("N", "P"):
+            i, j = data.draw(st.tuples(st.integers(0, n), st.integers(0, n)), label="cell")
+            rows = [list(row) for row in getattr(r, f"{field}_matrix")]
+            rows[i][j] = rows[i][j] + term
+            tampered = dataclasses.replace(r, **{f"{field}_matrix": tuple(map(tuple, rows))})
+        else:
+            name = "p_seq" if field == "p" else "y_coords"
+            entries = list(getattr(r, name))
+            i = data.draw(st.integers(0, len(entries) - 1), label="index")
+            entries[i] = entries[i] + term
+            tampered = dataclasses.replace(r, **{name: tuple(entries)})
+        assert verify_block_reduction(tampered).checks[3] == reference_determinant_check(tampered)
+        assert factorization_identity(tampered) == reference_factorization_identity(tampered)
+
     def test_a_short_p_sequence_fails_at_the_first_bottom_right_mismatch(self):
         # Check (c) reads p_s as it reaches each cell: a reduction short of
         # p_{2n-k} whose first bottom-right cell is wrong fails there and
         # never asks for the missing p.
         n, k = 3, 1
-        tampered = _tampered(block_reduce(n, k), [(k + 1, k + 1)], {}, False)
+        tampered = _tampered(block_reduce(n, k), N={(k + 1, k + 1): "1"})
         tampered = dataclasses.replace(tampered, p_seq=tampered.p_seq[:-1])
         report = verify_block_reduction(tampered)
         assert [c.case for c in report.checks[:3] if not c.ok] == ["bottom_right"]
@@ -373,8 +483,8 @@ class TestSharedResidualDeterminant:
     def test_poles_at_two_variables_raise_as_the_full_check_does(self):
         # p_2 = 1/x_1 puts N's bottom-right pole at x_1 and its top-left pole
         # at x_0.  Every structural check passes and y_2 = -x_0^2 p_2, but
-        # the full expansion cannot combine the two poles, so check (d) may
-        # not read det N off the y-Hankel either.
+        # the full expansion cannot combine the two poles, so the
+        # certificate may not settle check (d) either.
         r = block_reduce(1, 0)
         p2 = LocalizedPoly(MultiPoly.const(3, 1), 1, 1)
         tampered = dataclasses.replace(
@@ -383,29 +493,52 @@ class TestSharedResidualDeterminant:
             N_matrix=(r.N_matrix[0], (r.N_matrix[1][0], -p2)),
             y_coords=r.y_coords[:2] + (-(p2 * LocalizedPoly(p(3, "x0^2"), 0)),),
         )
+        assert not _change_of_basis_holds(tampered)
         with pytest.raises(DimensionError):
             reference_determinant_check(tampered)
         with pytest.raises(DimensionError):
             verify_block_reduction(tampered)
 
-    def test_too_few_y_coordinates_take_det_n_in_full(self, det_calls):
-        # The structural checks read no y; a reduction short of y_{2n-k}
-        # verifies, with det N expanded in full.
+    def test_a_pole_moved_off_x_k_raises_as_the_full_check_does(self):
+        # N's corner -p_4 / x_0^5 moved to the same numerator over x_1^5:
+        # read as numerators alone, N would look intact, but its poles now
+        # sit at two variables, which the full expansion cannot combine.
+        r = block_reduce(2, 0)
+        corner = r.N_matrix[2][2]
+        moved = LocalizedPoly(corner.num, 1, corner.power)
+        tampered = dataclasses.replace(
+            r, N_matrix=r.N_matrix[:2] + (r.N_matrix[2][:2] + (moved,),)
+        )
+        assert not _change_of_basis_holds(tampered)
+        with pytest.raises(DimensionError):
+            reference_determinant_check(tampered)
+        with pytest.raises(DimensionError):
+            verify_block_reduction(tampered)
+
+    def test_too_few_y_coordinates_verify_without_a_determinant(self, det_calls):
+        # The four checks read no y, so a reduction short of y_{2n-k}
+        # verifies on the certificate; the factorization cannot read the
+        # missing y and raises, as the full computation does.
         r = block_reduce(3, 1)
         tampered = dataclasses.replace(r, y_coords=r.y_coords[:-1])
         assert verify_block_reduction(tampered).all_ok
-        assert det_calls[0] is tampered.N_matrix
+        assert det_calls == []
+        with pytest.raises(IndexError):
+            reference_factorization_identity(tampered)
+        with pytest.raises(IndexError):
+            factorization_identity(tampered)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_residual_det_matches_the_dense_determinant_at_points(self, n):
+    def test_y_hankel_determinant_matches_the_dense_determinant_at_points(self, n):
         rng = random.Random(900 + n)
         for k in range(n):
             r = block_reduce(n, k)
             y_hankel = _hankel(r.y_coords[k + 2 :], n - k)
+            y_det = poly_det(y_hankel)
             for _ in range(3):
                 point = random_locus_point(n, k, rng)
                 dense = [[e.eval(point) for e in row] for row in y_hankel]
-                assert r._residual_det.eval(point) == det(dense)
+                assert y_det.eval(point) == det(dense)
 
 
 class TestFactorization:
