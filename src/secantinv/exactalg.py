@@ -209,7 +209,7 @@ class MultiPoly:
         ]
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
             and self.packed == other.packed
@@ -512,6 +512,8 @@ class LocalizedPoly:
         return LocalizedPoly(self.num**exp, self.var, self.power * exp)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LocalizedPoly):
             return NotImplemented
         if self.nvars != other.nvars:

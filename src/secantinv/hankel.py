@@ -24,8 +24,9 @@ carried explicitly as ``BlockReduction.factorization_sign``.
 
 `block_reduce` multiplies only by single terms.  The p-recurrence is a
 unit triangular Toeplitz solve whose off-diagonal entries are the single
-terms x_k^(d-1) x_(k+d), and the numerators of N come from the same
-forward solve, run on the columns of H P.
+terms x_k^(d-1) x_(k+d).  N is not multiplied out: it is written down in
+the block form above, its cells the objects p_s and -p_s, and proved equal
+to P^T H P before `block_reduce` returns it.
 
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     MAX_DEGREE,
@@ -100,10 +101,12 @@ class BlockReduction:
     These claims are checked, not trusted: ``_certified`` says whether P is
     the Toeplitz matrix of p_0 .. p_n and the inverse of the Toeplitz
     matrix of x_k .. x_{k+n}, and whether N is exactly P^T H P
-    (:func:`_change_of_basis_holds`).  It is computed on first use and
-    kept on the instance, so check (d) and the factorization compute it
-    once between them, and `block_reduce` never does.
-    ``dataclasses.replace`` makes a new instance, which computes it again
+    (:func:`_change_of_basis_holds`).  ``_mismatches`` holds the first cell
+    of N that fails each of checks (a)-(c) (:func:`_block_mismatches`).
+    Each is computed on first use and kept on the instance: `block_reduce`
+    computes ``_certified`` and returns only reductions for which it
+    holds, and check (d) and the factorization read both.
+    ``dataclasses.replace`` makes a new instance, which computes them again
     from its own fields.
     """
 
@@ -124,14 +127,29 @@ class BlockReduction:
         :func:`_change_of_basis_holds`."""
         return _change_of_basis_holds(self)
 
+    @cached_property
+    def _mismatches(self) -> Tuple[Optional[Tuple[int, int]], ...]:
+        """The first failing cell of each of checks (a)-(c), by
+        :func:`_block_mismatches`."""
+        return _block_mismatches(self)
+
     def to_obj(self) -> dict:
+        # P and N share the p_s objects: format each object once.
+        text: Dict[int, str] = {}
+
+        def fmt(e: LocalizedPoly) -> str:
+            s = text.get(id(e))
+            if s is None:
+                s = text[id(e)] = e.to_str()
+            return s
+
         return {
             "n": self.n,
             "k": self.k,
-            "p": [p.to_str() for p in self.p_seq],
-            "P": [[e.to_str() for e in row] for row in self.P_matrix],
-            "N": [[e.to_str() for e in row] for row in self.N_matrix],
-            "y": [y.to_str() for y in self.y_coords],
+            "p": [fmt(p) for p in self.p_seq],
+            "P": [[fmt(e) for e in row] for row in self.P_matrix],
+            "N": [[fmt(e) for e in row] for row in self.N_matrix],
+            "y": [fmt(y) for y in self.y_coords],
             "factorization_sign": self.factorization_sign,
         }
 
@@ -144,7 +162,7 @@ def _p_numerators(x: Sequence[int], k: int, count: int) -> List[int]:
 
     the p-recurrence multiplied by x_k^(l+1), run by Horner in x_k.  Only
     the point check uses it: on ints Horner beats the forward solve that
-    `block_reduce` runs on polynomials (:func:`_forward_solve`)."""
+    `block_reduce` runs on polynomials."""
     xk = x[k]
     p = [1]
     for ell in range(1, count):
@@ -155,82 +173,55 @@ def _p_numerators(x: Sequence[int], k: int, count: int) -> List[int]:
     return p
 
 
-#: The packed term map of the constant 1.
-_ONE = {0: 1}
-
-
-def _forward_solve(minus_m: Sequence[Terms], rhs: Sequence[Terms]) -> List[Terms]:
-    """z with M^T z = rhs, M the unit upper-triangular Toeplitz matrix with
-    first row (1, m_1, m_2, ..): z_l = r_l - sum_{d=1..l} m_d z_(l-d).
-    ``minus_m[d]`` is the single term -m_d, so each z_l is one sum of
-    single-term products."""
-    z: List[Terms] = []
-    for ell, r in enumerate(rhs):
-        z.append(
-            _sum_of_products(
-                [(_ONE, r)] + [(minus_m[d], z[ell - d]) for d in range(1, ell + 1)]
-            )
-        )
-    return z
-
-
 def block_reduce(n: int, k: int) -> BlockReduction:
     """Run the reduction of H_n on the locus {x_j = 0 for j < k, x_k != 0}.
 
-    Every denominator is a known power of x_k, so the whole reduction runs
-    on integer-coefficient numerators and each output is localized once:
-    p_l = P_l / x_k^(l+1), and with Q_ij = P_(j-i) and H~_ab = x_k^(a+b) *
-    x_(a+b) (zero for a+b < k), N_ij = N~_ij / x_k^(i+j+2) for N~ = Q^T H~ Q,
-    and y_i = +-P_i / x_k^(i-1).
+    Every denominator is a known power of x_k: p_l = P_l / x_k^(l+1), y_0 =
+    x_k and y_i = +-P_i / x_k^(i-1), each localized once from its integer
+    numerator.  The p-recurrence is the forward solve of a unit triangular
+    Toeplitz system, P_0 = 1, P_l = -sum_(d=1..l) m_d P_(l-d) with the
+    single terms m_d = x_k^(d-1) x_(k+d), so every product is a single
+    term times a polynomial.
 
-    Every product is a single term times a polynomial.  The p-recurrence
-    says M Q = I for M the unit upper-triangular Toeplitz matrix with first
-    row (1, m_1, m_2, ..), m_d = x_k^(d-1) x_(k+d).  So the P_l are the
-    forward solve of M^T z = e_0, and M^T N~ = H~ Q gives each column of N~
-    as the forward solve on that column of H~ Q (:func:`_forward_solve`).
-    H~ Q is built a column at a time by (H~ Q)_(a,j) = (H~ Q)_(a+1,j-1) +
-    h_a P_j with h_s = x_k^s x_s, keeping only the previous column.  N~ is
-    symmetric, so column j is solved down to row j and N~_ij for i > j is
-    read from column i.
+    N = P^T H P is not multiplied out but written in its closed block form:
+    N_ij is 0 for i+j < k and in both off-diagonal blocks, p_(i+j-k) in the
+    top-left block and -p_(i+j-k) in the bottom-right one, its cells the
+    p_s objects and one -p_s object per s.  That form is proved before
+    return: RuntimeError is raised unless the reduction's certificate
+    (:func:`_change_of_basis_holds`) holds.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
-    nvars, size = 2 * n + 1, n + 1
+    nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
 
     def localized(num: Terms, power: int) -> LocalizedPoly:
         return LocalizedPoly(_make(nvars, num), k, power)
 
     x = [MultiPoly.variable(nvars, s) for s in range(nvars)]
-    # Every degree below is at most that of h[2n], which MultiPoly checked.
-    h = [x[s].mul_var_power(k, s).packed if s >= k else {} for s in range(nvars)]
-    minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, 2 * n - k + 1)]
-    q = _forward_solve(minus_m, [_ONE] + [{}] * (2 * n - k))
-    column = h
-    upper = []  # upper[j][i] = N_ij for i <= j
-    for j in range(size):
-        if j:
-            column = [
-                _sum_of_products(((_ONE, column[a + 1]), (h[a], q[j])))
-                for a in range(len(column) - 1)
-            ]
-        solved = _forward_solve(minus_m, column[: j + 1])
-        upper.append([localized(num, i + j + 2) for i, num in enumerate(solved)])
-    n_matrix = tuple(tuple(upper[max(i, j)][min(i, j)] for j in range(size)) for i in range(size))
+    # P_l has degree l, as m_l does, whose degree MultiPoly checked.
+    minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, last + 1)]
+    q = [{0: 1}]
+    for ell in range(1, last + 1):
+        q.append(_sum_of_products((minus_m[d], q[ell - d]) for d in range(1, ell + 1)))
     p = [localized(num, ell + 1) for ell, num in enumerate(q)]
+    minus_p = {s: -p[s] for s in range(k + 2, last + 1)}
     zero = localized({}, 0)
-    p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
+
+    def n_cell(i: int, j: int) -> LocalizedPoly:
+        if i + j < k or (i <= k) != (j <= k):
+            return zero
+        return p[i + j - k] if i <= k else minus_p[i + j - k]
+
     y = [localized(x[k].packed, 0)] + [
         localized(q[i] if i <= k else {key: -c for key, c in q[i].items()}, i - 1)
-        for i in range(1, len(q))
+        for i in range(1, last + 1)
     ]
-    return BlockReduction(
-        n=n,
-        k=k,
-        p_seq=tuple(p),
-        P_matrix=p_matrix,
-        N_matrix=n_matrix,
-        y_coords=tuple(y),
-    )
+    p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
+    n_matrix = tuple(tuple(n_cell(i, j) for j in range(size)) for i in range(size))
+    r = BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
+    if not r._certified:
+        raise RuntimeError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
+    return r
 
 
 def _change_of_basis_holds(r: BlockReduction) -> bool:
@@ -399,13 +390,15 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     triangular, p_0 on its diagonal and p_0 x_k = 1, so det P =
     x_k^(-(n+1)) and det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n.
     The certificate also checks P itself, which checks (a)-(d) never read.
+    Checks (a)-(c) are computed once per reduction and kept, shared with
+    the factorization.
     When it fails, det N and det H_n are expanded in full, so every result
     equals that of the full expansion, on reductions changed by
     ``dataclasses.replace`` too.  (Poles at two variables make the
     expansion raise.)
     """
     n, k = r.n, r.k
-    top, off, bottom = _block_mismatches(r)
+    top, off, bottom = r._mismatches
     det_ok = r._certified or (
         # x_k^2 per column, whatever variable N's poles sit at
         poly_det(r.N_matrix) * LocalizedPoly(MultiPoly.variable(2 * n + 1, k) ** (2 * n + 2), k)
@@ -423,6 +416,22 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         ),
     )
     return VerificationReport(n, k, checks)
+
+
+def _is_xk_squared_times(y: LocalizedPoly, p: LocalizedPoly, sign: int, k: int) -> bool:
+    """Whether y = sign * x_k^2 * p, compared by shifting the keys of p's
+    numerator: no polynomial is built.  Both are normalized, so with p =
+    num / x_k^a that product is num * x_k^(2-a) for a <= 2 and num /
+    x_k^(a-2) otherwise.  A p with a pole away from x_k gives False, and
+    the caller computes in full.  A key shifted past the degree limit has
+    a degree field that no key of y has, so it cannot match."""
+    if y.nvars != p.nvars or (p.power and p.var != k):
+        return False
+    power, shift = max(p.power - 2, 0), max(2 - p.power, 0)
+    if y.power != power or (power and y.var != k):
+        return False
+    step = shift * _var_key(p.nvars, k)
+    return y.num.packed == {key + step: sign * c for key, c in p.num.packed.items()}
 
 
 def factorization_identity(r: BlockReduction) -> bool:
@@ -444,14 +453,13 @@ def factorization_identity(r: BlockReduction) -> bool:
     and x_k^2 p_0 = y_0.  Otherwise both determinants are expanded in full.
     """
     n, k = r.n, r.k
-    y = r.y_coords
-    xk_sq = LocalizedPoly(MultiPoly.variable(2 * n + 1, k) ** 2, k)
+    y, p = r.y_coords, r.p_seq
     if (
         r._certified
-        and _block_mismatches(r) == (None, None, None)
-        and y[0] == xk_sq * r.p_seq[0]
+        and r._mismatches == (None, None, None)
+        and _is_xk_squared_times(y[0], p[0], 1, k)
         # check (c) passed, so p_seq reaches p_{2n-k}
-        and all(y[s] == -(xk_sq * r.p_seq[s]) for s in range(k + 2, 2 * n - k + 1))
+        and all(_is_xk_squared_times(y[s], p[s], -1, k) for s in range(k + 2, 2 * n - k + 1))
     ):
         return True
     rhs = y[0] ** (k + 1) * poly_det(_hankel(y[k + 2 :], n - k))

@@ -2,6 +2,7 @@
 ceilings, a closed stdout pipe, and CLI JSON against each library value's
 own `to_obj()` (or, for strata, the record dict kept here as reference)."""
 
+import hashlib
 import io
 import json
 import os
@@ -319,6 +320,15 @@ class TestSizeCeilings:
         reports = json.loads(text)["reports"]
         assert [r["k"] for r in reports] == list(range(9))
         assert all(r["all_ok"] for r in reports)
+
+    def test_blockreduce_at_its_ceiling_prints_the_pinned_bytes(self):
+        # The goldens stop at small n; this pins the largest reduction's
+        # output, which does not depend on how N is built.
+        code, text = run_cli("blockreduce", "-n", str(cli.BLOCKREDUCE_MAX_N), "-k", "0")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2019e37d5bb0c1f5bbf923b7e437a8d619432200f7d5f1090ce3988e516cf0cd"
+        )
 
     @pytest.mark.parametrize(
         "argv, ceiling",

@@ -395,6 +395,27 @@ class TestLocalizedPoly:
         with pytest.raises(ValueError):
             q.num.mul_var_power(0, -1)
 
+    def test_equality_of_an_object_with_itself_reads_no_terms(self):
+        class Unreadable(dict):
+            def __eq__(self, other):
+                raise AssertionError("terms compared")
+
+            __hash__ = None
+
+        q = LocalizedPoly(p(2, "x1"), 0, 1)
+        q.num = MultiPoly(2)
+        q.num.packed = Unreadable({1: 1})
+        assert q == q and q.num == q.num
+        assert not q != q
+        with pytest.raises(AssertionError):
+            q == LocalizedPoly(p(2, "x1"), 0, 1)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        q = LocalizedPoly(p(2, "x1"), 0, 1)
+        assert q.__eq__(q.num) is NotImplemented
+        assert q.__eq__(1) is NotImplemented
+        assert q != 1 and q != q.num
+
     def test_mixed_localizations_rejected(self):
         a = LocalizedPoly(p(2, "x1"), 0, 1)
         b = LocalizedPoly(p(2, "x0"), 1, 1)

@@ -18,8 +18,10 @@ from secantinv.exactalg import (
     poly_det,
 )
 from secantinv.hankel import (
+    _block_mismatches,
     _change_of_basis_holds,
     _hankel,
+    _is_xk_squared_times,
     _y_at_point,
     block_reduce,
     factorization_identity,
@@ -167,9 +169,24 @@ class TestBlockReduceSmall:
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 4, 6) for k in range(n)])
     def test_every_product_has_a_single_term_operand(self, product_pairs, n, k):
-        block_reduce(n, k)
+        # The whole certified path: the reduction, its certificate and both
+        # symbolic checks, which on an intact reduction expand nothing.
+        r = block_reduce(n, k)
+        assert verify_block_reduction(r).all_ok
+        assert factorization_identity(r)
         assert product_pairs
         assert all(min(len(a), len(b)) <= 1 for a, b in product_pairs)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (6, 5)])
+    def test_the_certificate_is_proved_before_return(self, certificates, n, k):
+        r = block_reduce(n, k)
+        assert certificates == [r]
+        assert vars(r)["_certified"] is True
+
+    def test_a_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(hankel, "_change_of_basis_holds", lambda r: False)
+        with pytest.raises(RuntimeError, match="certificate"):
+            block_reduce(3, 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -265,6 +282,26 @@ class TestLocusDeterminant:
         assert factorization_identity(r)
         assert det_calls == []
         assert certificates == [r]
+
+    @pytest.mark.parametrize("verify_first", [True, False])
+    def test_both_checks_take_checks_a_to_c_once(self, monkeypatch, verify_first):
+        calls = []
+
+        def recording_mismatches(r):
+            calls.append(r)
+            return _block_mismatches(r)
+
+        monkeypatch.setattr(hankel, "_block_mismatches", recording_mismatches)
+        r = block_reduce(4, 2)
+        assert calls == []
+        checks = [lambda: verify_block_reduction(r).all_ok, lambda: factorization_identity(r)]
+        for check in checks if verify_first else checks[::-1]:
+            assert check()
+            assert calls == [r]
+        # A replaced reduction computes its own.
+        tampered = _tampered(r, N={(4, 4): "1"})
+        assert verify_block_reduction(tampered).checks[2].offending_entry == (4, 4)
+        assert calls == [r, tampered]
 
     def test_replaced_y_coordinates_take_the_factorization_in_full(self, det_calls):
         # N is intact, so all four checks pass on the certificate, which
@@ -514,6 +551,27 @@ class TestTamperedReductions:
             reference_determinant_check(tampered)
         with pytest.raises(DimensionError):
             verify_block_reduction(tampered)
+
+    def test_a_y_pole_moved_off_x_k_takes_the_factorization_in_full(self, det_calls):
+        # y_2 = -(x_0 x_2 - x_1^2) / x_0 moved to the same numerator over x_1:
+        # read as numerators alone, y_2 would still be -x_0^2 p_2.
+        r = block_reduce(1, 0)
+        moved = LocalizedPoly(r.y_coords[2].num, 1, r.y_coords[2].power)
+        tampered = dataclasses.replace(r, y_coords=r.y_coords[:2] + (moved,))
+        assert not factorization_identity(tampered)
+        assert not reference_factorization_identity(tampered)
+        assert det_calls
+
+    def test_the_y_relation_compares_more_than_numerators(self):
+        # y = 1/x_0 has the numerator and power that x_0^2 * p would have if
+        # p's pole, at x_1, were at x_0, or if p had y's variable count.
+        one = MultiPoly.const(3, 1)
+        y, p_0 = LocalizedPoly(one, 0, 1), LocalizedPoly(one, 0, 3)
+        assert _is_xk_squared_times(y, p_0, 1, 0)
+        p_1 = LocalizedPoly(one, 1, 3)
+        assert y != LocalizedPoly(p(3, "x0^2"), 0) * p_1
+        assert not _is_xk_squared_times(y, p_1, 1, 0)
+        assert not _is_xk_squared_times(y, LocalizedPoly(MultiPoly.const(5, 1), 0, 3), 1, 0)
 
     def test_too_few_y_coordinates_verify_without_a_determinant(self, det_calls):
         # The four checks read no y, so a reduction short of y_{2n-k}
