@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 internal verification failure, 2 argument errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,9 +29,9 @@ SCHEMA = "1"
 #: argument (one run each at the ceiling on a 2-core VM; medians of 3 for
 #: `verify` and `blockreduce`):
 #: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 0.8 s (peak RSS 30 MB),
-#: `verify -n 14` takes about 0.9 s (peak RSS 22 MB); the ceiling is that of
+#: `verify -n 14` takes about 0.4 s (peak RSS 21 MB); the ceiling is that of
 #: `blockreduce`, whose reductions it checks,
-#: `blockreduce -n 14 -k 0` takes about 0.7 s (peak RSS 32 MB) and writes 3.1 MB,
+#: `blockreduce -n 14 -k 0` takes about 0.3 s (peak RSS 32 MB) and writes 3.1 MB,
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
 #: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
 #: C(2g, j) grow with g),
@@ -277,7 +278,11 @@ def _bounded_int(lo: int, hi: Optional[int]):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing does
+    not change it.  Each subcommand records the name of its handler, which
+    `run` looks up when it dispatches, so the parser binds no function."""
     parser = argparse.ArgumentParser(
         prog="secantinv",
         description=(
@@ -291,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         formats = ("json", "table", "latex") if latex else ("json", "table")
         p.add_argument("--format", choices=formats, default="json")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler.__name__)
         return p
 
     def int_arg(p, flag: str, help_text: str, lo=None, hi=None, required=True) -> None:
@@ -346,7 +351,7 @@ def run(argv: Sequence[str], out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     args.exit_code = 0  # a handler that decides a nonzero code sets it before writing
     try:
-        code = args.handler(args, out if out is not None else sys.stdout)
+        code = globals()[args.handler](args, out if out is not None else sys.stdout)
         if out is None:
             sys.stdout.flush()  # a closed pipe shows up here rather than at exit
     except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error

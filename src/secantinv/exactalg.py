@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Width of one exponent field of a packed monomial key.
 FIELD_BITS = 16
@@ -535,10 +535,13 @@ class LocalizedPoly:
             raise ZeroDivisionError(f"evaluation requires x{self.var} != 0")
         return value / denom
 
-    def to_str(self) -> str:
+    def to_str(self, num_s: Optional[str] = None) -> str:
+        """Text form, "num" or "(num) / x_var^power"; ``num_s`` is the
+        numerator's text when the caller has it already."""
+        if num_s is None:
+            num_s = self.num.to_str()
         if self.power == 0:
-            return self.num.to_str()
-        num_s = self.num.to_str()
+            return num_s
         if len(self.num.packed) > 1:
             num_s = f"({num_s})"
         return f"{num_s} / x{self.var}^{self.power}"

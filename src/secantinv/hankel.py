@@ -26,7 +26,9 @@ carried explicitly as ``BlockReduction.factorization_sign``.
 unit triangular Toeplitz solve whose off-diagonal entries are the single
 terms x_k^(d-1) x_(k+d).  N is not multiplied out: it is written down in
 the block form above, its cells the objects p_s and -p_s, and proved equal
-to P^T H P before `block_reduce` returns it.
+to P^T H P before `block_reduce` returns it.  The proof is "closed form +
+recurrence to 2n-k": N in that block form, P the Toeplitz matrix of p_0 ..
+p_n and the p-recurrence up to index 2n-k imply N = P^T H P.
 
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -51,7 +52,6 @@ from .exactalg import (
     LocalizedPoly,
     MultiPoly,
     Rows,
-    Terms,
     _make,
     _sum_of_products,
     _var_key,
@@ -98,14 +98,15 @@ class BlockReduction:
     p_{j-i}; ``N_matrix`` is the exact product P^T H P; ``y_coords`` are the
     new coordinates y_0 .. y_{2n-k}.
 
-    These claims are checked, not trusted: ``_certified`` says whether P is
-    the Toeplitz matrix of p_0 .. p_n and the inverse of the Toeplitz
-    matrix of x_k .. x_{k+n}, and whether N is exactly P^T H P
-    (:func:`_change_of_basis_holds`).  ``_mismatches`` holds the first cell
-    of N that fails each of checks (a)-(c) (:func:`_block_mismatches`).
-    Each is computed on first use and kept on the instance: `block_reduce`
-    computes ``_certified`` and returns only reductions for which it
-    holds, and check (d) and the factorization read both.
+    These claims are checked, not trusted: ``_mismatches`` holds the first
+    cell of N that fails each of checks (a)-(c) (:func:`_block_mismatches`),
+    and ``_certified`` says whether N = P^T H P by "closed form +
+    recurrence to 2n-k": P is the Toeplitz matrix of p_0 .. p_n, N passes
+    checks (a)-(c) and p_0 .. p_{2n-k} satisfy the p-recurrence
+    (:func:`_change_of_basis_holds`).  Each is computed on first use and
+    kept on the instance: `block_reduce` computes ``_certified``, and with
+    it ``_mismatches``, and returns only reductions for which it holds;
+    check (d) and the factorization read both.
     ``dataclasses.replace`` makes a new instance, which computes them again
     from its own fields.
     """
@@ -134,14 +135,15 @@ class BlockReduction:
         return _block_mismatches(self)
 
     def to_obj(self) -> dict:
-        # P and N share the p_s objects: format each object once.
+        # P and N share the p_s objects, and y_s shares its numerator with
+        # p_s or -p_s: format each numerator once.
         text: Dict[int, str] = {}
 
         def fmt(e: LocalizedPoly) -> str:
-            s = text.get(id(e))
+            s = text.get(id(e.num))
             if s is None:
-                s = text[id(e)] = e.to_str()
-            return s
+                s = text[id(e.num)] = e.num.to_str()
+            return e.to_str(s)
 
         return {
             "n": self.n,
@@ -194,28 +196,26 @@ def block_reduce(n: int, k: int) -> BlockReduction:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
     nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
 
-    def localized(num: Terms, power: int) -> LocalizedPoly:
-        return LocalizedPoly(_make(nvars, num), k, power)
-
     x = [MultiPoly.variable(nvars, s) for s in range(nvars)]
     # P_l has degree l, as m_l does, whose degree MultiPoly checked.
     minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, last + 1)]
     q = [{0: 1}]
     for ell in range(1, last + 1):
         q.append(_sum_of_products((minus_m[d], q[ell - d]) for d in range(1, ell + 1)))
-    p = [localized(num, ell + 1) for ell, num in enumerate(q)]
-    minus_p = {s: -p[s] for s in range(k + 2, last + 1)}
-    zero = localized({}, 0)
+    nums = [_make(nvars, terms) for terms in q]
+    p = [LocalizedPoly(num, k, ell + 1) for ell, num in enumerate(nums)]
+    # The numerators of y_s: x_k, then P_s for s <= k and -P_s, negated
+    # once, for s > k, which -p_s shares.
+    y_nums = [x[k]] + nums[1 : k + 1] + [-num for num in nums[k + 1 :]]
+    y = [LocalizedPoly(num, k, max(s - 1, 0)) for s, num in enumerate(y_nums)]
+    minus_p = {s: LocalizedPoly(y_nums[s], k, s + 1) for s in range(k + 2, last + 1)}
+    zero = LocalizedPoly(MultiPoly.zero(nvars), k)
 
     def n_cell(i: int, j: int) -> LocalizedPoly:
         if i + j < k or (i <= k) != (j <= k):
             return zero
         return p[i + j - k] if i <= k else minus_p[i + j - k]
 
-    y = [localized(x[k].packed, 0)] + [
-        localized(q[i] if i <= k else {key: -c for key, c in q[i].items()}, i - 1)
-        for i in range(1, last + 1)
-    ]
     p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
     n_matrix = tuple(tuple(n_cell(i, j) for j in range(size)) for i in range(size))
     r = BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
@@ -226,46 +226,57 @@ def block_reduce(n: int, k: int) -> BlockReduction:
 
 def _change_of_basis_holds(r: BlockReduction) -> bool:
     """Whether N = P^T H P exactly, for H the restricted H_n and P the upper
-    triangular Toeplitz matrix of p_0 .. p_n, proved without a determinant.
+    triangular Toeplitz matrix of p_0 .. p_n, proved without a determinant
+    from N's closed form and the p-recurrence up to 2n-k.
 
-    ``P_matrix`` must be that P (P_ij = p_(j-i), 0 below the diagonal) and
-    N must be symmetric.  Let T be the upper triangular Toeplitz matrix
-    with T_ij = x_(k+j-i).  Then two identities prove the claim:
+    ``P_matrix`` must be that P (P_ij = p_(j-i), 0 below the diagonal), N
+    must be in its closed block form (checks (a)-(c) of
+    :func:`verify_block_reduction` pass, read from ``r._mismatches``), and
+    p_0 .. p_(2n-k) must satisfy the recurrence
 
-    (i)  P T = I.  P is Toeplitz, so this is the p-recurrence
-         sum_(a<=d) p_a x_(k+d-a) = [d = 0] for d = 0..n;
-    (ii) T^T N = H P, that is, for every cell (i, j),
-         sum_(l<=i) x_(k+i-l) N_lj = sum_(l<=j) x_(i+l) p_(j-l).
+        R_d:  sum_(a<=d) x_(k+d-a) p_a = [d = 0],   d = 0 .. 2n-k.
 
-    By (i) T = P^(-1), so (ii) reads (P^T)^(-1) N = H P, that is N =
-    P^T H P.  Cells with i <= j suffice: with N symmetric, A = T^T N - H P has
-    S = A T = T^T N T - H symmetric, and A = S P.  If A vanishes on and
-    above the diagonal, then by induction on i every row of S vanishes:
-    with rows (so columns) 0..i-1 of S zero, row i of S P vanishes below
-    the diagonal too, as P is upper triangular, and row i of S = A T is 0.
+    Let T be the upper triangular Toeplitz matrix with T_ij = x_(k+j-i).
+    P is Toeplitz, so P T = I is R_0 .. R_n, and T = P^(-1); it remains
+    to show T^T N = H P.  Write S = i+j and F(k, S) = sum_(m=k..S) x_m
+    p_(S-m) = sum_(a=0..S-k) x_(S-a) p_a, the left side of R_(S-k).  With
+    N in closed form and x_m = 0 for m < k in H, cell (i, j) of
+    T^T N - H P is
 
-    Every product is a single term times a numerator, and each identity
-    is one `_sum_of_products` over its products, all brought to the
-    largest power of x_k among them: no localized arithmetic.  The claim
-    is refused, and the callers expand determinants instead, when a shape
-    is wrong, a pole sits away from x_k or a product would pass the
-    packed-key degree limit.
+    * 0 formally when j <= k: both products are sum_(a=0..min(j, S-k))
+      x_(S-a) p_a, from N's top-left block whether i <= k or i > k;
+    * -F(k, S) when i <= k < j: (T^T N)_ij reads only N's off-diagonal
+      block, which is 0, and (H P)_ij = F(k, S);
+    * -F(k, S) when i > k and j > k: (T^T N)_ij = -sum_(a=j+1..S-k)
+      x_(S-a) p_a from the bottom-right block, and (H P)_ij = sum_(a=0..j)
+      x_(S-a) p_a.
+
+    In the last two cases S > k, and R_(S-k) says exactly that F(k, S) =
+    [S = k] = 0.  So T^T N = H P, that is (P^T)^(-1) N = H P, and N =
+    P^T H P.
+
+    Every product of the recurrence is a single term times a numerator,
+    and each R_d is one `_sum_of_products` over its products, all brought
+    to the largest power of x_k among them: no localized arithmetic.  The
+    claim is refused, and the callers expand determinants instead, when a
+    shape is wrong, p stops short of p_(2n-k), N is not in closed form, a
+    pole sits away from x_k or a product would pass the packed-key degree
+    limit.
     """
     n, k = r.n, r.k
-    nvars, size = 2 * n + 1, n + 1
-    p, P, N = r.p_seq[:size], r.P_matrix, r.N_matrix
-    if len(p) < size or (len(P), len(N)) != (size, size) or any(len(row) != size for row in P + N):
+    nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
+    p, P, N = r.p_seq[: last + 1], r.P_matrix, r.N_matrix
+    if len(p) <= last or (len(P), len(N)) != (size, size) or any(len(row) != size for row in P + N):
         return False
     zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
     if any(P[i][j] != (p[j - i] if j >= i else zero) for i in range(size) for j in range(size)):
         return False
-    if any(N[i][j] != N[j][i] for i in range(size) for j in range(i)):
+    if r._mismatches != (None, None, None):
         return False
-    values = p + tuple(e for row in N for e in row)
-    if any(v.nvars != nvars or (v.power and v.var != k) for v in values):
+    if any(v.nvars != nvars or (v.power and v.var != k) for v in p):
         return False
-    top = max(v.power for v in values)
-    if max(v.num.total_degree() for v in values) + top + 1 > MAX_DEGREE:
+    top = max(v.power for v in p)
+    if max(v.num.total_degree() for v in p) + top + 1 > MAX_DEGREE:
         return False
     xk = _var_key(nvars, k)
     x = [_var_key(nvars, s) for s in range(nvars)]
@@ -279,17 +290,10 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
             ({key + (m - v.power) * xk: c}, v.num.packed) for key, c, v in products
         )
 
-    recurrence = (  # (i), with the constant -1 at d = 0
-        [(x[k + d - a], 1, p[a]) for a in range(d + 1)] + [(0, -1, one)] * (d == 0)
-        for d in range(size)
+    return all(
+        vanishes([(x[k + d - a], 1, p[a]) for a in range(d + 1)] + [(0, -1, one)] * (d == 0))
+        for d in range(last + 1)
     )
-    cells = (  # (ii) on and above the diagonal; x_(i+l) = 0 for i+l < k
-        [(x[k + i - l], 1, N[l][j]) for l in range(i + 1)]
-        + [(x[i + l], -1, p[j - l]) for l in range(max(k - i, 0), j + 1)]
-        for j in range(size)
-        for i in range(j + 1)
-    )
-    return all(map(vanishes, chain(recurrence, cells)))
 
 
 @dataclass(frozen=True)
@@ -386,13 +390,15 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
 
     Check (d) holds whenever the reduction's certificate does
     (:func:`_change_of_basis_holds`, computed once and shared with
-    :func:`factorization_identity`): it proves N = P^T H P with P upper
+    :func:`factorization_identity`): from "closed form + recurrence to
+    2n-k", that is checks (a)-(c), P the Toeplitz matrix of p_0 .. p_n and
+    the p-recurrence up to index 2n-k, it proves N = P^T H P with P upper
     triangular, p_0 on its diagonal and p_0 x_k = 1, so det P =
     x_k^(-(n+1)) and det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n.
     The certificate also checks P itself, which checks (a)-(d) never read.
-    Checks (a)-(c) are computed once per reduction and kept, shared with
-    the factorization.
-    When it fails, det N and det H_n are expanded in full, so every result
+    Checks (a)-(c) are computed once per reduction, by the certificate,
+    and kept, shared with the factorization.
+    When the certificate fails, det N and det H_n are expanded in full, so every result
     equals that of the full expansion, on reductions changed by
     ``dataclasses.replace`` too.  (Poles at two variables make the
     expansion raise.)
@@ -440,9 +446,9 @@ def factorization_identity(r: BlockReduction) -> bool:
     det H_n = sign * y_0^(k+1) * det H_{n-k-1}(y_{k+2}..),
 
     with sign = r.factorization_sign.  It holds without a determinant when
-    the reduction's certificate does (see :func:`verify_block_reduction`),
-    checks (a)-(c) pass, y_0 = x_k^2 p_0 and y_s = -x_k^2 p_s for s in
-    k+2..2n-k.  Then det H_n = x_k^(2(n+1)) det N; N is block diagonal,
+    the reduction's certificate does (see :func:`verify_block_reduction`;
+    it includes checks (a)-(c)), y_0 = x_k^2 p_0 and y_s = -x_k^2 p_s for
+    s in k+2..2n-k.  Then det H_n = x_k^(2(n+1)) det N; N is block diagonal,
     its top-left block is antitriangular with p_0 on the antidiagonal, of
     determinant sign * p_0^(k+1), and its bottom-right block is x_k^(-2)
     times the y-Hankel, so
@@ -456,9 +462,8 @@ def factorization_identity(r: BlockReduction) -> bool:
     y, p = r.y_coords, r.p_seq
     if (
         r._certified
-        and r._mismatches == (None, None, None)
         and _is_xk_squared_times(y[0], p[0], 1, k)
-        # check (c) passed, so p_seq reaches p_{2n-k}
+        # the certificate holds, so p_seq reaches p_{2n-k}
         and all(_is_xk_squared_times(y[s], p[s], -1, k) for s in range(k + 2, 2 * n - k + 1))
     ):
         return True

@@ -2,6 +2,7 @@
 ceilings, a closed stdout pipe, and CLI JSON against each library value's
 own `to_obj()` (or, for strata, the record dict kept here as reference)."""
 
+import gc
 import hashlib
 import io
 import json
@@ -395,6 +396,9 @@ class TestFailureExitCodes:
         def crash(args, out):
             raise RuntimeError("boom")
 
+        # The parser is built before the patch: the handler is looked up
+        # by name when the command runs, not bound when the parser is built.
+        assert run_cli("nearby", "-n", "2")[0] == 0
         monkeypatch.setattr(cli, "_cmd_nearby", crash)
         code, _ = run_cli("nearby", "-n", "2")
         assert code == 3
@@ -497,120 +501,20 @@ class TestFailureExitCodes:
         assert capsys.readouterr().err.startswith("secantinv: error: ")
 
 
-class TestStrataStreaming:
-    """`strata` and `monodromy` write their JSON one record at a time
-    instead of building the document; the bytes must stay those of
-    json.dumps(..., sort_keys=True)."""
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_json_bytes_equal_the_dumped_reference(self, n):
-        assert run_cli("strata", "-n", str(n)) == (0, strata_json_reference(n))
-
-    @staticmethod
-    def traced_run(*argv):
-        """(exit code, characters written, tracemalloc peak) of one run."""
-
-        class Sink:
-            written = 0
-
-            def write(self, text):
-                self.written += len(text)
-
-        sink = Sink()
-        tracemalloc.start()
+class TestCachedParser:
+    def test_a_second_run_leaves_no_cyclic_garbage(self):
+        # The parser is built on the first run and kept; a parser built per
+        # run left about 400 objects that only the cyclic collector frees.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            code = cli.run(list(argv), sink)
-            peak = tracemalloc.get_traced_memory()[1]
+            assert run_cli("verify", "-n", "2")[0] == 0
+            gc.collect()
+            assert run_cli("verify", "-n", "2")[0] == 0
+            assert gc.collect() == 0
         finally:
-            tracemalloc.stop()
-        return code, sink.written, peak
-
-    def test_peak_memory_stays_far_below_the_document(self):
-        code, written, peak = self.traced_run("strata", "-n", "12")
-        assert (code, written) == (0, len(strata_json_reference(12)))
-        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-    @pytest.mark.parametrize("n", [1, 4, 11, 12, 997])
-    def test_monodromy_json_bytes_equal_the_dumped_reference(self, n):
-        assert run_cli("monodromy", "-n", str(n)) == (0, monodromy_json_reference(n))
-
-    def test_monodromy_peak_memory_stays_below_its_per_record_dicts(self):
-        # The document built as per-entry dicts peaks near 9 MiB here (0.7 MB
-        # of JSON); the eigentable list alone stays near 2 MiB.
-        code, written, peak = self.traced_run("monodromy", "-n", "9999")
-        assert (code, written) == (0, len(monodromy_json_reference(9999)))
-        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("ok, expected", [(False, 1), (True, 0)], ids=["failed", "passed"])
-    def test_verdict_survives_a_closed_stdout_in_a_process(self, ok, expected, unbuffered):
-        # The child waits on stdin inside the verification until the reader
-        # has closed its stdout, so every write meets the closed pipe.
-        child = (
-            "import sys\n"
-            "from secantinv import cli, hankel\n"
-            "def verdict(reduction):\n"
-            "    sys.stdin.read(1)\n"
-            f"    checks = (hankel.CheckResult('determinant', {ok}),)\n"
-            "    return hankel.VerificationReport(reduction.n, reduction.k, checks)\n"
-            "hankel.verify_block_reduction = verdict\n"
-            "cli.main()\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", child, "verify", "-n", "2"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        try:
-            proc.stdout.close()
-            proc.stdin.close()
-            err = proc.stderr.read()
-            code = proc.wait(timeout=60)
-        finally:
-            proc.kill()
-            proc.stderr.close()
-        assert (code, err) == (expected, b"")
-
-    @pytest.mark.parametrize(
-        "module, name, argv",
-        [
-            pytest.param(cli.hodge, "milnor_hodge_closed", ("hodge", "-n", "2"), id="hodge"),
-            pytest.param(cli.hankel, "block_reduce", ("blockreduce", "-n", "2", "-k", "0"), id="blockreduce"),
-        ],
-    )
-    def test_internal_value_error_exits_3(self, monkeypatch, capsys, module, name, argv):
-        def broken(*args):
-            raise ValueError("broken invariant")
-
-        monkeypatch.setattr(module, name, broken)
-        code, text = run_cli(*argv)
-        assert code == 3
-        assert text == ""
-        assert "internal error: ValueError: broken invariant" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("hodge", "-n", "5", "-d", "4"),
-            ("hodge", "-n", "5", "-d", "0"),
-            ("hodge", "-n", "5", "-d", "-3"),
-            ("hodge", "-n", "5", "-d", "4", "--gbundle"),
-            ("blockreduce", "-n", "2", "-k", "2"),
-            ("blockreduce", "-n", "2", "-k", "-1"),
-        ],
-        ids=" ".join,
-    )
-    def test_bad_dependent_argument_exits_2_without_computing(self, no_computation, capsys, argv):
-        code, text = run_cli(*argv)
-        assert code == 2
-        assert text == ""
-        assert capsys.readouterr().err.startswith("secantinv: error: ")
+            if enabled:
+                gc.enable()
 
 
 class TestStrataStreaming:

@@ -292,8 +292,9 @@ class TestLocusDeterminant:
             return _block_mismatches(r)
 
         monkeypatch.setattr(hankel, "_block_mismatches", recording_mismatches)
+        # The certificate reads checks (a)-(c), so block_reduce computes them.
         r = block_reduce(4, 2)
-        assert calls == []
+        assert calls == [r]
         checks = [lambda: verify_block_reduction(r).all_ok, lambda: factorization_identity(r)]
         for check in checks if verify_first else checks[::-1]:
             assert check()
@@ -337,12 +338,14 @@ def _tampers(n, k):
     arguments of :func:`_tampered`, and the structural checks the change
     must fail.  One off-diagonal entry leaves N block triangular and det N
     unchanged, the mirrored pair does not; "compensated_pair" also changes
-    N_nn so that every diagonal cell of the certificate's T^T N = H P
-    still holds; "bottom_right_and_y" keeps N's bottom-right block equal to
-    x_k^-2 times the y-Hankel; "below_the_diagonal" leaves every cell on
+    N_nn so that every diagonal cell of T^T N = H P still holds;
+    "bottom_right_and_y" keeps N's bottom-right block equal to x_k^-2
+    times the y-Hankel; "below_the_diagonal" leaves every cell on
     and above N's diagonal intact; "p_1_and_P" keeps P the Toeplitz matrix
     of p_0 .. p_n, off the recurrence; "p_tail_and_y" keeps y_s = -x_k^2
-    p_s; "scaled" doubles p, P and N, which keeps T^T N = H P."""
+    p_s; "p_tail_and_N" keeps N in its closed form, so that of the
+    certificate only the recurrence row R_(2n-k) fails; "scaled" doubles
+    p, P and N, which keeps T^T N = H P."""
     last = 2 * n - k
     below = "bottom_right" if n - 1 > k else "off_diagonal"
     return {
@@ -363,6 +366,7 @@ def _tampers(n, k):
         "p_0": (dict(p={0: "1"}), ["top_left"]),
         "p_tail": (dict(p={last: f"x{n}"}), ["bottom_right"]),
         "p_tail_and_y": (dict(p={last: f"x{n}"}, y={last: f"-x{k}^2*x{n}"}), ["bottom_right"]),
+        "p_tail_and_N": (dict(p={last: f"x{n}"}, N={(n, n): f"-x{n}"}), []),
         "P_only": (dict(P={(0, n): f"x{n}"}), []),
         "p_1_and_P": (
             dict(p={1: "1"}, P={(i, i + 1): "1" for i in range(n)}),
@@ -425,14 +429,17 @@ class TestCertificate:
                 assert not _change_of_basis_holds(_tampered(block_reduce(n, k), **changes)), kind
 
     def test_a_product_past_the_degree_limit_is_refused(self):
-        # A term of x_1 in N's corner, of the largest degree its entry can
-        # hold, keeps N symmetric, but its products with x_k and x_(k+i)
-        # would carry out of the exponent field: the certificate refuses,
-        # and check (d) raises as the full expansion does.
+        # A term of x_1 in p_4 and, negated, in N's corner, of the largest
+        # degree the entry can hold, keeps N in closed form, but its
+        # products in the recurrence row R_4 would carry out of the
+        # exponent field: the certificate refuses, and check (d) raises as
+        # the full expansion does.
         r = block_reduce(2, 0)
-        power = r.N_matrix[2][2].power
-        r = _tampered(r, N={(2, 2): f"x1^{MAX_DEGREE - power}"})
+        power = r.p_seq[4].power
+        term = f"x1^{MAX_DEGREE - power}"
+        r = _tampered(r, p={4: term}, N={(2, 2): f"-{term}"})
         assert r.N_matrix[2][2].num.total_degree() == MAX_DEGREE
+        assert r._mismatches == (None, None, None)
         assert not _change_of_basis_holds(r)
         with pytest.raises(OverflowError):
             reference_determinant_check(r)
