@@ -20,9 +20,7 @@ Representation conventions:
   the products of pairs of term maps into a single dict.  ``MultiPoly``
   multiplication, the cofactor determinant and the block reduction's
   triangular solves and certificate in ``hankel`` (whose every pair has a
-  single-term operand) all call it.  The one exception is a ``MultiPoly``
-  product with a single-term operand, a shift of the other operand's keys
-  and a scaling of its coefficients in one comprehension.
+  single-term operand) all call it.
 * Coefficients are ``int``, and ``Fraction`` only where a division makes
   them non-integral; an integral Fraction is stored as its ``int``.
 * At the public boundary a monomial is its dense exponent tuple
@@ -238,12 +236,7 @@ class MultiPoly:
         return _make(self.nvars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_arity(other)
-        out = dict(self.packed)
-        get = out.get
-        for k, c in other.packed.items():
-            out[k] = get(k, 0) - c
-        return _make(self.nvars, _clean(out))
+        return self + -other
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
@@ -251,18 +244,6 @@ class MultiPoly:
         if not a or not b:
             return _make(self.nvars, {})
         _check_degree(key_degree(max(a) + max(b), self.nvars))
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:  # a monomial times b: shift b's keys, scale its coefficients
-            ((k1, c1),) = a.items()
-            return _make(
-                self.nvars,
-                {
-                    k1 + k: v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
-                    for k, c in b.items()
-                    for v in (c1 * c,)
-                },
-            )
         return _make(self.nvars, _sum_of_products([(a, b)]))
 
     def scale(self, value) -> "MultiPoly":
@@ -557,19 +538,15 @@ Rows = Tuple[Tuple[LocalizedPoly, ...], ...]
 # -- determinants -----------------------------------------------------------
 
 
-def _det_cofactor(mat: List[List[Terms]]) -> Terms:
-    """Determinant of a matrix of packed terms by cofactor expansion along
-    the rows in order, memoizing the minor on each set of remaining columns."""
-    return _minor(mat, {(): {0: 1}}, tuple(range(len(mat))))
-
-
 def _minor(
     mat: List[List[Terms]], memo: Dict[Tuple[int, ...], Terms], cols: Tuple[int, ...]
 ) -> Terms:
-    """The minor of the last len(cols) rows on the columns ``cols``.  A
-    function of its own, not a closure: a recursive closure is a reference
-    cycle, which would keep every memoized minor alive until the cyclic
-    garbage collector runs."""
+    """The minor of the last len(cols) rows of a matrix of packed terms on
+    the columns ``cols``, by cofactor expansion along the rows in order,
+    memoizing the minor on each set of remaining columns.  A function of
+    its own, not a closure: a recursive closure is a reference cycle, which
+    would keep every memoized minor alive until the cyclic garbage
+    collector runs."""
     cached = memo.get(cols)
     if cached is not None:
         return cached
@@ -617,7 +594,8 @@ def poly_det(m: Rows) -> LocalizedPoly:
     # built over the lightest ones; the stable sort keeps equal rows in order.
     weight = [sum(len(p.packed) for p in row) for row in cleared]
     order = sorted(range(size), key=lambda i: -weight[i])
-    det = _det_cofactor([[p.packed for p in cleared[i]] for i in order])
+    rows = [[p.packed for p in cleared[i]] for i in order]
+    det = _minor(rows, {(): {0: 1}}, tuple(range(size)))
     inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
     if inversions % 2:
         det = {k: -c for k, c in det.items()}

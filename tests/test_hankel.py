@@ -1,6 +1,8 @@
 """Hankel matrices and the block-reduction coordinate change."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -428,23 +430,40 @@ class TestCertificate:
             if {"N", "P", "scale"} & set(changes) or any(i <= n for i in changes.get("p", {})):
                 assert not _change_of_basis_holds(_tampered(block_reduce(n, k), **changes)), kind
 
-    def test_a_product_past_the_degree_limit_is_refused(self):
+    def test_a_product_past_the_degree_limit_is_refused(self, product_pairs):
         # A term of x_1 in p_4 and, negated, in N's corner, of the largest
         # degree the entry can hold, keeps N in closed form, but its
         # products in the recurrence row R_4 would carry out of the
-        # exponent field: the certificate refuses, and check (d) raises as
-        # the full expansion does.
+        # exponent field: the degree guard refuses before any product is
+        # formed, and check (d) raises as the full expansion does.
         r = block_reduce(2, 0)
         power = r.p_seq[4].power
         term = f"x1^{MAX_DEGREE - power}"
         r = _tampered(r, p={4: term}, N={(2, 2): f"-{term}"})
+        product_pairs.clear()
         assert r.N_matrix[2][2].num.total_degree() == MAX_DEGREE
         assert r._mismatches == (None, None, None)
         assert not _change_of_basis_holds(r)
+        assert product_pairs == []
         with pytest.raises(OverflowError):
             reference_determinant_check(r)
         with pytest.raises(OverflowError):
             verify_block_reduction(r)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 3), (5, 2)])
+    def test_copies_and_pickles_keep_the_cached_verdicts(self, n, k):
+        # The cached certificate and checks (a)-(c) are plain data on the
+        # instance, so a deep copy or a pickle round trip carries them over
+        # and gives the same report, factorization verdict and output.
+        r = block_reduce(n, k)
+        report = verify_block_reduction(r).to_obj()
+        factored = factorization_identity(r)
+        for clone in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert clone == r
+            assert vars(clone)["_certified"] is True
+            assert verify_block_reduction(clone).to_obj() == report
+            assert factorization_identity(clone) == factored
+            assert clone.to_obj() == r.to_obj()
 
 
 class TestTamperedReductions:

@@ -157,8 +157,9 @@ monomials = st.tuples(exponents, coefficients.filter(bool)).map(lambda ec: {ec[0
 
 
 class TestSingleTermProduct:
-    """A product with a single-term operand shifts the other operand's keys
-    instead of running the kernel; it must give what the kernel gives."""
+    """A product with a single-term operand runs the one kernel like any
+    other product: it must give what the kernel gives, in both orders,
+    store integral coefficients as ints and keep the degree check."""
 
     @SETTINGS
     @given(monomials, ref_polys)
