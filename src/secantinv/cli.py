@@ -240,7 +240,11 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     else:
         return _usage_error(f"-k must be in 0..{n - 1}")
 
-    reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
+    try:
+        reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
+    except hankel.CertificateError as exc:
+        print(f"secantinv: verification failed: {exc}", file=sys.stderr)
+        return 1
 
     all_ok = all(r.all_ok for r in reports)
     # The verdict is set before the first write: a reader that closes stdout

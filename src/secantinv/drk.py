@@ -85,8 +85,8 @@ from .exactalg import (
     MultiPoly,
     _clean,
     _make,
+    _var_key,
     key_degree,
-    pack,
     poly_det,
     unpack,
 )
@@ -264,9 +264,7 @@ def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[di
     indices with the monomial 1 and that of its monomial with no indices,
     which is linear in the packed key."""
     nvars = f.nvars
-    var_keys = [
-        _column_key((), pack([int(i == j) for i in range(nvars)]), nvars) for j in range(nvars)
-    ]
+    var_keys = [_column_key((), _var_key(nvars, j), nvars) for j in range(nvars)]
     partials = [
         {_column_key((), k, nvars): c for k, c in f.derivative(j).packed.items()}
         for j in range(nvars)

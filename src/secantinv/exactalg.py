@@ -46,6 +46,7 @@ function.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -538,47 +539,11 @@ Rows = Tuple[Tuple[LocalizedPoly, ...], ...]
 # -- determinants -----------------------------------------------------------
 
 
-def _minor(
-    mat: List[List[Terms]], memo: Dict[Tuple[int, ...], Terms], cols: Tuple[int, ...]
-) -> Terms:
-    """The minor of the last len(cols) rows of a matrix of packed terms on
-    the columns ``cols``, by cofactor expansion along the rows in order,
-    memoizing the minor on each set of remaining columns.  A function of
-    its own, not a closure: a recursive closure is a reference cycle, which
-    would keep every memoized minor alive until the cyclic garbage
-    collector runs."""
-    cached = memo.get(cols)
-    if cached is not None:
-        return cached
-    row = mat[len(mat) - len(cols)]
-    acc = _sum_of_products(
-        (
-            {k: -v for k, v in row[c].items()} if pos % 2 else row[c],
-            _minor(mat, memo, cols[:pos] + cols[pos + 1 :]),
-        )
-        for pos, c in enumerate(cols)
-        if row[c]
-    )
-    memo[cols] = acc
-    return acc
-
-
-def _clear_denominators(m: Rows) -> Tuple[List[List[MultiPoly]], int, int]:
-    """Rescale rows to polynomial entries; returns (matrix, var, total power)."""
-    var = _pole_var((e for row in m for e in row), 0)
-    total = 0
-    cleared: List[List[MultiPoly]] = []
-    for row in m:
-        row_pow = max(e.power for e in row)
-        total += row_pow
-        cleared.append([e.num.mul_var_power(var, row_pow - e.power) for e in row])
-    return cleared, var, total
-
-
 def poly_det(m: Rows) -> LocalizedPoly:
     """Exact determinant of a square matrix of localized polynomials, given
-    as its rows, by memoized cofactor expansion after clearing each row's
-    denominator."""
+    as its rows, by cofactor expansion after clearing each row's
+    denominator, level by level: level s maps each s-subset of columns to
+    the minor of the last s rows on them, and only level s - 1 is kept."""
     size = len(m)
     if size == 0:
         raise DimensionError("determinant of an empty matrix")
@@ -587,16 +552,31 @@ def poly_det(m: Rows) -> LocalizedPoly:
     nvars = m[0][0].nvars
     if any(e.nvars != nvars for row in m for e in row):
         raise DimensionError("determinant of entries with different variable counts")
-    cleared, var, total = _clear_denominators(m)
+    # Scale each row by its own largest pole; the determinant keeps their sum.
+    var = _pole_var((e for row in m for e in row), 0)
+    tops = [max(e.power for e in row) for row in m]
+    cleared = [[e.num.mul_var_power(var, top - e.power) for e in row] for row, top in zip(m, tops)]
     # Every term of a minor has degree at most the sum of its rows' degrees.
     _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
-    # Expand the heaviest rows (most terms) first, so the memoized minors are
-    # built over the lightest ones; the stable sort keeps equal rows in order.
+    # Expand the heaviest rows (most terms) first, so the many small minors
+    # are built over the lightest ones; the stable sort keeps equal rows in order.
     weight = [sum(len(p.packed) for p in row) for row in cleared]
     order = sorted(range(size), key=lambda i: -weight[i])
     rows = [[p.packed for p in cleared[i]] for i in order]
-    det = _minor(rows, {(): {0: 1}}, tuple(range(size)))
+    level: Dict[Tuple[int, ...], Terms] = {(): {0: 1}}
+    for s in range(1, size + 1):
+        row = rows[size - s]
+        negated = [{k: -v for k, v in e.items()} for e in row]
+        level = {
+            cols: _sum_of_products(
+                (negated[c] if pos % 2 else row[c], level[cols[:pos] + cols[pos + 1 :]])
+                for pos, c in enumerate(cols)
+                if row[c]
+            )
+            for cols in combinations(range(size), s)
+        }
+    det = level[tuple(range(size))]
     inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
     if inversions % 2:
         det = {k: -c for k, c in det.items()}
-    return LocalizedPoly(_make(nvars, det), var, total)
+    return LocalizedPoly(_make(nvars, det), var, sum(tops))

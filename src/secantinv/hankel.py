@@ -60,6 +60,10 @@ from .exactalg import (
 from .linalg import det
 
 
+class CertificateError(RuntimeError):
+    """A block reduction failed its certificate, N = P^T H P."""
+
+
 def _hankel(seq: Sequence, size: int) -> tuple:
     """The size x size Hankel matrix with entry (i, j) = seq[i + j], as rows."""
     return tuple(tuple(seq[i + j] for j in range(size)) for i in range(size))
@@ -105,7 +109,7 @@ class BlockReduction:
     checks (a)-(c) and p_0 .. p_{2n-k} satisfy the p-recurrence
     (:func:`_change_of_basis_holds`).  Each is computed on first use and
     kept on the instance: `block_reduce` computes ``_certified``, and with
-    it ``_mismatches``, and returns only reductions for which it holds;
+    it ``_mismatches``, and raises CertificateError unless it holds;
     check (d) and the factorization read both.
     ``dataclasses.replace`` makes a new instance, which computes them again
     from its own fields.
@@ -189,7 +193,7 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     N_ij is 0 for i+j < k and in both off-diagonal blocks, p_(i+j-k) in the
     top-left block and -p_(i+j-k) in the bottom-right one, its cells the
     p_s objects and one -p_s object per s.  That form is proved before
-    return: RuntimeError is raised unless the reduction's certificate
+    return: CertificateError is raised unless the reduction's certificate
     (:func:`_change_of_basis_holds`) holds.
     """
     if not 0 <= k <= n - 1:
@@ -220,7 +224,7 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     n_matrix = tuple(tuple(n_cell(i, j) for j in range(size)) for i in range(size))
     r = BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
     if not r._certified:
-        raise RuntimeError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
+        raise CertificateError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
     return r
 
 

@@ -415,6 +415,13 @@ class TestFailureExitCodes:
         assert code == 1
         assert text == "n=2 k=0: FAIL determinant\nn=2 k=1: FAIL determinant\n"
 
+    def test_a_failed_certificate_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.hankel, "_change_of_basis_holds", lambda r: False)
+        assert run_cli("verify", "-n", "2") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("secantinv: verification failed: ")
+        assert "certificate" in err
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("ok, expected", [(False, 1), (True, 0)], ids=["failed", "passed"])
     def test_verdict_survives_a_closed_reader(self, monkeypatch, fmt, ok, expected):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,18 @@ class TestPolyDet:
         m = ((a, a), (b, b))
         with pytest.raises(DimensionError):
             poly_det(m)
+
+    def test_peak_memory_holds_two_levels_of_minors(self):
+        # Keeping every minor until the end peaked near 615 kB here; two
+        # adjacent levels of minors stay near 365 kB.
+        m = hankel_matrix(6)
+        tracemalloc.start()
+        try:
+            poly_det(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 480_000, f"peak {peak / 1000:.0f} kB"
 
 
 def row_weights(m):
