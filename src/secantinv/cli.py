@@ -240,12 +240,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     else:
         return _usage_error(f"-k must be in 0..{n - 1}")
 
-    try:
-        reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
-    except hankel.CertificateError as exc:
-        print(f"secantinv: verification failed: {exc}", file=sys.stderr)
-        return 1
-
+    reports = [hankel.verify_block_reduction(hankel.block_reduce(n, k)) for k in ks]
     all_ok = all(r.all_ok for r in reports)
     # The verdict is set before the first write: a reader that closes stdout
     # early must not turn a failed verification into exit 0.
@@ -363,6 +358,9 @@ def run(argv: Sequence[str], out=None) -> int:
         if out is None:  # Python flushes stdout again at exit; send that flush nowhere
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except hankel.CertificateError as exc:  # block_reduce refused its reduction
+        print(f"secantinv: verification failed: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"secantinv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

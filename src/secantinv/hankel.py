@@ -33,10 +33,10 @@ p_n and the p-recurrence up to index 2n-k imply N = P^T H P.
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
 random rational points by `factorization_identity_at_point`.  Neither
-symbolic check expands a determinant of an intact reduction: both rest on
-one certificate, that N is the exact product P^T H P (see
-:func:`_change_of_basis_holds`), and expand det N, det H_n and the y-Hankel
-determinant in full only when it fails.
+symbolic check expands a determinant: both rest on one certificate, that
+N is the exact product P^T H P (see :func:`_change_of_basis_holds`).  A
+reduction is certified or refused: where the certificate fails, check (d)
+and the factorization fail with it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .exactalg import (
     _make,
     _sum_of_products,
     _var_key,
-    poly_det,
 )
 from .linalg import det
 
@@ -74,17 +73,8 @@ def hankel_matrix(n: int) -> Rows:
     (i, j) = x_{i+j}."""
     if n < 0:
         raise ValueError("Hankel size parameter must be nonnegative")
-    return restricted_hankel(n, 0)
-
-
-def restricted_hankel(n: int, k: int) -> Rows:
-    """H_n with x_j = 0 substituted for j < k, localized at x_k."""
     nvars = 2 * n + 1
-    x = [
-        LocalizedPoly(MultiPoly.zero(nvars) if j < k else MultiPoly.variable(nvars, j), k, 0)
-        for j in range(nvars)
-    ]
-    return _hankel(x, n + 1)
+    return _hankel([LocalizedPoly(MultiPoly.variable(nvars, j), 0) for j in range(nvars)], n + 1)
 
 
 def _factorization_sign(k: int) -> int:
@@ -110,7 +100,8 @@ class BlockReduction:
     (:func:`_change_of_basis_holds`).  Each is computed on first use and
     kept on the instance: `block_reduce` computes ``_certified``, and with
     it ``_mismatches``, and raises CertificateError unless it holds;
-    check (d) and the factorization read both.
+    check (d) and the factorization read both.  A reduction is certified
+    or refused: neither check has another way to pass.
     ``dataclasses.replace`` makes a new instance, which computes them again
     from its own fields.
     """
@@ -262,10 +253,10 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
     Every product of the recurrence is a single term times a numerator,
     and each R_d is one `_sum_of_products` over its products, all brought
     to the largest power of x_k among them: no localized arithmetic.  The
-    claim is refused, and the callers expand determinants instead, when a
-    shape is wrong, p stops short of p_(2n-k), N is not in closed form, a
-    pole sits away from x_k or a product would pass the packed-key degree
-    limit.
+    claim is refused when a shape is wrong, p stops short of p_(2n-k), N
+    is not in closed form, a pole sits away from x_k or a product would
+    pass the packed-key degree limit.  Certified or refused: check (d) and
+    the factorization then fail, whatever the determinants would say.
     """
     n, k = r.n, r.k
     nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
@@ -399,42 +390,36 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     the p-recurrence up to index 2n-k, it proves N = P^T H P with P upper
     triangular, p_0 on its diagonal and p_0 x_k = 1, so det P =
     x_k^(-(n+1)) and det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n.
-    The certificate also checks P itself, which checks (a)-(d) never read.
+    The certificate also checks P itself, which checks (a)-(c) never read.
     Checks (a)-(c) are computed once per reduction, by the certificate,
     and kept, shared with the factorization.
-    When the certificate fails, det N and det H_n are expanded in full, so every result
-    equals that of the full expansion, on reductions changed by
-    ``dataclasses.replace`` too.  (Poles at two variables make the
-    expansion raise.)
+    Certified or refused: check (d) is the certificate, so on a reduction
+    changed by ``dataclasses.replace`` that fails it, check (d) fails, even
+    where det N would still agree.  No determinant is taken.
     """
-    n, k = r.n, r.k
     top, off, bottom = r._mismatches
-    det_ok = r._certified or (
-        # x_k^2 per column, whatever variable N's poles sit at
-        poly_det(r.N_matrix) * LocalizedPoly(MultiPoly.variable(2 * n + 1, k) ** (2 * n + 2), k)
-        == poly_det(restricted_hankel(n, k))
-    )
+    certified = r._certified
     checks = (
         CheckResult("top_left", top is None, top),
         CheckResult("off_diagonal", off is None, off),
         CheckResult("bottom_right", bottom is None, bottom),
         CheckResult(
             "determinant",
-            det_ok,
+            certified,
             None,
-            "" if det_ok else "det(p_0^-2 N) != det H_n on the locus",
+            "" if certified else "N = P^T H P is not certified",
         ),
     )
-    return VerificationReport(n, k, checks)
+    return VerificationReport(r.n, r.k, checks)
 
 
 def _is_xk_squared_times(y: LocalizedPoly, p: LocalizedPoly, sign: int, k: int) -> bool:
     """Whether y = sign * x_k^2 * p, compared by shifting the keys of p's
     numerator: no polynomial is built.  Both are normalized, so with p =
     num / x_k^a that product is num * x_k^(2-a) for a <= 2 and num /
-    x_k^(a-2) otherwise.  A p with a pole away from x_k gives False, and
-    the caller computes in full.  A key shifted past the degree limit has
-    a degree field that no key of y has, so it cannot match."""
+    x_k^(a-2) otherwise.  A p with a pole away from x_k gives False.  A
+    key shifted past the degree limit has a degree field that no key of y
+    has, so it cannot match."""
     if y.nvars != p.nvars or (p.power and p.var != k):
         return False
     power, shift = max(p.power - 2, 0), max(2 - p.power, 0)
@@ -460,21 +445,17 @@ def factorization_identity(r: BlockReduction) -> bool:
         det H_n = x_k^(2(n+1)) * sign * p_0^(k+1) * x_k^(-2(n-k)) * det H_{n-k-1}(y..)
                 = sign * (x_k^2 p_0)^(k+1) * det H_{n-k-1}(y..),
 
-    and x_k^2 p_0 = y_0.  Otherwise both determinants are expanded in full.
+    and x_k^2 p_0 = y_0.  Certified or refused: False when the certificate
+    or one of the y-relations fails, without taking a determinant.
     """
     n, k = r.n, r.k
     y, p = r.y_coords, r.p_seq
-    if (
+    return (
         r._certified
         and _is_xk_squared_times(y[0], p[0], 1, k)
         # the certificate holds, so p_seq reaches p_{2n-k}
         and all(_is_xk_squared_times(y[s], p[s], -1, k) for s in range(k + 2, 2 * n - k + 1))
-    ):
-        return True
-    rhs = y[0] ** (k + 1) * poly_det(_hankel(y[k + 2 :], n - k))
-    if r.factorization_sign == -1:
-        rhs = -rhs
-    return poly_det(restricted_hankel(n, k)) == rhs
+    )
 
 
 # -- exact evaluation at rational points --------------------------------------

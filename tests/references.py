@@ -24,7 +24,7 @@ from secantinv.exactalg import (
     poly_det,
     rational_to_str,
 )
-from secantinv.hankel import BlockReduction, CheckResult, _hankel, restricted_hankel
+from secantinv.hankel import BlockReduction, CheckResult, _hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
 
@@ -152,6 +152,16 @@ def reference_mul(a: Rows, b: Rows) -> Rows:
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def restricted_hankel(n: int, k: int) -> Rows:
+    """H_n with x_j = 0 substituted for j < k, localized at x_k."""
+    nvars = 2 * n + 1
+    x = [
+        LocalizedPoly(MultiPoly.zero(nvars) if j < k else MultiPoly.variable(nvars, j), k, 0)
+        for j in range(nvars)
+    ]
+    return _hankel(x, n + 1)
 
 
 def reference_block_reduce(n: int, k: int) -> BlockReduction:

@@ -415,9 +415,12 @@ class TestFailureExitCodes:
         assert code == 1
         assert text == "n=2 k=0: FAIL determinant\nn=2 k=1: FAIL determinant\n"
 
-    def test_a_failed_certificate_exits_1(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "command", [["verify", "-n", "2"], ["blockreduce", "-n", "2", "-k", "0"]], ids=lambda c: c[0]
+    )
+    def test_a_failed_certificate_exits_1(self, monkeypatch, capsys, command):
         monkeypatch.setattr(cli.hankel, "_change_of_basis_holds", lambda r: False)
-        assert run_cli("verify", "-n", "2") == (1, "")
+        assert run_cli(*command) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("secantinv: verification failed: ")
         assert "certificate" in err
