@@ -22,11 +22,14 @@ antidiagonal.  It cannot be scaled away over the rationals (for k = 1 mod 4
 with n - k even, no rational rescaling of the y's removes it), so it is
 carried explicitly as ``BlockReduction.factorization_sign``.
 
-`block_reduce` multiplies only by single terms.  The p-recurrence is a
-unit triangular Toeplitz solve whose off-diagonal entries are the single
-terms x_k^(d-1) x_(k+d).  N is not multiplied out: it is written down in
-the block form above, its cells the objects p_s and -p_s, and proved equal
-to P^T H P before `block_reduce` returns it.  The proof is "closed form +
+A reduction is its p-sequence: `BlockReduction` holds n, k and p_0 ..
+p_{2n-k} alone.  P, the Toeplitz matrix of p_0 .. p_n, N in the block form
+above, its cells the objects p_s and -p_s, and y = +-x_k^2 p are derived
+from p on first use, so none of them can disagree with p.  `block_reduce`
+multiplies only by single terms: the p-recurrence is a unit triangular
+Toeplitz solve whose off-diagonal entries are the single terms x_k^(d-1)
+x_(k+d).  N is not multiplied out, but proved equal to P^T H P before
+`block_reduce` returns the reduction.  The proof is "closed form +
 recurrence to 2n-k": N in that block form, P the Toeplitz matrix of p_0 ..
 p_n and the p-recurrence up to index 2n-k imply N = P^T H P.
 
@@ -35,8 +38,8 @@ Every identity here is verified symbolically (exact polynomial algebra) by
 random rational points by `factorization_identity_at_point`.  Neither
 symbolic check expands a determinant: both rest on one certificate, that
 N is the exact product P^T H P (see :func:`_change_of_basis_holds`).  A
-reduction is certified or refused: where the certificate fails, check (d)
-and the factorization fail with it.
+reduction is certified or refused: where the certificate fails, all four
+checks and the factorization fail with it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactalg import (
     MAX_DEGREE,
@@ -83,35 +86,46 @@ def _factorization_sign(k: int) -> int:
     return -1 if k % 4 in (1, 2) else 1
 
 
+def _check_locus(n: int, k: int) -> None:
+    """Raise ValueError unless Y_k is a reduction locus of H_n, 0 <= k <= n-1."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
+
+
+def _xk_squared_times(v: LocalizedPoly, k: int) -> LocalizedPoly:
+    """x_k^2 v, sharing v's numerator where v has a pole of order 2 or more
+    at x_k, as every p_s with s >= 1 does."""
+    if v.power >= 2 and v.var == k:
+        return LocalizedPoly(v.num, k, v.power - 2)
+    return LocalizedPoly(v.num.mul_var_power(k, 2), v.var, v.power)
+
+
 @dataclass(frozen=True)
 class BlockReduction:
-    """Result of the triangular reduction of H_n on the locus Y_k.
+    """The triangular reduction of H_n on the locus Y_k, held as its
+    p-sequence p_0 .. p_{2n-k} from the localization recurrence.
 
-    ``p_seq`` holds p_0 .. p_{2n-k} from the localization recurrence;
-    ``P_matrix`` is the upper triangular change of basis with (i, j) entry
-    p_{j-i}; ``N_matrix`` is the exact product P^T H P; ``y_coords`` are the
-    new coordinates y_0 .. y_{2n-k}.
-
-    These claims are checked, not trusted: ``_mismatches`` holds the first
-    cell of N that fails each of checks (a)-(c) (:func:`_block_mismatches`),
-    and ``_certified`` says whether N = P^T H P by "closed form +
-    recurrence to 2n-k": P is the Toeplitz matrix of p_0 .. p_n, N passes
-    checks (a)-(c) and p_0 .. p_{2n-k} satisfy the p-recurrence
-    (:func:`_change_of_basis_holds`).  Each is computed on first use and
-    kept on the instance: `block_reduce` computes ``_certified``, and with
-    it ``_mismatches``, and raises CertificateError unless it holds;
-    check (d) and the factorization read both.  A reduction is certified
-    or refused: neither check has another way to pass.
-    ``dataclasses.replace`` makes a new instance, which computes them again
-    from its own fields.
+    Everything else is derived from ``p_seq`` on first use and kept on the
+    instance: ``P_matrix``, the upper triangular change of basis with (i,
+    j) entry p_{j-i}; ``N_matrix``, P^T H P in its closed block form; and
+    ``y_coords``, the new coordinates y_0 .. y_{2n-k}.  So P is Toeplitz,
+    N is in block form and y = +-x_k^2 p by construction.  ``_certified``
+    says whether N = P^T H P (:func:`_change_of_basis_holds`):
+    `block_reduce` computes it and raises CertificateError unless it
+    holds, and the four checks and the factorization read it.
+    ``dataclasses.replace`` makes a new instance, which derives everything
+    again from its own p.
     """
 
     n: int
     k: int
     p_seq: Tuple[LocalizedPoly, ...]
-    P_matrix: Rows
-    N_matrix: Rows
-    y_coords: Tuple[LocalizedPoly, ...]
+
+    def __post_init__(self) -> None:
+        _check_locus(self.n, self.k)
+        last = 2 * self.n - self.k
+        if len(self.p_seq) != last + 1:
+            raise ValueError(f"p_seq must hold p_0 .. p_{last}, got {len(self.p_seq)} entries")
 
     @property
     def factorization_sign(self) -> int:
@@ -119,15 +133,45 @@ class BlockReduction:
 
     @cached_property
     def _certified(self) -> bool:
-        """Whether N = P^T H P holds with P tied to p_0 .. p_n, by
-        :func:`_change_of_basis_holds`."""
+        """Whether N = P^T H P, by :func:`_change_of_basis_holds`."""
         return _change_of_basis_holds(self)
 
     @cached_property
-    def _mismatches(self) -> Tuple[Optional[Tuple[int, int]], ...]:
-        """The first failing cell of each of checks (a)-(c), by
-        :func:`_block_mismatches`."""
-        return _block_mismatches(self)
+    def _zero(self) -> LocalizedPoly:
+        """The one zero entry that P and N share."""
+        return LocalizedPoly(MultiPoly.zero(2 * self.n + 1), self.k)
+
+    @cached_property
+    def _minus_p(self) -> Dict[int, LocalizedPoly]:
+        """-p_s for s > k, each negated once: N's bottom-right cells and
+        y_s share it."""
+        return {s: -self.p_seq[s] for s in range(self.k + 1, len(self.p_seq))}
+
+    @cached_property
+    def P_matrix(self) -> Rows:
+        """The Toeplitz change of basis, p_(j-i) on and above the diagonal."""
+        p, zero, size = self.p_seq, self._zero, self.n + 1
+        return tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
+
+    @cached_property
+    def N_matrix(self) -> Rows:
+        """N in its closed block form: N_ij is 0 for i+j < k and in both
+        off-diagonal blocks, p_(i+j-k) in the top-left block and -p_(i+j-k)
+        in the bottom-right one."""
+        k, p, minus_p, zero = self.k, self.p_seq, self._minus_p, self._zero
+
+        def cell(i: int, j: int) -> LocalizedPoly:
+            if i + j < k or (i <= k) != (j <= k):
+                return zero
+            return p[i + j - k] if i <= k else minus_p[i + j - k]
+
+        return tuple(tuple(cell(i, j) for j in range(self.n + 1)) for i in range(self.n + 1))
+
+    @cached_property
+    def y_coords(self) -> Tuple[LocalizedPoly, ...]:
+        """y_s = x_k^2 p_s for s <= k and y_s = -x_k^2 p_s for s > k."""
+        signed = self.p_seq[: self.k + 1] + tuple(self._minus_p.values())
+        return tuple(_xk_squared_times(v, self.k) for v in signed)
 
     def to_obj(self) -> dict:
         # P and N share the p_s objects, and y_s shares its numerator with
@@ -173,61 +217,50 @@ def _p_numerators(x: Sequence[int], k: int, count: int) -> List[int]:
 def block_reduce(n: int, k: int) -> BlockReduction:
     """Run the reduction of H_n on the locus {x_j = 0 for j < k, x_k != 0}.
 
-    Every denominator is a known power of x_k: p_l = P_l / x_k^(l+1), y_0 =
-    x_k and y_i = +-P_i / x_k^(i-1), each localized once from its integer
-    numerator.  The p-recurrence is the forward solve of a unit triangular
-    Toeplitz system, P_0 = 1, P_l = -sum_(d=1..l) m_d P_(l-d) with the
-    single terms m_d = x_k^(d-1) x_(k+d), so every product is a single
-    term times a polynomial.
+    Only p_0 .. p_(2n-k) are built, p_l = P_l / x_k^(l+1) localized once
+    from its integer numerator; P, N and y are derived from them (see
+    `BlockReduction`).  The p-recurrence is the forward solve of a unit
+    triangular Toeplitz system, P_0 = 1, P_l = -sum_(d=1..l) m_d P_(l-d)
+    with the single terms m_d = x_k^(d-1) x_(k+d), so every product is a
+    single term times a polynomial.
 
-    N = P^T H P is not multiplied out but written in its closed block form:
-    N_ij is 0 for i+j < k and in both off-diagonal blocks, p_(i+j-k) in the
-    top-left block and -p_(i+j-k) in the bottom-right one, its cells the
-    p_s objects and one -p_s object per s.  That form is proved before
-    return: CertificateError is raised unless the reduction's certificate
-    (:func:`_change_of_basis_holds`) holds.
+    N = P^T H P is not multiplied out: the reduction's N is its closed
+    block form, N_ij = 0 for i+j < k and in both off-diagonal blocks,
+    p_(i+j-k) in the top-left block and -p_(i+j-k) in the bottom-right
+    one.  That form is proved before return: CertificateError is raised
+    unless the reduction's certificate (:func:`_change_of_basis_holds`)
+    holds.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
-    nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
-
-    x = [MultiPoly.variable(nvars, s) for s in range(nvars)]
+    _check_locus(n, k)
+    nvars, last = 2 * n + 1, 2 * n - k
     # P_l has degree l, as m_l does, whose degree MultiPoly checked.
-    minus_m = [{}] + [(-x[k + d].mul_var_power(k, d - 1)).packed for d in range(1, last + 1)]
+    minus_m = [{}] + [
+        (-MultiPoly.variable(nvars, k + d).mul_var_power(k, d - 1)).packed
+        for d in range(1, last + 1)
+    ]
     q = [{0: 1}]
     for ell in range(1, last + 1):
         q.append(_sum_of_products((minus_m[d], q[ell - d]) for d in range(1, ell + 1)))
-    nums = [_make(nvars, terms) for terms in q]
-    p = [LocalizedPoly(num, k, ell + 1) for ell, num in enumerate(nums)]
-    # The numerators of y_s: x_k, then P_s for s <= k and -P_s, negated
-    # once, for s > k, which -p_s shares.
-    y_nums = [x[k]] + nums[1 : k + 1] + [-num for num in nums[k + 1 :]]
-    y = [LocalizedPoly(num, k, max(s - 1, 0)) for s, num in enumerate(y_nums)]
-    minus_p = {s: LocalizedPoly(y_nums[s], k, s + 1) for s in range(k + 2, last + 1)}
-    zero = LocalizedPoly(MultiPoly.zero(nvars), k)
-
-    def n_cell(i: int, j: int) -> LocalizedPoly:
-        if i + j < k or (i <= k) != (j <= k):
-            return zero
-        return p[i + j - k] if i <= k else minus_p[i + j - k]
-
-    p_matrix = tuple(tuple(p[j - i] if j >= i else zero for j in range(size)) for i in range(size))
-    n_matrix = tuple(tuple(n_cell(i, j) for j in range(size)) for i in range(size))
-    r = BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
+    # A list, not a generator: tuple() of a generator resizes the tuple it
+    # builds, and in a long loop of reductions the process's peak RSS then
+    # kept growing (about 0.12 MB per 100 `symbolic` bench batches).
+    p = [LocalizedPoly(_make(nvars, terms), k, ell + 1) for ell, terms in enumerate(q)]
+    r = BlockReduction(n, k, tuple(p))
     if not r._certified:
         raise CertificateError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
     return r
 
 
 def _change_of_basis_holds(r: BlockReduction) -> bool:
-    """Whether N = P^T H P exactly, for H the restricted H_n and P the upper
-    triangular Toeplitz matrix of p_0 .. p_n, proved without a determinant
-    from N's closed form and the p-recurrence up to 2n-k.
+    """Whether N = P^T H P exactly, for H the restricted H_n, proved
+    without a determinant from N's closed form and the p-recurrence up to
+    2n-k.
 
-    ``P_matrix`` must be that P (P_ij = p_(j-i), 0 below the diagonal), N
-    must be in its closed block form (checks (a)-(c) of
-    :func:`verify_block_reduction` pass, read from ``r._mismatches``), and
-    p_0 .. p_(2n-k) must satisfy the recurrence
+    P is the upper triangular Toeplitz matrix of p_0 .. p_n (P_ij =
+    p_(j-i), 0 below the diagonal) and N is in its closed block form
+    (checks (a)-(c) of :func:`verify_block_reduction`), both by
+    construction from ``r.p_seq``.  It remains that p_0 .. p_(2n-k)
+    satisfy the recurrence
 
         R_d:  sum_(a<=d) x_(k+d-a) p_a = [d = 0],   d = 0 .. 2n-k.
 
@@ -253,21 +286,12 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
     Every product of the recurrence is a single term times a numerator,
     and each R_d is one `_sum_of_products` over its products, all brought
     to the largest power of x_k among them: no localized arithmetic.  The
-    claim is refused when a shape is wrong, p stops short of p_(2n-k), N
-    is not in closed form, a pole sits away from x_k or a product would
-    pass the packed-key degree limit.  Certified or refused: check (d) and
-    the factorization then fail, whatever the determinants would say.
+    claim is refused when a pole sits away from x_k or a product would
+    pass the packed-key degree limit.  Certified or refused: the four
+    checks and the factorization then fail, whatever the determinants
+    would say.
     """
-    n, k = r.n, r.k
-    nvars, size, last = 2 * n + 1, n + 1, 2 * n - k
-    p, P, N = r.p_seq[: last + 1], r.P_matrix, r.N_matrix
-    if len(p) <= last or (len(P), len(N)) != (size, size) or any(len(row) != size for row in P + N):
-        return False
-    zero = LocalizedPoly(MultiPoly.zero(nvars), k, 0)
-    if any(P[i][j] != (p[j - i] if j >= i else zero) for i in range(size) for j in range(size)):
-        return False
-    if r._mismatches != (None, None, None):
-        return False
+    nvars, k, p = 2 * r.n + 1, r.k, r.p_seq
     if any(v.nvars != nvars or (v.power and v.var != k) for v in p):
         return False
     top = max(v.power for v in p)
@@ -287,23 +311,20 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
 
     return all(
         vanishes([(x[k + d - a], 1, p[a]) for a in range(d + 1)] + [(0, -1, one)] * (d == 0))
-        for d in range(last + 1)
+        for d in range(len(p))
     )
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Pass/fail of one verification case, with the offending entry if any."""
+    """Pass/fail of one verification case, with a detail on failure."""
 
     case: str
     ok: bool
-    offending_entry: Optional[Tuple[int, int]] = None
     detail: str = ""
 
     def to_obj(self) -> dict:
         obj: dict = {"case": self.case, "ok": self.ok}
-        if self.offending_entry is not None:
-            obj["offending_entry"] = list(self.offending_entry)
         if self.detail:
             obj["detail"] = self.detail
         return obj
@@ -331,48 +352,6 @@ class VerificationReport:
         }
 
 
-def _block_mismatches(
-    r: BlockReduction,
-) -> Tuple[Optional[Tuple[int, int]], Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
-    """The first cell of N that fails each of checks (a), (b) and (c) of
-    :func:`verify_block_reduction`, or None where the check passes."""
-    n, k = r.n, r.k
-    zero = LocalizedPoly(MultiPoly.zero(2 * n + 1), k, 0)
-
-    def first_mismatch(pairs) -> Optional[Tuple[int, int]]:
-        for i, j, expected in pairs:
-            if r.N_matrix[i][j] != expected:
-                return (i, j)
-        return None
-
-    top = first_mismatch(
-        (i, j, zero if i + j < k else r.p_seq[i + j - k])
-        for i in range(k + 1)
-        for j in range(k + 1)
-    )
-    off = first_mismatch(
-        (i, j, zero)
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if (i <= k) != (j <= k)
-    )
-    # -p_s, built as check (c) first reaches s: it stops at the first
-    # mismatch and reads no p_s past it.
-    minus_p = {}
-
-    def neg_p(s: int) -> LocalizedPoly:
-        if s not in minus_p:
-            minus_p[s] = -r.p_seq[s]
-        return minus_p[s]
-
-    bottom = first_mismatch(
-        (i, j, neg_p(i + j - k))
-        for i in range(k + 1, n + 1)
-        for j in range(k + 1, n + 1)
-    )
-    return top, off, bottom
-
-
 def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     """Check the four block-structure identities as exact symbolic algebra.
 
@@ -383,50 +362,23 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
     (d) det N' = det H_n on the locus, where N' = x_k^2 N (that is,
         p_0^(-2) N, as p_0 = 1/x_k).
 
-    Check (d) holds whenever the reduction's certificate does
-    (:func:`_change_of_basis_holds`, computed once and shared with
-    :func:`factorization_identity`): from "closed form + recurrence to
-    2n-k", that is checks (a)-(c), P the Toeplitz matrix of p_0 .. p_n and
-    the p-recurrence up to index 2n-k, it proves N = P^T H P with P upper
-    triangular, p_0 on its diagonal and p_0 x_k = 1, so det P =
-    x_k^(-(n+1)) and det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n.
-    The certificate also checks P itself, which checks (a)-(c) never read.
-    Checks (a)-(c) are computed once per reduction, by the certificate,
-    and kept, shared with the factorization.
-    Certified or refused: check (d) is the certificate, so on a reduction
-    changed by ``dataclasses.replace`` that fails it, check (d) fails, even
-    where det N would still agree.  No determinant is taken.
+    Each is a claim about N = P^T H P, and each holds whenever the
+    reduction's certificate does (:func:`_change_of_basis_holds`, computed
+    once and shared with :func:`factorization_identity`).  The reduction's
+    N is derived from p in the form (a)-(c), and P is the Toeplitz matrix
+    of p_0 .. p_n; with the p-recurrence up to index 2n-k the certificate
+    proves N = P^T H P, so P^T H P has that form.  P is upper triangular
+    with p_0 on its diagonal and p_0 x_k = 1, so det P = x_k^(-(n+1)) and
+    det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n, which is (d).
+    Certified or refused: every check reports the certificate, so on a
+    reduction whose p, changed by ``dataclasses.replace``, fails it, all
+    four fail, even where det N would still agree.  No determinant is
+    taken.
     """
-    top, off, bottom = r._mismatches
-    certified = r._certified
-    checks = (
-        CheckResult("top_left", top is None, top),
-        CheckResult("off_diagonal", off is None, off),
-        CheckResult("bottom_right", bottom is None, bottom),
-        CheckResult(
-            "determinant",
-            certified,
-            None,
-            "" if certified else "N = P^T H P is not certified",
-        ),
-    )
-    return VerificationReport(r.n, r.k, checks)
-
-
-def _is_xk_squared_times(y: LocalizedPoly, p: LocalizedPoly, sign: int, k: int) -> bool:
-    """Whether y = sign * x_k^2 * p, compared by shifting the keys of p's
-    numerator: no polynomial is built.  Both are normalized, so with p =
-    num / x_k^a that product is num * x_k^(2-a) for a <= 2 and num /
-    x_k^(a-2) otherwise.  A p with a pole away from x_k gives False.  A
-    key shifted past the degree limit has a degree field that no key of y
-    has, so it cannot match."""
-    if y.nvars != p.nvars or (p.power and p.var != k):
-        return False
-    power, shift = max(p.power - 2, 0), max(2 - p.power, 0)
-    if y.power != power or (power and y.var != k):
-        return False
-    step = shift * _var_key(p.nvars, k)
-    return y.num.packed == {key + step: sign * c for key, c in p.num.packed.items()}
+    ok = r._certified
+    checks = tuple(CheckResult(case, ok) for case in ("top_left", "off_diagonal", "bottom_right"))
+    detail = "" if ok else "N = P^T H P is not certified"
+    return VerificationReport(r.n, r.k, checks + (CheckResult("determinant", ok, detail),))
 
 
 def factorization_identity(r: BlockReduction) -> bool:
@@ -435,9 +387,9 @@ def factorization_identity(r: BlockReduction) -> bool:
     det H_n = sign * y_0^(k+1) * det H_{n-k-1}(y_{k+2}..),
 
     with sign = r.factorization_sign.  It holds without a determinant when
-    the reduction's certificate does (see :func:`verify_block_reduction`;
-    it includes checks (a)-(c)), y_0 = x_k^2 p_0 and y_s = -x_k^2 p_s for
-    s in k+2..2n-k.  Then det H_n = x_k^(2(n+1)) det N; N is block diagonal,
+    the reduction's certificate does (see :func:`verify_block_reduction`),
+    since y_0 = x_k^2 p_0 and y_s = -x_k^2 p_s for s in k+2..2n-k by
+    construction.  Then det H_n = x_k^(2(n+1)) det N; N is block diagonal,
     its top-left block is antitriangular with p_0 on the antidiagonal, of
     determinant sign * p_0^(k+1), and its bottom-right block is x_k^(-2)
     times the y-Hankel, so
@@ -446,16 +398,9 @@ def factorization_identity(r: BlockReduction) -> bool:
                 = sign * (x_k^2 p_0)^(k+1) * det H_{n-k-1}(y..),
 
     and x_k^2 p_0 = y_0.  Certified or refused: False when the certificate
-    or one of the y-relations fails, without taking a determinant.
+    fails, without taking a determinant.
     """
-    n, k = r.n, r.k
-    y, p = r.y_coords, r.p_seq
-    return (
-        r._certified
-        and _is_xk_squared_times(y[0], p[0], 1, k)
-        # the certificate holds, so p_seq reaches p_{2n-k}
-        and all(_is_xk_squared_times(y[s], p[s], -1, k) for s in range(k + 2, 2 * n - k + 1))
-    )
+    return r._certified
 
 
 # -- exact evaluation at rational points --------------------------------------
@@ -494,8 +439,7 @@ def factorization_identity_at_point(
     :func:`_y_at_point`), which yields exactly the rationals the symbolic
     y_i take at the point, and both sides are exact rational determinants.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= n-1, got {k}")
+    _check_locus(n, k)
     x = [Fraction(v) for v in point]
     if len(x) != 2 * n + 1:
         raise ValueError("point arity mismatch")

@@ -164,11 +164,12 @@ def restricted_hankel(n: int, k: int) -> Rows:
     return _hankel(x, n + 1)
 
 
-def reference_block_reduce(n: int, k: int) -> BlockReduction:
-    """The block reduction built step by step in the localization at x_k:
-    p_0 = 1/x_k and p_l = -(p_0 x_{k+l} + ... + p_{l-1} x_{k+1}) / x_k as
-    LocalizedPoly values, N = P^T H P by :func:`reference_mul`, and
-    y_i = +-x_k^2 p_i."""
+def reference_block_reduce(n: int, k: int) -> Tuple[tuple, Rows, Rows, tuple]:
+    """The block reduction built step by step in the localization at x_k,
+    as the plain tuple (p, P, N, y): p_0 = 1/x_k and p_l = -(p_0 x_{k+l} +
+    ... + p_{l-1} x_{k+1}) / x_k as LocalizedPoly values, P the Toeplitz
+    matrix of p_0 .. p_n, N = P^T H P by :func:`reference_mul`, and y_i =
+    +-x_k^2 p_i by LocalizedPoly products."""
     nvars = 2 * n + 1
     xk_inv = LocalizedPoly(MultiPoly.const(nvars, 1), k, 1)
     xvar = [LocalizedPoly(MultiPoly.variable(nvars, i), k, 0) for i in range(nvars)]
@@ -187,7 +188,7 @@ def reference_block_reduce(n: int, k: int) -> BlockReduction:
     n_matrix = reference_mul(p_transpose, reference_mul(restricted_hankel(n, k), p_matrix))
     xk2 = xvar[k] ** 2
     y = [xvar[k]] + [xk2 * p[i] if i <= k else -(xk2 * p[i]) for i in range(1, len(p))]
-    return BlockReduction(n, k, tuple(p), p_matrix, n_matrix, tuple(y))
+    return tuple(p), p_matrix, n_matrix, tuple(y)
 
 
 def reference_determinant_check(r: BlockReduction) -> CheckResult:
@@ -196,9 +197,7 @@ def reference_determinant_check(r: BlockReduction) -> CheckResult:
     xk_power = MultiPoly.variable(2 * r.n + 1, r.k) ** (2 * (r.n + 1))
     det_nprime = poly_det(r.N_matrix) * LocalizedPoly(xk_power, r.k)
     ok = det_nprime == poly_det(restricted_hankel(r.n, r.k))
-    return CheckResult(
-        "determinant", ok, None, "" if ok else "det(p_0^-2 N) != det H_n on the locus"
-    )
+    return CheckResult("determinant", ok, "" if ok else "det(p_0^-2 N) != det H_n on the locus")
 
 
 def reference_factorization_identity(r: BlockReduction) -> bool:
