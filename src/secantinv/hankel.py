@@ -241,9 +241,8 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     q = [{0: 1}]
     for ell in range(1, last + 1):
         q.append(_sum_of_products((minus_m[d], q[ell - d]) for d in range(1, ell + 1)))
-    # A list, not a generator: tuple() of a generator resizes the tuple it
-    # builds, and in a long loop of reductions the process's peak RSS then
-    # kept growing (about 0.12 MB per 100 `symbolic` bench batches).
+    # Built as a list: tuple() of a generator here grew peak RSS across long
+    # loops of reductions (see CHANGES.md).
     p = [LocalizedPoly(_make(nvars, terms), k, ell + 1) for ell, terms in enumerate(q)]
     r = BlockReduction(n, k, tuple(p))
     if not r._certified:

@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
 
 
-def pivot_columns(rows: Iterable[Mapping[Hashable, int]]) -> List[Optional[Hashable]]:
-    """Eliminate sparse integer rows {column key: int} in one pass: entry i
-    is the column of row i's new pivot, the largest key of row i reduced by
-    the earlier rows, or None when it reduced to zero.
-
-    Column keys must be mutually comparable; only their order matters.
-    The rows are not modified.
-    """
+def _eliminate(
+    rows: Iterable[Mapping[Hashable, int]],
+) -> Tuple[Dict[Hashable, Dict[Hashable, int]], List[Optional[Hashable]]]:
+    """The pivot rows {pivot column: primitive integer row} of one pass over
+    the rows, and each row's new pivot column (None for a dependent row)."""
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     columns: List[Optional[Hashable]] = []
     for sparse in rows:
@@ -69,7 +66,18 @@ def pivot_columns(rows: Iterable[Mapping[Hashable, int]]) -> List[Optional[Hasha
                 else:
                     del row[key]
         columns.append(col if row else None)
-    return columns
+    return pivots, columns
+
+
+def pivot_columns(rows: Iterable[Mapping[Hashable, int]]) -> List[Optional[Hashable]]:
+    """Eliminate sparse integer rows {column key: int} in one pass: entry i
+    is the column of row i's new pivot, the largest key of row i reduced by
+    the earlier rows, or None when it reduced to zero.
+
+    Column keys must be mutually comparable; only their order matters.
+    The rows are not modified.
+    """
+    return _eliminate(rows)[1]
 
 
 def det(rows: Sequence[Sequence[Number]]) -> Fraction:

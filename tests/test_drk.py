@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from secantinv import drk
+from secantinv import drk, linalg
 from secantinv.drk import (
     ExtForm,
     GradedClass,
@@ -533,8 +533,8 @@ class TestTruncatedDims:
             eliminated.append(len(rows))
             return eliminate(rows)
 
-        eliminate = drk.pivot_columns
-        monkeypatch.setattr(drk, "pivot_columns", counting)
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", counting)
         f = hankel_determinant_poly(1)
         result = truncated_drk_dims(f, 2, 1, 6)
         assert result.dims == ((0, 0), (1, 0), (2, 0), (3, 1))

@@ -2,6 +2,7 @@
 Fraction reference, and against sympy where it is installed."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantinv.drk import _class_basis, _d_f_rows, _split_column_key, hankel_determinant_poly
-from secantinv.linalg import det, pivot_columns
+from secantinv.linalg import _eliminate, det, pivot_columns
 from tests.references import integer_row, random_locus_point, rank
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -152,11 +153,17 @@ class TestRank:
 
     @SETTINGS
     @given(st.one_of(matrices(), matrices(entries=st.integers(-3, 3))))
-    def test_pivot_columns_are_distinct_and_count_the_rank(self, rows):
-        # The pivot-count argument needs pivot rows led by distinct columns
-        # that span the input.
-        columns = [c for c in pivot_columns(map(integer_row, sparse(rows))) if c is not None]
-        assert len(set(columns)) == len(columns) == gauss_jordan(rows)[0]
+    def test_stored_pivot_rows_are_primitive_and_led_by_their_column(self, rows):
+        # The pivot-count argument needs stored rows led by distinct columns
+        # that span the input; the reduction step pops every entry that
+        # cancels, so no zero entry may survive in a stored row.
+        pivots, columns = _eliminate(map(integer_row, sparse(rows)))
+        assert sorted(pivots) == sorted(c for c in columns if c is not None)
+        for col, row in pivots.items():
+            assert max(row) == col
+            assert all(v.__class__ is int and v != 0 for v in row.values())
+            assert math.gcd(*row.values()) == 1
+        assert rank(list(pivots.values())) == gauss_jordan(rows)[0]
 
     def test_empty_input(self):
         assert pivot_columns([]) == []
@@ -227,21 +234,23 @@ class TestRankAgainstSympy:
 
 
 class TestDfSlicePivots:
-    def test_integer_and_pair_keys_pivot_alike_on_a_det_h2_slice(self):
+    def test_stored_pivot_entries_on_a_det_h2_slice(self):
         # The 750-row slice of det H_2, class 1, form degree 3, cap 4 (rank
         # 605).  Integer column keys order as the (packed key, index tuple)
-        # pairs, so every row gets the same pivot either way.
+        # pairs, so the pivots and their fill-in match those of the pair
+        # keys: 3772 stored entries either way.
         f = hankel_determinant_poly(2)
         rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4, (0,) * f.nvars))
         pair_rows = [
             {_split_column_key(key, f.nvars, 4)[::-1]: c for key, c in row.items()}
             for row in rows
         ]
-        columns, pair_columns = pivot_columns(rows), pivot_columns(pair_rows)
-        assert sum(c is not None for c in columns) == 605
-        assert pair_columns == [
-            None if c is None else _split_column_key(c, f.nvars, 4)[::-1] for c in columns
-        ]
+        counts = []
+        for keyed in (rows, pair_rows):
+            pivots, _ = _eliminate(keyed)
+            assert (len(keyed), len(pivots)) == (750, 605)
+            counts.append(sum(len(row) for row in pivots.values()))
+        assert counts == [3772, 3772]
 
 
 def hankel_point_matrix(n, rng):
