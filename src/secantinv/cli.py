@@ -29,9 +29,9 @@ SCHEMA = "1"
 #: argument (one run each at the ceiling on a 2-core VM; medians of 7 for
 #: `verify` and `blockreduce`):
 #: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 0.8 s (peak RSS 30 MB),
-#: `verify -n 14` takes about 0.35 s (peak RSS 19 MB); the ceiling is that of
+#: `verify -n 14` takes about 0.3 s (peak RSS 20 MB); the ceiling is that of
 #: `blockreduce`, whose reductions it checks,
-#: `blockreduce -n 14 -k 0` takes about 0.3 s (peak RSS 32 MB) and writes 3.1 MB,
+#: `blockreduce -n 14 -k 0` takes about 0.25 s (peak RSS 31 MB) and writes 3.1 MB,
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
 #: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
 #: C(2g, j) grow with g),

@@ -27,7 +27,9 @@ Representation conventions:
   (e0, ..., e_{n-1}): the validated constructor
   ``MultiPoly(nvars, {exponents: coeff})`` takes it, and the read-only
   ``MultiPoly.terms`` view gives it back with ``Fraction`` coefficients.
-  Internal results skip validation.  Serialized output lists terms in
+  The view is lazy: its length is that of the packed map, a lookup packs
+  the tuple once, and only iteration unpacks keys.  Internal results skip
+  validation.  Serialized output lists terms in
   descending graded-lex order; ``to_str`` formats it straight from the
   packed keys and the stored coefficients.
 * A localized polynomial is numerator / x_k^power for one designated
@@ -35,7 +37,9 @@ Representation conventions:
   power = 0.  All poles in one computation must sit at one variable;
   ``_pole_var`` alone decides that variable.  Pipelines whose denominators
   are known powers of x_k compute numerators over Z[x] and localize each
-  result once.
+  result once.  Internal localized results already in normal form (a
+  negation, or a numerator proved prime to x_k) skip normalization through
+  the trusted ``_localized``.
 * A matrix is ``Rows``, a tuple of row tuples of ``LocalizedPoly``;
   ``poly_det`` takes its rows, as ``linalg.det`` takes rational rows.
 
@@ -47,8 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Width of one exponent field of a packed monomial key.
 FIELD_BITS = 16
@@ -131,6 +134,37 @@ def _var_key(nvars: int, idx: int) -> int:
     return (1 << (FIELD_BITS * nvars)) | (1 << (FIELD_BITS * (nvars - 1 - idx)))
 
 
+class _TermsView(Mapping[Tuple[int, ...], Fraction]):
+    """Lazy read-only {exponent tuple: Fraction} view of a polynomial's
+    packed terms: ``len`` unpacks nothing, a lookup packs its key once and
+    iteration unpacks the keys in the packed map's order.  A tuple that is
+    no monomial of the arity (wrong length, a negative or non-integer
+    exponent, too high a degree) is simply absent."""
+
+    __slots__ = ("_nvars", "_packed")
+
+    def __init__(self, poly: "MultiPoly"):
+        self._nvars, self._packed = poly.nvars, poly.packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return (unpack(k, self._nvars) for k in self._packed)
+
+    def __getitem__(self, exponents: Tuple[int, ...]) -> Fraction:
+        if (
+            isinstance(exponents, tuple)
+            and len(exponents) == self._nvars
+            and all(isinstance(e, int) and e >= 0 for e in exponents)
+            and sum(exponents) <= MAX_DEGREE
+        ):
+            c = self._packed.get(pack(exponents))
+            if c is not None:
+                return Fraction(c)
+        raise KeyError(exponents)
+
+
 def _make(nvars: int, terms: Terms) -> "MultiPoly":
     """Trusted constructor: ``terms`` must already be clean packed terms."""
     p = object.__new__(MultiPoly)
@@ -184,9 +218,7 @@ class MultiPoly:
     @property
     def terms(self) -> Mapping[Tuple[int, ...], Fraction]:
         """Read-only {exponent tuple: Fraction} view, for the public boundary."""
-        return MappingProxyType(
-            {unpack(k, self.nvars): Fraction(c) for k, c in self.packed.items()}
-        )
+        return _TermsView(self)
 
     def is_zero(self) -> bool:
         return not self.packed
@@ -437,6 +469,16 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self.to_str()!r})"
 
 
+def _negated_str(text: str) -> str:
+    """The :meth:`MultiPoly.to_str` text of -f, from that of f: no term body
+    holds a space or starts with a sign, so flipping the leading "-" and
+    swapping the " + " and " - " separators flips every term's sign."""
+    if text == "0":
+        return text
+    head = text[1:] if text.startswith("-") else "-" + text
+    return " - ".join(part.replace(" - ", " + ") for part in head.split(" + "))
+
+
 def _pole_var(values: Iterable["LocalizedPoly"], default: int) -> int:
     """The one variable at which the poles among ``values`` sit, or
     ``default`` when none has a pole; poles at two variables raise."""
@@ -482,7 +524,7 @@ class LocalizedPoly:
         return LocalizedPoly(n1 + n2, var, common)
 
     def __neg__(self) -> "LocalizedPoly":
-        return LocalizedPoly(-self.num, self.var, self.power)
+        return _localized(-self.num, self.var, self.power)
 
     def __mul__(self, other: "LocalizedPoly") -> "LocalizedPoly":
         var = _pole_var((self, other), self.var)
@@ -530,6 +572,14 @@ class LocalizedPoly:
 
     def __repr__(self):
         return f"LocalizedPoly({self.to_str()!r})"
+
+
+def _localized(num: MultiPoly, var: int, power: int) -> LocalizedPoly:
+    """Trusted constructor: num / x_var^power must already be in normal
+    form, that is power = 0 or num nonzero and not divisible by x_var."""
+    v = object.__new__(LocalizedPoly)
+    v.num, v.var, v.power = num, var, power
+    return v
 
 
 #: A matrix of localized polynomials, as a tuple of its rows.

@@ -55,7 +55,10 @@ from .exactalg import (
     LocalizedPoly,
     MultiPoly,
     Rows,
+    _check_degree,
+    _localized,
     _make,
+    _negated_str,
     _sum_of_products,
     _var_key,
 )
@@ -94,9 +97,10 @@ def _check_locus(n: int, k: int) -> None:
 
 def _xk_squared_times(v: LocalizedPoly, k: int) -> LocalizedPoly:
     """x_k^2 v, sharing v's numerator where v has a pole of order 2 or more
-    at x_k, as every p_s with s >= 1 does."""
+    at x_k, as every p_s with s >= 1 does: x_k does not divide that
+    numerator, so the result is in normal form as it stands."""
     if v.power >= 2 and v.var == k:
-        return LocalizedPoly(v.num, k, v.power - 2)
+        return _localized(v.num, k, v.power - 2)
     return LocalizedPoly(v.num.mul_var_power(k, 2), v.var, v.power)
 
 
@@ -175,7 +179,8 @@ class BlockReduction:
 
     def to_obj(self) -> dict:
         # P and N share the p_s objects, and y_s shares its numerator with
-        # p_s or -p_s: format each numerator once.
+        # p_s or -p_s: format each numerator once, and -p_s by flipping the
+        # signs in p_s's text.
         text: Dict[int, str] = {}
 
         def fmt(e: LocalizedPoly) -> str:
@@ -184,10 +189,13 @@ class BlockReduction:
                 s = text[id(e.num)] = e.num.to_str()
             return e.to_str(s)
 
+        p = [fmt(v) for v in self.p_seq]
+        for s, v in self._minus_p.items():
+            text[id(v.num)] = _negated_str(text[id(self.p_seq[s].num)])
         return {
             "n": self.n,
             "k": self.k,
-            "p": [fmt(p) for p in self.p_seq],
+            "p": p,
             "P": [[fmt(e) for e in row] for row in self.P_matrix],
             "N": [[fmt(e) for e in row] for row in self.N_matrix],
             "y": [fmt(y) for y in self.y_coords],
@@ -222,7 +230,14 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     `BlockReduction`).  The p-recurrence is the forward solve of a unit
     triangular Toeplitz system, P_0 = 1, P_l = -sum_(d=1..l) m_d P_(l-d)
     with the single terms m_d = x_k^(d-1) x_(k+d), so every product is a
-    single term times a polynomial.
+    single term times a polynomial.  Each -m_d is written as one packed
+    term, after one degree check: m_d and P_l have degree d and l, at most
+    2n-k.
+
+    Each p_l is localized without the normalizing scan for a factor x_k,
+    as P_l / x_k^(l+1) is already in normal form: modulo x_k every m_d
+    with d >= 2 vanishes and m_1 = x_(k+1), so P_l = (-x_(k+1))^l mod x_k,
+    which is not 0, and x_k does not divide P_l.
 
     N = P^T H P is not multiplied out: the reduction's N is its closed
     block form, N_ij = 0 for i+j < k and in both off-diagonal blocks,
@@ -233,17 +248,15 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     """
     _check_locus(n, k)
     nvars, last = 2 * n + 1, 2 * n - k
-    # P_l has degree l, as m_l does, whose degree MultiPoly checked.
-    minus_m = [{}] + [
-        (-MultiPoly.variable(nvars, k + d).mul_var_power(k, d - 1)).packed
-        for d in range(1, last + 1)
-    ]
+    _check_degree(last)
+    xk = _var_key(nvars, k)
+    minus_m = [{}] + [{_var_key(nvars, k + d) + (d - 1) * xk: -1} for d in range(1, last + 1)]
     q = [{0: 1}]
     for ell in range(1, last + 1):
         q.append(_sum_of_products((minus_m[d], q[ell - d]) for d in range(1, ell + 1)))
     # Built as a list: tuple() of a generator here grew peak RSS across long
     # loops of reductions (see CHANGES.md).
-    p = [LocalizedPoly(_make(nvars, terms), k, ell + 1) for ell, terms in enumerate(q)]
+    p = [_localized(_make(nvars, terms), k, ell + 1) for ell, terms in enumerate(q)]
     r = BlockReduction(n, k, tuple(p))
     if not r._certified:
         raise CertificateError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
@@ -282,36 +295,38 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
     [S = k] = 0.  So T^T N = H P, that is (P^T)^(-1) N = H P, and N =
     P^T H P.
 
-    Every product of the recurrence is a single term times a numerator,
-    and each R_d is one `_sum_of_products` over its products, all brought
-    to the largest power of x_k among them: no localized arithmetic.  The
-    claim is refused when a pole sits away from x_k or a product would
-    pass the packed-key degree limit.  Certified or refused: the four
-    checks and the factorization then fail, whatever the determinants
-    would say.
+    No localized arithmetic is done.  With e the largest pole order less
+    its index, e = max_a (power of p_a - a), each numerator is shifted once
+    to the power a + e, and R_d times x_k^(d+e) reads
+
+        sum_(a<=d) (x_k^(d-a) x_(k+d-a)) * (x_k^(a+e-power of p_a) P_a) = [d = 0] x_k^e:
+
+    one `_sum_of_products` whose every product is the single term x_k^j
+    x_(k+j), j = d-a (one dict per j, shared by all rows), times a shifted
+    numerator, compared with x_k^e for d = 0 and with 0 after.  x_k is not
+    a zero divisor in Z[x], so this holds exactly when R_d does.  On a
+    reduction that `block_reduce` builds, p_a has power a+1, so e = 1 and
+    no numerator is shifted or copied.  The claim is refused when a pole
+    sits away from x_k or a product would pass the packed-key degree limit:
+    a product of row d has degree deg P_a - (power of p_a) + e + d + 1, at
+    most max_a deg P_a + e + 2n-k+1.  Certified or refused: the four checks
+    and the factorization then fail, whatever the determinants would say.
     """
     nvars, k, p = 2 * r.n + 1, r.k, r.p_seq
     if any(v.nvars != nvars or (v.power and v.var != k) for v in p):
         return False
-    top = max(v.power for v in p)
-    if max(v.num.total_degree() for v in p) + top + 1 > MAX_DEGREE:
+    e = max(v.power - a for a, v in enumerate(p))
+    if max(v.num.total_degree() for v in p) + e + len(p) > MAX_DEGREE:
         return False
     xk = _var_key(nvars, k)
-    x = [_var_key(nvars, s) for s in range(nvars)]
-    one = LocalizedPoly(MultiPoly.const(nvars, 1), k)
-
-    def vanishes(products) -> bool:
-        """Whether the sum of c * monomial * value over (monomial key, c,
-        value) is zero, each product over the largest power of x_k."""
-        m = max(v.power for _, _, v in products)
-        return not _sum_of_products(
-            ({key + (m - v.power) * xk: c}, v.num.packed) for key, c, v in products
-        )
-
-    return all(
-        vanishes([(x[k + d - a], 1, p[a]) for a in range(d + 1)] + [(0, -1, one)] * (d == 0))
-        for d in range(len(p))
-    )
+    shifted = []
+    for a, v in enumerate(p):
+        step = (a + e - v.power) * xk
+        shifted.append({key + step: c for key, c in v.num.packed.items()} if step else v.num.packed)
+    t = [{_var_key(nvars, k + j) + j * xk: 1} for j in range(len(p))]  # x_k^j x_(k+j)
+    if _sum_of_products(zip(t[:1], shifted[:1])) != {e * xk: 1}:
+        return False
+    return not any(_sum_of_products(zip(reversed(t[: d + 1]), shifted)) for d in range(1, len(p)))
 
 
 @dataclass(frozen=True)

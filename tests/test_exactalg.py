@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from secantinv import exactalg
 from secantinv.exactalg import (
     MAX_DEGREE,
     DimensionError,
     LocalizedPoly,
     MultiPoly,
+    _negated_str,
     poly_det,
     rational_to_str,
 )
@@ -227,6 +229,42 @@ class TestMonomialBoundary:
     def test_variable_beyond_the_arity_rejected(self):
         with pytest.raises(DimensionError):
             MultiPoly.from_str(2, "x2")
+
+    def test_terms_is_a_read_only_view_equal_to_the_dense_dict(self):
+        terms = {(2, 0, 1): Fraction(-3, 2), (0, 1, 0): Fraction(4), (0, 0, 0): Fraction(1)}
+        q = MultiPoly(3, terms)
+        view = q.terms
+        assert view == terms and dict(view) == terms
+        assert MultiPoly(3, dict(view)) == q
+        assert list(view) == [exactalg.unpack(key, 3) for key in q.packed]
+        assert all(type(c) is Fraction for c in view.values())
+        with pytest.raises(TypeError):
+            view[(1, 0, 0)] = 1
+        assert q.terms == terms  # nothing changed
+
+    def test_terms_length_unpacks_no_key(self, monkeypatch):
+        q = p(4, "x0*x3^2 - 2*x1 + 5")
+
+        def no_unpack(key, nvars):
+            raise AssertionError("unpack called")
+
+        monkeypatch.setattr(exactalg, "unpack", no_unpack)
+        assert len(q.terms) == 3
+        assert q.terms[(1, 0, 0, 2)] == 1 and (0, 1, 0, 0) in q.terms
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [(1, 0), (1, 0, 0, 0), (-1, 0, 1), (0, 0, MAX_DEGREE + 1), (MAX_DEGREE, 1, 0), (0.5, 0, 0), 7, "x0"],
+        ids=str,
+    )
+    def test_a_tuple_that_is_no_monomial_is_absent(self, exponents):
+        # Neither packed nor looked up past the degree limit: no OverflowError.
+        q = p(3, "x0 + x2^2")
+        assert exponents not in q.terms
+        assert q.terms.get(exponents) is None
+        with pytest.raises(KeyError):
+            q.terms[exponents]
+        assert (0, 0, 2) in q.terms and (0, 1, 0) not in q.terms
 
 
 POLE_AT_X0 = LocalizedPoly(p(2, "x1"), 0, 1)
@@ -486,6 +524,7 @@ class TestSerialization:
                 seen.add("constant")
             for r in (q, -q, q * q):
                 assert r.to_str() == reference_to_str(r)
+            assert _negated_str(q.to_str()) == (-q).to_str()
         assert seen == {"zero term", "negative", "fraction", "zero polynomial", "constant"}
 
     def test_exact_fractions_survive(self):

@@ -185,6 +185,9 @@ class TestBlockReduceSmall:
             return [e.var for e in [*p_seq, *(e for m in (P, N) for row in m for e in row), *y]]
 
         assert variables(r.p_seq, r.P_matrix, r.N_matrix, r.y_coords) == variables(p_seq, P, N, y)
+        # Each p_l is in normal form as built: P_l / x_k^(l+1), x_k not dividing P_l.
+        assert [(v.var, v.power) for v in r.p_seq] == [(k, ell + 1) for ell in range(2 * n - k + 1)]
+        assert all(v.num.var_multiplicity(k) == 0 for v in r.p_seq)
 
     def test_a_reduction_is_its_p_sequence(self):
         assert [f.name for f in dataclasses.fields(BlockReduction)] == ["n", "k", "p_seq"]
@@ -199,10 +202,28 @@ class TestBlockReduceSmall:
             with pytest.raises(ValueError, match="k must satisfy"):
                 dataclasses.replace(r, k=k)
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (6, 5)])
+    def test_the_certified_path_runs_no_normalizing_constructor(self, monkeypatch, n, k):
+        # p_l is localized by the trusted constructor, the certificate
+        # builds no localized value, and neither symbolic check does.
+        inits = []
+        init = LocalizedPoly.__init__
+
+        def recording_init(v, *args):
+            inits.append(args)
+            init(v, *args)
+
+        monkeypatch.setattr(LocalizedPoly, "__init__", recording_init)
+        r = block_reduce(n, k)
+        assert verify_block_reduction(r).all_ok
+        assert factorization_identity(r)
+        assert inits == []
+
     @pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (6, 0), (6, 5)])
     def test_to_obj_formats_each_numerator_once(self, monkeypatch, n, k):
-        # P_0 .. P_(2n-k); -P_(k+1) .. -P_(2n-k), each shared by y_s and,
-        # from k+2 on, by N's -p_s cells; 0; and y_0 = x_k.
+        # P_0 .. P_(2n-k); 0; and y_0 = x_k.  -P_(k+1) .. -P_(2n-k), each
+        # shared by y_s and, from k+2 on, by N's -p_s cells, are not
+        # formatted: their texts are P_s's with the signs flipped.
         r = block_reduce(n, k)
         texts = []
         to_str = MultiPoly.to_str
@@ -213,7 +234,7 @@ class TestBlockReduceSmall:
 
         monkeypatch.setattr(MultiPoly, "to_str", recording_to_str)
         r.to_obj()
-        assert len(texts) == (2 * n - k + 1) + (2 * n - 2 * k) + 2
+        assert len(texts) == (2 * n - k + 1) + 2
         assert len(set(texts)) == len(texts)
 
     @pytest.mark.parametrize("n, k", [(1, 0), (4, 1), (5, 4)])
@@ -378,16 +399,25 @@ class TestCertificate:
             assert report.checks[3].detail == ("" if ok else "N = P^T H P is not certified")
             assert factorization_identity(tampered) == ok, kind
 
-    def test_a_product_past_the_degree_limit_is_refused(self, product_pairs):
-        # A term of x_1 in p_4, and so in N's corner -p_4, of the largest
-        # degree the entry can hold: its products in the recurrence row R_4
-        # would carry out of the exponent field, so the degree guard refuses
-        # before any product is formed, where the full expansion raises.
+    @pytest.mark.parametrize(
+        "index, degree, pole", [(4, MAX_DEGREE, 0), (0, MAX_DEGREE - 4, 0), (0, MAX_DEGREE - 6, 2)]
+    )
+    def test_a_product_past_the_degree_limit_is_refused(self, product_pairs, index, degree, pole):
+        # A term of x_1 in p_index that some product of the recurrence would
+        # carry out of the exponent field: in p_4, and so in N's corner
+        # -p_4, of the largest degree the entry can hold, times x_0 in R_4;
+        # in p_0, four degrees short of it, times x_0^4 x_4 in R_4; and six
+        # short when p_4's pole is raised by 2, which shifts p_0's numerator
+        # by x_0^2.  The degree guard refuses before any product is formed,
+        # where the full expansion raises.
         r = block_reduce(2, 0)
-        power = r.p_seq[4].power
-        r = _tampered(r, p={4: f"x1^{MAX_DEGREE - power}"})
+        if pole:
+            extra = LocalizedPoly(MultiPoly.const(5, 1), 0, r.p_seq[4].power + pole)
+            r = dataclasses.replace(r, p_seq=r.p_seq[:4] + (r.p_seq[4] + extra,))
+        power = r.p_seq[index].power
+        r = _tampered(r, p={index: f"x1^{degree - power}"})
         product_pairs.clear()
-        assert r.N_matrix[2][2].num.total_degree() == MAX_DEGREE
+        assert r.p_seq[index].num.total_degree() == degree
         assert not _change_of_basis_holds(r)
         assert product_pairs == []
         with pytest.raises(OverflowError):
@@ -509,6 +539,17 @@ class TestTamperedReductions:
             reference_determinant_check(tampered)
         assert not verify_block_reduction(tampered).all_ok
         assert not factorization_identity(tampered)
+
+    @pytest.mark.parametrize("s", range(5))
+    def test_a_numerator_without_its_pole_is_not_certified(self, s):
+        # p_s replaced by its numerator P_s, a polynomial: read without the
+        # shift that its power 0 calls for, P_s would pass for p_s, and
+        # every recurrence row would hold.
+        r = block_reduce(2, 0)
+        numerator = LocalizedPoly(r.p_seq[s].num, 0)
+        tampered = dataclasses.replace(r, p_seq=r.p_seq[:s] + (numerator,) + r.p_seq[s + 1 :])
+        assert not _change_of_basis_holds(tampered)
+        assert reference_determinant_check(tampered).ok == (s == 1)  # p_1 is in no cell of N
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_y_hankel_determinant_matches_the_dense_determinant_at_points(self, n):
