@@ -593,7 +593,9 @@ def poly_det(m: Rows) -> LocalizedPoly:
     """Exact determinant of a square matrix of localized polynomials, given
     as its rows, by cofactor expansion after clearing each row's
     denominator, level by level: level s maps each s-subset of columns to
-    the minor of the last s rows on them, and only level s - 1 is kept."""
+    the minor of the last s rows on them, and only level s - 1 is kept.  A
+    level holds only nonzero minors, a missing subset being a zero one, and
+    a subset is multiplied out only where a nonzero entry meets one."""
     size = len(m)
     if size == 0:
         raise DimensionError("determinant of an empty matrix")
@@ -617,15 +619,18 @@ def poly_det(m: Rows) -> LocalizedPoly:
     for s in range(1, size + 1):
         row = rows[size - s]
         negated = [{k: -v for k, v in e.items()} for e in row]
-        level = {
-            cols: _sum_of_products(
-                (negated[c] if pos % 2 else row[c], level[cols[:pos] + cols[pos + 1 :]])
+        below, level = level, {}
+        for cols in combinations(range(size), s):
+            pairs = [
+                (negated[c] if pos % 2 else row[c], sub)
                 for pos, c in enumerate(cols)
-                if row[c]
-            )
-            for cols in combinations(range(size), s)
-        }
-    det = level[tuple(range(size))]
+                if row[c] and (sub := below.get(cols[:pos] + cols[pos + 1 :]))
+            ]
+            if pairs:
+                minor = _sum_of_products(pairs)
+                if minor:
+                    level[cols] = minor
+    det = level.get(tuple(range(size)), {})
     inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
     if inversions % 2:
         det = {k: -c for k, c in det.items()}

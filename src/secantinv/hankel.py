@@ -28,18 +28,19 @@ above, its cells the objects p_s and -p_s, and y = +-x_k^2 p are derived
 from p on first use, so none of them can disagree with p.  `block_reduce`
 multiplies only by single terms: the p-recurrence is a unit triangular
 Toeplitz solve whose off-diagonal entries are the single terms x_k^(d-1)
-x_(k+d).  N is not multiplied out, but proved equal to P^T H P before
-`block_reduce` returns the reduction.  The proof is "closed form +
-recurrence to 2n-k": N in that block form, P the Toeplitz matrix of p_0 ..
-p_n and the p-recurrence up to index 2n-k imply N = P^T H P.
+x_(k+d).  N is not multiplied out, but proved equal to P^T H P when the
+reduction is constructed.  The proof is "closed form + recurrence to
+2n-k": N in that block form, P the Toeplitz matrix of p_0 .. p_n and the
+p-recurrence up to index 2n-k imply N = P^T H P.
 
 Every identity here is verified symbolically (exact polynomial algebra) by
 `verify_block_reduction` and `factorization_identity`, and numerically at
 random rational points by `factorization_identity_at_point`.  Neither
 symbolic check expands a determinant: both rest on one certificate, that
 N is the exact product P^T H P (see :func:`_change_of_basis_holds`).  A
-reduction is certified or refused: where the certificate fails, all four
-checks and the factorization fail with it.
+reduction exists only certified: its constructor raises CertificateError
+where the certificate fails, so the four checks and the factorization
+hold on every reduction there is.
 """
 
 from __future__ import annotations
@@ -95,15 +96,6 @@ def _check_locus(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 0 <= k <= n-1 = {n - 1}, got {k}")
 
 
-def _xk_squared_times(v: LocalizedPoly, k: int) -> LocalizedPoly:
-    """x_k^2 v, sharing v's numerator where v has a pole of order 2 or more
-    at x_k, as every p_s with s >= 1 does: x_k does not divide that
-    numerator, so the result is in normal form as it stands."""
-    if v.power >= 2 and v.var == k:
-        return _localized(v.num, k, v.power - 2)
-    return LocalizedPoly(v.num.mul_var_power(k, 2), v.var, v.power)
-
-
 @dataclass(frozen=True)
 class BlockReduction:
     """The triangular reduction of H_n on the locus Y_k, held as its
@@ -113,12 +105,12 @@ class BlockReduction:
     instance: ``P_matrix``, the upper triangular change of basis with (i,
     j) entry p_{j-i}; ``N_matrix``, P^T H P in its closed block form; and
     ``y_coords``, the new coordinates y_0 .. y_{2n-k}.  So P is Toeplitz,
-    N is in block form and y = +-x_k^2 p by construction.  ``_certified``
-    says whether N = P^T H P (:func:`_change_of_basis_holds`):
-    `block_reduce` computes it and raises CertificateError unless it
-    holds, and the four checks and the factorization read it.
-    ``dataclasses.replace`` makes a new instance, which derives everything
-    again from its own p.
+    N is in block form and y = +-x_k^2 p by construction.  A reduction
+    exists only certified: the constructor raises CertificateError unless
+    N = P^T H P (:func:`_change_of_basis_holds`), and so does
+    ``dataclasses.replace``, which makes a new instance.  A copy or a
+    pickle round trip restores the fields without constructing, and so
+    without running the certificate again.
     """
 
     n: int
@@ -130,15 +122,14 @@ class BlockReduction:
         last = 2 * self.n - self.k
         if len(self.p_seq) != last + 1:
             raise ValueError(f"p_seq must hold p_0 .. p_{last}, got {len(self.p_seq)} entries")
+        if not _change_of_basis_holds(self):
+            raise CertificateError(
+                f"the block reduction of H_{self.n} on Y_{self.k} fails its certificate"
+            )
 
     @property
     def factorization_sign(self) -> int:
         return _factorization_sign(self.k)
-
-    @cached_property
-    def _certified(self) -> bool:
-        """Whether N = P^T H P, by :func:`_change_of_basis_holds`."""
-        return _change_of_basis_holds(self)
 
     @cached_property
     def _zero(self) -> LocalizedPoly:
@@ -173,9 +164,13 @@ class BlockReduction:
 
     @cached_property
     def y_coords(self) -> Tuple[LocalizedPoly, ...]:
-        """y_s = x_k^2 p_s for s <= k and y_s = -x_k^2 p_s for s > k."""
-        signed = self.p_seq[: self.k + 1] + tuple(self._minus_p.values())
-        return tuple(_xk_squared_times(v, self.k) for v in signed)
+        """y_s = x_k^2 p_s for s <= k and y_s = -x_k^2 p_s for s > k: as p is
+        in normal form (see :func:`_change_of_basis_holds`), y_0 = x_k and
+        y_s = +-P_s / x_k^(s-1), sharing the numerator of p_s or -p_s."""
+        k = self.k
+        signed = self.p_seq[1 : k + 1] + tuple(self._minus_p.values())
+        y_0 = _localized(MultiPoly.variable(2 * self.n + 1, k), k, 0)
+        return (y_0,) + tuple(_localized(v.num, k, s) for s, v in enumerate(signed))
 
     def to_obj(self) -> dict:
         # P and N share the p_s objects, and y_s shares its numerator with
@@ -242,9 +237,9 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     N = P^T H P is not multiplied out: the reduction's N is its closed
     block form, N_ij = 0 for i+j < k and in both off-diagonal blocks,
     p_(i+j-k) in the top-left block and -p_(i+j-k) in the bottom-right
-    one.  That form is proved before return: CertificateError is raised
-    unless the reduction's certificate (:func:`_change_of_basis_holds`)
-    holds.
+    one.  That form is proved as the reduction is constructed: the
+    constructor raises CertificateError unless the reduction's certificate
+    (:func:`_change_of_basis_holds`) holds.
     """
     _check_locus(n, k)
     nvars, last = 2 * n + 1, 2 * n - k
@@ -257,10 +252,7 @@ def block_reduce(n: int, k: int) -> BlockReduction:
     # Built as a list: tuple() of a generator here grew peak RSS across long
     # loops of reductions (see CHANGES.md).
     p = [_localized(_make(nvars, terms), k, ell + 1) for ell, terms in enumerate(q)]
-    r = BlockReduction(n, k, tuple(p))
-    if not r._certified:
-        raise CertificateError(f"the block reduction of H_{n} on Y_{k} fails its certificate")
-    return r
+    return BlockReduction(n, k, tuple(p))
 
 
 def _change_of_basis_holds(r: BlockReduction) -> bool:
@@ -295,53 +287,44 @@ def _change_of_basis_holds(r: BlockReduction) -> bool:
     [S = k] = 0.  So T^T N = H P, that is (P^T)^(-1) N = H P, and N =
     P^T H P.
 
-    No localized arithmetic is done.  With e the largest pole order less
-    its index, e = max_a (power of p_a - a), each numerator is shifted once
-    to the power a + e, and R_d times x_k^(d+e) reads
+    No localized arithmetic is done: p must be in normal form, each p_a a
+    numerator P_a over x_k^(a+1), and then R_d times x_k^(d+1) reads
 
-        sum_(a<=d) (x_k^(d-a) x_(k+d-a)) * (x_k^(a+e-power of p_a) P_a) = [d = 0] x_k^e:
+        sum_(a<=d) (x_k^(d-a) x_(k+d-a)) * P_a = [d = 0] x_k:
 
     one `_sum_of_products` whose every product is the single term x_k^j
-    x_(k+j), j = d-a (one dict per j, shared by all rows), times a shifted
-    numerator, compared with x_k^e for d = 0 and with 0 after.  x_k is not
-    a zero divisor in Z[x], so this holds exactly when R_d does.  On a
-    reduction that `block_reduce` builds, p_a has power a+1, so e = 1 and
-    no numerator is shifted or copied.  The claim is refused when a pole
-    sits away from x_k or a product would pass the packed-key degree limit:
-    a product of row d has degree deg P_a - (power of p_a) + e + d + 1, at
-    most max_a deg P_a + e + 2n-k+1.  Certified or refused: the four checks
-    and the factorization then fail, whatever the determinants would say.
+    x_(k+j), j = d-a (one dict per j, shared by all rows), times a
+    numerator as it stands, compared with x_k for d = 0 and with 0 after.
+    x_k is not a zero divisor in Z[x], so this holds exactly when R_d
+    does.  Requiring the normal form loses no reduction: the recurrence
+    has one solution, and its normal form is P_a / x_k^(a+1) with x_k not
+    dividing P_a (see :func:`block_reduce`).  So the claim is refused when
+    some p_a has another pole, a row of the recurrence fails, or a product
+    would pass the packed-key degree limit: a product of row d has degree
+    deg P_a + d - a + 1, at most max_a (deg P_a - a) + 2n-k+1.
     """
     nvars, k, p = 2 * r.n + 1, r.k, r.p_seq
-    if any(v.nvars != nvars or (v.power and v.var != k) for v in p):
+    if any(v.nvars != nvars or v.var != k or v.power != a + 1 for a, v in enumerate(p)):
         return False
-    e = max(v.power - a for a, v in enumerate(p))
-    if max(v.num.total_degree() for v in p) + e + len(p) > MAX_DEGREE:
+    if max(v.num.total_degree() - a for a, v in enumerate(p)) + len(p) > MAX_DEGREE:
         return False
     xk = _var_key(nvars, k)
-    shifted = []
-    for a, v in enumerate(p):
-        step = (a + e - v.power) * xk
-        shifted.append({key + step: c for key, c in v.num.packed.items()} if step else v.num.packed)
+    nums = [v.num.packed for v in p]
     t = [{_var_key(nvars, k + j) + j * xk: 1} for j in range(len(p))]  # x_k^j x_(k+j)
-    if _sum_of_products(zip(t[:1], shifted[:1])) != {e * xk: 1}:
+    if _sum_of_products(zip(t[:1], nums[:1])) != {xk: 1}:
         return False
-    return not any(_sum_of_products(zip(reversed(t[: d + 1]), shifted)) for d in range(1, len(p)))
+    return not any(_sum_of_products(zip(reversed(t[: d + 1]), nums)) for d in range(1, len(p)))
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Pass/fail of one verification case, with a detail on failure."""
+    """Pass/fail of one verification case."""
 
     case: str
     ok: bool
-    detail: str = ""
 
     def to_obj(self) -> dict:
-        obj: dict = {"case": self.case, "ok": self.ok}
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return {"case": self.case, "ok": self.ok}
 
 
 @dataclass(frozen=True)
@@ -377,22 +360,18 @@ def verify_block_reduction(r: BlockReduction) -> VerificationReport:
         p_0^(-2) N, as p_0 = 1/x_k).
 
     Each is a claim about N = P^T H P, and each holds whenever the
-    reduction's certificate does (:func:`_change_of_basis_holds`, computed
-    once and shared with :func:`factorization_identity`).  The reduction's
-    N is derived from p in the form (a)-(c), and P is the Toeplitz matrix
-    of p_0 .. p_n; with the p-recurrence up to index 2n-k the certificate
-    proves N = P^T H P, so P^T H P has that form.  P is upper triangular
-    with p_0 on its diagonal and p_0 x_k = 1, so det P = x_k^(-(n+1)) and
-    det(x_k^2 N) = x_k^(2(n+1)) det P^2 det H_n = det H_n, which is (d).
-    Certified or refused: every check reports the certificate, so on a
-    reduction whose p, changed by ``dataclasses.replace``, fails it, all
-    four fail, even where det N would still agree.  No determinant is
-    taken.
+    reduction's certificate does (:func:`_change_of_basis_holds`, run once
+    when the reduction was constructed).  The reduction's N is derived from
+    p in the form (a)-(c), and P is the Toeplitz matrix of p_0 .. p_n; with
+    the p-recurrence up to index 2n-k the certificate proves N = P^T H P,
+    so P^T H P has that form.  P is upper triangular with p_0 on its
+    diagonal and p_0 x_k = 1, so det P = x_k^(-(n+1)) and det(x_k^2 N) =
+    x_k^(2(n+1)) det P^2 det H_n = det H_n, which is (d).  A reduction
+    exists only certified, so all four checks pass on every reduction
+    there is.  No determinant is taken.
     """
-    ok = r._certified
-    checks = tuple(CheckResult(case, ok) for case in ("top_left", "off_diagonal", "bottom_right"))
-    detail = "" if ok else "N = P^T H P is not certified"
-    return VerificationReport(r.n, r.k, checks + (CheckResult("determinant", ok, detail),))
+    cases = ("top_left", "off_diagonal", "bottom_right", "determinant")
+    return VerificationReport(r.n, r.k, tuple(CheckResult(case, True) for case in cases))
 
 
 def factorization_identity(r: BlockReduction) -> bool:
@@ -411,10 +390,10 @@ def factorization_identity(r: BlockReduction) -> bool:
         det H_n = x_k^(2(n+1)) * sign * p_0^(k+1) * x_k^(-2(n-k)) * det H_{n-k-1}(y..)
                 = sign * (x_k^2 p_0)^(k+1) * det H_{n-k-1}(y..),
 
-    and x_k^2 p_0 = y_0.  Certified or refused: False when the certificate
-    fails, without taking a determinant.
+    and x_k^2 p_0 = y_0.  A reduction exists only certified, so this holds
+    on every reduction there is, without taking a determinant.
     """
-    return r._certified
+    return True
 
 
 # -- exact evaluation at rational points --------------------------------------

@@ -24,7 +24,7 @@ from secantinv.exactalg import (
     poly_det,
     rational_to_str,
 )
-from secantinv.hankel import BlockReduction, CheckResult, _hankel
+from secantinv.hankel import BlockReduction, _hankel
 from secantinv.hodge import _weighted_strata_sum
 from secantinv.linalg import Number, pivot_columns
 
@@ -191,20 +191,34 @@ def reference_block_reduce(n: int, k: int) -> Tuple[tuple, Rows, Rows, tuple]:
     return tuple(p), p_matrix, n_matrix, tuple(y)
 
 
-def reference_determinant_check(r: BlockReduction) -> CheckResult:
+def unchecked_reduction(n: int, k: int, p_seq: Sequence[LocalizedPoly]) -> BlockReduction:
+    """A `BlockReduction` of n, k and ``p_seq`` made without its constructor,
+    and so without the certificate that the constructor runs: the object a
+    p that the certificate refuses would be, so that its P and N and the
+    full computations below can be read off it."""
+    r = object.__new__(BlockReduction)
+    for name, value in (("n", n), ("k", k), ("p_seq", tuple(p_seq))):
+        object.__setattr__(r, name, value)
+    return r
+
+
+def reference_determinant_check(r: BlockReduction) -> bool:
     """Check (d) of `verify_block_reduction` computed in full: det N by
     cofactor expansion, times x_k^2 per column, against det H_n on the locus."""
     xk_power = MultiPoly.variable(2 * r.n + 1, r.k) ** (2 * (r.n + 1))
     det_nprime = poly_det(r.N_matrix) * LocalizedPoly(xk_power, r.k)
-    ok = det_nprime == poly_det(restricted_hankel(r.n, r.k))
-    return CheckResult("determinant", ok, "" if ok else "det(p_0^-2 N) != det H_n on the locus")
+    return det_nprime == poly_det(restricted_hankel(r.n, r.k))
 
 
 def reference_factorization_identity(r: BlockReduction) -> bool:
     """`factorization_identity` computed in full: det H_n on the locus against
-    sign * y_0^(k+1) * det of the y-Hankel, both determinants taken afresh."""
-    residual = poly_det(_hankel(r.y_coords[r.k + 2 :], r.n - r.k))
-    rhs = r.y_coords[0] ** (r.k + 1) * residual
+    sign * y_0^(k+1) * det of the y-Hankel, both determinants taken afresh,
+    with y_s = x_k^2 p_s for s <= k and -x_k^2 p_s after, each a
+    LocalizedPoly product of r's p_s."""
+    xk2 = LocalizedPoly(MultiPoly.variable(2 * r.n + 1, r.k) ** 2, r.k)
+    y = [xk2 * v if s <= r.k else -(xk2 * v) for s, v in enumerate(r.p_seq)]
+    residual = poly_det(_hankel(y[r.k + 2 :], r.n - r.k))
+    rhs = y[0] ** (r.k + 1) * residual
     if r.factorization_sign == -1:
         rhs = -rhs
     return poly_det(restricted_hankel(r.n, r.k)) == rhs

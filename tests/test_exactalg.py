@@ -103,9 +103,10 @@ class TestPolyDet:
             assert poly_det(reference_mul(a, b)) == poly_det(a) * poly_det(b)
 
     def test_singular_matrix(self):
-        row = [loc(p(2, "x0")), loc(p(2, "x1"))]
-        m = (row, row)
-        assert poly_det(m).num.is_zero()
+        # Equal rows, whose full minor cancels; a zero column; a zero row.
+        x0, x1, zero = loc(p(2, "x0")), loc(p(2, "x1")), loc(p(2, "0"))
+        for m in (((x0, x1), (x0, x1)), ((x0, zero), (x1, zero)), ((x0, x1), (zero, zero))):
+            assert poly_det(m).num.is_zero()
 
     @pytest.mark.parametrize("size", [4, 5, 6, 7])
     def test_random_matrices_against_rational_det_at_points(self, size):
@@ -149,6 +150,27 @@ class TestPolyDet:
         m = ((a, a), (b, b))
         with pytest.raises(DimensionError):
             poly_det(m)
+
+    def test_a_triangular_matrix_builds_one_minor_per_level(self, monkeypatch):
+        # The lowest row has one nonzero entry, and each row above adds one
+        # column: the nonzero minors are the trailing column sets, one per
+        # level, where every subset would be 2^7 - 1 = 127 minors.
+        calls = []
+        kernel = exactalg._sum_of_products
+
+        def recording_kernel(pairs):
+            calls.append(kernel(pairs))
+            return calls[-1]
+
+        monkeypatch.setattr(exactalg, "_sum_of_products", recording_kernel)
+        size, zero = 7, loc(p(2, "0"))
+        m = tuple(
+            tuple(loc(p(2, f"{i + 1}*x{i % 2}")) if j >= i else zero for j in range(size))
+            for i in range(size)
+        )
+        assert poly_det(m) == loc(p(2, "5040*x0^4*x1^3"))
+        assert len(calls) == size
+        assert all(calls)
 
     def test_peak_memory_holds_two_levels_of_minors(self):
         # Keeping every minor until the end peaked near 615 kB here; two

@@ -16,11 +16,13 @@ from secantinv.exactalg import (
     DimensionError,
     LocalizedPoly,
     MultiPoly,
+    _localized,
     _sum_of_products,
     poly_det,
 )
 from secantinv.hankel import (
     BlockReduction,
+    CertificateError,
     _change_of_basis_holds,
     _hankel,
     _y_at_point,
@@ -37,6 +39,7 @@ from tests.references import (
     reference_determinant_check,
     reference_factorization_identity,
     restricted_hankel,
+    unchecked_reduction,
 )
 
 
@@ -258,7 +261,8 @@ class TestBlockReduceSmall:
 
     def test_a_replaced_p_is_what_p_n_and_y_follow(self):
         # P, N and y are derived from p_seq alone, so a reduction with a
-        # changed p shows the change in every cell that holds it.
+        # changed p, made without the certificate that refuses it, shows the
+        # change in every cell that holds it.
         r = block_reduce(3, 1)
         changed = _tampered(r, p={4: "x2"})
         p_4 = changed.p_seq[4]
@@ -281,9 +285,12 @@ class TestBlockReduceSmall:
 
     @pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (6, 5)])
     def test_the_certificate_is_proved_before_return(self, certificates, n, k):
+        # The constructor runs it; neither symbolic check runs it again.
         r = block_reduce(n, k)
         assert certificates == [r]
-        assert vars(r)["_certified"] is True
+        assert verify_block_reduction(r).all_ok
+        assert factorization_identity(r)
+        assert certificates == [r]
 
     def test_a_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(hankel, "_change_of_basis_holds", lambda r: False)
@@ -331,13 +338,13 @@ def certificates(monkeypatch):
 
 
 class TestLocusDeterminant:
-    """An intact reduction is verified and factored on one certificate; a
-    changed one computes its own, and is certified or refused."""
+    """A reduction is verified and factored on the one certificate that its
+    constructor ran; a replaced one runs its own, and is refused."""
 
     @pytest.mark.parametrize("verify_first", [True, False])
     def test_both_checks_compute_the_certificate_once(self, certificates, verify_first):
         # The certificate settles all four checks and the factorization:
-        # the two compute it once between them.
+        # it runs once, in the constructor, whichever check comes first.
         r = block_reduce(3, 1)
         if verify_first:
             assert verify_block_reduction(r).all_ok
@@ -346,14 +353,15 @@ class TestLocusDeterminant:
             assert factorization_identity(r)
             assert verify_block_reduction(r).all_ok
         assert certificates == [r]
-        # A second check of either kind reads the kept verdict.
+        # A second check of either kind runs nothing.
         assert verify_block_reduction(r).all_ok
         assert factorization_identity(r)
         assert certificates == [r]
-        # A replaced reduction computes its own.
-        tampered = _tampered(r, p={0: "1"})
-        assert not verify_block_reduction(tampered).all_ok
-        assert certificates == [r, tampered]
+        # A replaced reduction runs its own, which refuses it.
+        p_seq = _tampered_p(r, p={0: "1"})
+        with pytest.raises(CertificateError):
+            dataclasses.replace(r, p_seq=p_seq)
+        assert len(certificates) == 2 and certificates[1].p_seq == p_seq
 
 
 def _tampers(n, k):
@@ -371,73 +379,104 @@ def _tampers(n, k):
     }
 
 
-def _tampered(r, p=None, scale=1):
-    """A new reduction, through ``dataclasses.replace``, with each term
-    string added to its p_i, and then every p_i multiplied by ``scale``."""
+def _tampered_p(r, p=None, scale=1):
+    """r's p-sequence with each term string added to its p_i, and then
+    every p_i multiplied by ``scale``."""
     factor = LocalizedPoly(MultiPoly.const(2 * r.n + 1, scale), r.k)
     p_seq = list(r.p_seq)
     for i, term in (p or {}).items():
         p_seq[i] = p_seq[i] + LocalizedPoly(MultiPoly.from_str(2 * r.n + 1, term), r.k)
-    return dataclasses.replace(r, p_seq=tuple(e * factor for e in p_seq))
+    return tuple(e * factor for e in p_seq)
+
+
+def _tampered(r, **changes):
+    """The reduction of :func:`_tampered_p`'s p-sequence, made without the
+    certificate, which refuses every change."""
+    return unchecked_reduction(r.n, r.k, _tampered_p(r, **changes))
 
 
 class TestCertificate:
     """`_change_of_basis_holds` proves N = P^T H P: it holds on every
-    intact reduction and fails on every change to p_0 .. p_(2n-k)."""
+    intact reduction and fails on every change to p_0 .. p_(2n-k), so the
+    constructor refuses every changed p."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_holds_for_every_k(self, n):
         assert all(_change_of_basis_holds(block_reduce(n, k)) for k in range(n))
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n)])
-    def test_a_changed_p_fails_all_four_checks_and_the_factorization(self, n, k):
+    def test_a_changed_p_is_refused_by_the_constructor(self, n, k):
+        r = block_reduce(n, k)
         for kind, changes in _tampers(n, k).items():
-            tampered = _tampered(block_reduce(n, k), **changes)
-            ok = kind == "none"
-            report = verify_block_reduction(tampered)
-            assert [c.ok for c in report.checks] == [ok] * 4, kind
-            assert report.checks[3].detail == ("" if ok else "N = P^T H P is not certified")
-            assert factorization_identity(tampered) == ok, kind
+            p_seq = _tampered_p(r, **changes)
+            assert _change_of_basis_holds(unchecked_reduction(n, k, p_seq)) == (kind == "none")
+            if kind == "none":
+                assert dataclasses.replace(r, p_seq=p_seq) == BlockReduction(n, k, p_seq) == r
+                continue
+            with pytest.raises(CertificateError, match=f"H_{n} on Y_{k}"):
+                dataclasses.replace(r, p_seq=p_seq)
+            with pytest.raises(CertificateError, match=f"H_{n} on Y_{k}"):
+                BlockReduction(n, k, p_seq)
 
     @pytest.mark.parametrize(
-        "index, degree, pole", [(4, MAX_DEGREE, 0), (0, MAX_DEGREE - 4, 0), (0, MAX_DEGREE - 6, 2)]
+        "index, degree", [(4, MAX_DEGREE), (0, MAX_DEGREE - 4), (2, MAX_DEGREE - 2)]
     )
-    def test_a_product_past_the_degree_limit_is_refused(self, product_pairs, index, degree, pole):
+    def test_a_product_past_the_degree_limit_is_refused(self, product_pairs, index, degree):
         # A term of x_1 in p_index that some product of the recurrence would
         # carry out of the exponent field: in p_4, and so in N's corner
         # -p_4, of the largest degree the entry can hold, times x_0 in R_4;
-        # in p_0, four degrees short of it, times x_0^4 x_4 in R_4; and six
-        # short when p_4's pole is raised by 2, which shifts p_0's numerator
-        # by x_0^2.  The degree guard refuses before any product is formed,
-        # where the full expansion raises.
+        # in p_0, four degrees short of it, times x_0^4 x_4 in R_4; in p_2,
+        # two short, times x_0^2 x_2 in R_4.  The degree guard refuses
+        # before any product is formed, where the full expansion raises.
         r = block_reduce(2, 0)
-        if pole:
-            extra = LocalizedPoly(MultiPoly.const(5, 1), 0, r.p_seq[4].power + pole)
-            r = dataclasses.replace(r, p_seq=r.p_seq[:4] + (r.p_seq[4] + extra,))
-        power = r.p_seq[index].power
-        r = _tampered(r, p={index: f"x1^{degree - power}"})
+        r = _tampered(r, p={index: f"x1^{degree - index - 1}"})
         product_pairs.clear()
         assert r.p_seq[index].num.total_degree() == degree
         assert not _change_of_basis_holds(r)
         assert product_pairs == []
         with pytest.raises(OverflowError):
             reference_determinant_check(r)
-        assert not verify_block_reduction(r).checks[3].ok
+        with pytest.raises(CertificateError):
+            BlockReduction(r.n, r.k, r.p_seq)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_the_degree_guard_is_tight(self, product_pairs, index):
+        # One degree lower, every product of the recurrence fits a packed
+        # key: the guard passes, the rows are formed, and R_4 refuses.
+        r = _tampered(block_reduce(2, 0), p={index: f"x1^{MAX_DEGREE - 6}"})
+        product_pairs.clear()
+        assert r.p_seq[index].num.total_degree() - index == MAX_DEGREE - 5
+        assert not _change_of_basis_holds(r)
+        assert product_pairs
 
     @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 3), (5, 2)])
-    def test_copies_and_pickles_keep_the_cached_verdicts(self, n, k):
-        # The cached certificate is plain data on the instance, so a deep
-        # copy or a pickle round trip carries it over and gives the same
-        # report, factorization verdict and output.
+    def test_copies_and_pickles_do_not_rerun_the_certificate(self, certificates, n, k):
+        # A deep copy or a pickle round trip restores the fields without
+        # the constructor, and gives the same report, factorization verdict
+        # and output.
         r = block_reduce(n, k)
         report = verify_block_reduction(r).to_obj()
-        factored = factorization_identity(r)
         for clone in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert clone == r
-            assert vars(clone)["_certified"] is True
             assert verify_block_reduction(clone).to_obj() == report
-            assert factorization_identity(clone) == factored
+            assert factorization_identity(clone)
             assert clone.to_obj() == r.to_obj()
+        assert certificates == [r]
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (3, 1)])
+    def test_p_off_its_normal_form_is_refused(self, n, k):
+        # p_a with its numerator and its pole both raised by x_k, x_k P_a /
+        # x_k^(a+2): the same value, but not the normal form, which the
+        # recurrence's one solution takes, so the certificate refuses it.
+        r = block_reduce(n, k)
+        point = random_locus_point(n, k, random.Random(40 + n))
+        for a, v in enumerate(r.p_seq):
+            raised = _localized(v.num.mul_var_power(k, 1), k, a + 2)
+            assert raised.eval(point) == v.eval(point)
+            p_seq = r.p_seq[:a] + (raised,) + r.p_seq[a + 1 :]
+            assert not _change_of_basis_holds(unchecked_reduction(n, k, p_seq))
+            with pytest.raises(CertificateError):
+                dataclasses.replace(r, p_seq=p_seq)
 
 
 def _det_n_kept(n, k):
@@ -450,10 +489,20 @@ def _det_n_kept(n, k):
     return {"p_1", "p_n"} if k == n - 1 else {"p_1"}
 
 
+def _refused(r, p_seq):
+    """The reduction of r's n and k with ``p_seq``, made without the
+    certificate once ``dataclasses.replace`` has shown that the constructor
+    refuses it."""
+    with pytest.raises(CertificateError):
+        dataclasses.replace(r, p_seq=p_seq)
+    return unchecked_reduction(r.n, r.k, p_seq)
+
+
 class TestTamperedReductions:
-    """The four checks and the factorization are sound on every reduction,
-    changed or not: each passes only where the full computation, which
-    expands the determinants, passes too."""
+    """The certificate is sound on every p-sequence, changed or not: it
+    holds only where the full computations, which expand the determinants,
+    hold too.  A changed p makes no reduction; its P, N and references are
+    read off one made without the constructor."""
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(n)])
     def test_verdicts_are_sound_against_the_full_computations(self, n, k):
@@ -461,14 +510,14 @@ class TestTamperedReductions:
         det_differs, factorization_differs = set(), set()
         for kind, changes in _tampers(n, k).items():
             tampered = _tampered(r, **changes)
-            det_ok, det_reference = tampered._certified, reference_determinant_check(tampered).ok
-            factored = factorization_identity(tampered)
+            certified = _change_of_basis_holds(tampered)
+            det_reference = reference_determinant_check(tampered)
             factored_reference = reference_factorization_identity(tampered)
-            assert det_reference or not det_ok, kind
-            assert factored_reference or not factored, kind
-            if det_ok != det_reference:
+            assert det_reference or not certified, kind
+            assert factored_reference or not certified, kind
+            if certified != det_reference:
                 det_differs.add(kind)
-            if factored != factored_reference:
+            if certified != factored_reference:
                 factorization_differs.add(kind)
         # Where the verdicts differ, the certificate refused a change that
         # the determinants cannot see.
@@ -488,29 +537,29 @@ class TestTamperedReductions:
         i = data.draw(st.integers(0, 2 * n - k), label="index")
         p_seq = list(r.p_seq)
         p_seq[i] = p_seq[i] + term
-        tampered = dataclasses.replace(r, p_seq=tuple(p_seq))
-        if verify_block_reduction(tampered).checks[3].ok:
-            assert reference_determinant_check(tampered).ok
-        if factorization_identity(tampered):
+        tampered = unchecked_reduction(n, k, p_seq)
+        if _change_of_basis_holds(tampered):
+            assert reference_determinant_check(tampered)
             assert reference_factorization_identity(tampered)
+        else:
+            _refused(r, tuple(p_seq))
 
     def test_poles_away_from_x_k_are_not_certified(self):
         # With p_0 = 1, p_1 = 0 and p_3 = det H_2 / x_0^6, N's only pole is
         # its bottom-right entry's, at x_0, and det(x_1^2 N) = det H_2 *
-        # x_1^6 / x_0^6 is not det H_2: the certificate refuses the pole at
-        # x_0, and the full expansion, scaling det N by x_k^6 = x_1^6, fails
-        # too.
+        # x_1^6 / x_0^6 is not det H_2: the certificate refuses p, which is
+        # not in normal form, and the full expansion, scaling det N by x_k^6
+        # = x_1^6, fails too.
         n, k = 2, 1
         r = block_reduce(n, k)
         nvars = 2 * n + 1
         one = LocalizedPoly(MultiPoly.const(nvars, 1), k)
         zero = LocalizedPoly(MultiPoly.zero(nvars), k)
         p_3 = LocalizedPoly(poly_det(restricted_hankel(n, k)).num, 0, 2 * (n + 1))
-        tampered = dataclasses.replace(r, p_seq=(one, zero, r.p_seq[2], p_3))
+        tampered = _refused(r, (one, zero, r.p_seq[2], p_3))
         assert tampered.N_matrix[:2] == ((zero, one, zero), (one, zero, zero))
         assert not _change_of_basis_holds(tampered)
-        assert not verify_block_reduction(tampered).checks[3].ok
-        assert not reference_determinant_check(tampered).ok
+        assert not reference_determinant_check(tampered)
 
     def test_poles_at_two_variables_are_not_certified(self):
         # p_2 = 1/x_1 puts N's bottom-right pole at x_1 and its top-left pole
@@ -518,12 +567,10 @@ class TestTamperedReductions:
         # certificate refuses a pole away from x_k.
         r = block_reduce(1, 0)
         p2 = LocalizedPoly(MultiPoly.const(3, 1), 1, 1)
-        tampered = dataclasses.replace(r, p_seq=r.p_seq[:2] + (p2,))
+        tampered = _refused(r, r.p_seq[:2] + (p2,))
         assert not _change_of_basis_holds(tampered)
         with pytest.raises(DimensionError):
             reference_determinant_check(tampered)
-        assert not verify_block_reduction(tampered).all_ok
-        assert not factorization_identity(tampered)
 
     def test_a_pole_moved_off_x_k_is_not_certified(self):
         # p_4 = P_4 / x_0^5 moved to the same numerator over x_1^5: read as
@@ -531,25 +578,20 @@ class TestTamperedReductions:
         # two variables, which the full expansion cannot combine.
         r = block_reduce(2, 0)
         p_4 = r.p_seq[4]
-        tampered = dataclasses.replace(
-            r, p_seq=r.p_seq[:4] + (LocalizedPoly(p_4.num, 1, p_4.power),)
-        )
+        tampered = _refused(r, r.p_seq[:4] + (LocalizedPoly(p_4.num, 1, p_4.power),))
         assert not _change_of_basis_holds(tampered)
         with pytest.raises(DimensionError):
             reference_determinant_check(tampered)
-        assert not verify_block_reduction(tampered).all_ok
-        assert not factorization_identity(tampered)
 
     @pytest.mark.parametrize("s", range(5))
     def test_a_numerator_without_its_pole_is_not_certified(self, s):
-        # p_s replaced by its numerator P_s, a polynomial: read without the
-        # shift that its power 0 calls for, P_s would pass for p_s, and
-        # every recurrence row would hold.
+        # p_s replaced by its numerator P_s, a polynomial: read as numerators
+        # alone, P_s would pass for p_s, and every recurrence row would hold.
         r = block_reduce(2, 0)
         numerator = LocalizedPoly(r.p_seq[s].num, 0)
-        tampered = dataclasses.replace(r, p_seq=r.p_seq[:s] + (numerator,) + r.p_seq[s + 1 :])
+        tampered = _refused(r, r.p_seq[:s] + (numerator,) + r.p_seq[s + 1 :])
         assert not _change_of_basis_holds(tampered)
-        assert reference_determinant_check(tampered).ok == (s == 1)  # p_1 is in no cell of N
+        assert reference_determinant_check(tampered) == (s == 1)  # p_1 is in no cell of N
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_y_hankel_determinant_matches_the_dense_determinant_at_points(self, n):
