@@ -25,26 +25,33 @@ image's monomial forms.  A column key is one int, (packed monomial key
 tuple read as a base-nvars number; for index tuples of one length it
 orders exactly as the (packed key, index tuple) pair.  The top field of
 a packed key is its total degree, so column keys order by coefficient
-degree first.  ``_column_key``, ``_split_column_key`` and
-``_column_degree`` are the only code that knows this layout.  ``d_f`` sums
-the rows of a form's monomial forms weighted by its coefficients.  The
-residue connecting map across {x_v = 0} needs no log forms:
-d(dx_v / x_v) = 0, so it is (D_f(w) ^ dx_v) / x_v, divided exactly.
+degree first.  ``_column_key``, ``_split_column_key``,
+``_column_degree`` and the shift of ``_d_f_rows`` are the only code that
+knows this layout.  A caller makes one row builder, ``_d_f_rows(f)``,
+per call: it takes each partial of f at most once and, on first use of
+an index tuple I, tables the column keys of df ^ dx_I and, for each j
+not in I, that of x_j^-1 dx_j ^ dx_I.  Column keys are linear in the
+packed key, so the row of x^e dx_I is that table shifted by x^e's
+column, with one exponent read per j.  ``d_f`` sums the rows of a form's
+monomial forms weighted by its coefficients.  The residue connecting map
+across {x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is (D_f(w)
+^ dx_v) / x_v, divided exactly.
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
-graded slice to a coefficient-degree cap, at the truncation and one modulus
-below it.  The monomial forms of each needed form degree are listed in
-order of coefficient degree, so the slice at any cap is a prefix; their
-D_f rows are built once and eliminated once with ``linalg.pivot_columns``
-(over Z, pivoting on the largest column key, the leading term of the df^
-part).  The rows are integer because f is first scaled by the lcm of its
-coefficient denominators, which changes no truncated dimension.  At both
-levels the kernel is the number of rows of a prefix that reduced to zero,
-and the image inside the cap is the number of pivots of a prefix of the
-previous form degree whose column has coefficient degree at most the cap.
-Proof: every column beyond the cap is above every column inside it, and
-the pivot rows have distinct leading columns, so a combination with no
-part beyond the cap uses only rows led inside it, which lie inside it.
+graded slice to a coefficient-degree cap, at the truncation and one
+modulus below it.  The monomial forms of each needed form degree are
+listed in order of coefficient degree, so the slice at any cap is a
+prefix; their D_f rows are streamed, never listed, into one elimination
+with ``linalg.pivot_columns`` (over Z, pivoting on the largest column
+key, the leading term of the df^ part).  The rows are integer because f
+is first scaled by the lcm of its coefficient denominators, which
+changes no truncated dimension.  At both levels the kernel is the number
+of rows of a prefix that reduced to zero, and the image inside the cap
+is the number of pivots of a prefix of the previous form degree whose
+column has coefficient degree at most the cap.  Proof: every column
+beyond the cap is above every column inside it, and the pivot rows have
+distinct leading columns, so a combination with no part beyond the cap
+uses only rows led inside it, which lie inside it.
 
 Only the weight-0 block is eliminated.  Give x^e dx_I the weight
 h = sum_i w_i (e_i + [i in I]) with w_i = 2i - (nvars-1).  If every term
@@ -76,7 +83,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .exactalg import (
     FIELD_BITS,
@@ -253,45 +260,67 @@ def _column_degree(column: int, nvars: int) -> int:
     return key_degree(column >> (nvars * nvars.bit_length()), nvars)
 
 
-def _d_f_rows(f: MultiPoly, domain: Sequence[Tuple[IndexTuple, int]]) -> List[dict]:
-    """D_f of each domain monomial form x^e dx_I, as a sparse row (of ints
-    when f has integer coefficients) keyed by the column keys of the
-    image's monomial forms:
+def _d_f_rows(
+    f: MultiPoly,
+) -> Callable[[Iterable[Tuple[IndexTuple, int]]], Iterator[dict]]:
+    """The D_f row builder of f: a generator function from monomial forms
+    x^e dx_I, as (index tuple, packed key) pairs, to their D_f rows, sparse
+    rows (of ints when f has integer coefficients) keyed by the column keys
+    of the image's monomial forms:
     the sum over j not in I of (e_j x^e / x_j + x^e df/dx_j) dx_j ^ dx_I.
     Distinct j give distinct index tuples, and the two parts differ in
     degree, so no two contributions share a key.  This is the only place
-    D_f is built.  A column key is the bitwise or of the key of its
-    indices with the monomial 1 and that of its monomial with no indices,
-    which is linear in the packed key."""
+    D_f is built.
+
+    The wedge table of I, built on first use, holds the df^ part as
+    (column key of x^k dx_j ^ dx_I, signed coefficient) pairs and the d
+    part as (exponent field of x_j, column key of dx_j ^ dx_I minus that
+    of x_j, sign) triples; a row adds x^e's column to each key.  The
+    tables live as long as the builder, which a caller makes per call."""
     nvars = f.nvars
-    var_keys = [_column_key((), _var_key(nvars, j), nvars) for j in range(nvars)]
-    partials = [
-        {_column_key((), k, nvars): c for k, c in f.derivative(j).packed.items()}
-        for j in range(nvars)
-    ]
+    code_bits = nvars * nvars.bit_length()
+    # The column keys of the terms of each df/dx_j, taken on first use, and
+    # of each x_j, with no indices: adding the index code of dx_j ^ dx_I
+    # gives that of the form.
+    partials: List[Optional[list]] = [None] * nvars
+    var_columns = [_column_key((), _var_key(nvars, j), nvars) for j in range(nvars)]
     # x^e df/dx_j must fit a packed key, or its exponent fields would overflow.
     limit = (MAX_DEGREE + 2 - f.total_degree()) << (FIELD_BITS * nvars)
-    inserts: Dict[IndexTuple, list] = {}
-    rows = []
-    for indices, key in domain:
-        wedges = inserts.get(indices)
-        if wedges is None:
-            wedges = inserts[indices] = [
-                (j, _column_key(inserted[0], 0, nvars), inserted[1])
-                for j in range(nvars)
-                if (inserted := _insert_index(indices, j)) is not None
-            ]
-        if key >= limit:
-            raise OverflowError(f"D_f exceeds the packed monomial degree limit {MAX_DEGREE}")
-        expo = unpack(key, nvars)
-        column = _column_key((), key, nvars)
-        row = {}
-        for j, code, sign in wedges:
-            if expo[j]:
-                row[(column - var_keys[j]) | code] = sign * expo[j]
-            for k, c in partials[j].items():
-                row[(column + k) | code] = sign * c
-        rows.append(row)
+    tables: Dict[IndexTuple, tuple] = {}
+
+    def wedge_table(indices: IndexTuple) -> tuple:
+        df_part, d_part = [], []
+        for j in range(nvars):
+            inserted = _insert_index(indices, j)
+            if inserted is None:
+                continue
+            new, sign = inserted
+            partial = partials[j]
+            if partial is None:
+                partial = partials[j] = [
+                    (_column_key((), k, nvars), c) for k, c in f.derivative(j).packed.items()
+                ]
+            code = _column_key(new, 0, nvars)
+            df_part += [(column + code, sign * c) for column, c in partial]
+            d_part.append((FIELD_BITS * (nvars - 1 - j), code - var_columns[j], sign))
+        return df_part, d_part
+
+    def rows(domain: Iterable[Tuple[IndexTuple, int]]) -> Iterator[dict]:
+        for indices, key in domain:
+            if key >= limit:
+                raise OverflowError(f"D_f exceeds the packed monomial degree limit {MAX_DEGREE}")
+            table = tables.get(indices)
+            if table is None:
+                table = tables[indices] = wedge_table(indices)
+            df_part, d_part = table
+            column = key << code_bits
+            row = {column + offset: c for offset, c in df_part}
+            for field, offset, sign in d_part:
+                e = key >> field & MAX_DEGREE
+                if e:
+                    row[column + offset] = sign * e
+            yield row
+
     return rows
 
 
@@ -306,7 +335,7 @@ def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
         return ExtForm(form.nvars, form.nvars)
     domain = [(idx, key) for idx, coeff in form.terms.items() for key in coeff.packed]
     image: Dict[IndexTuple, dict] = {}
-    for (idx, key), row in zip(domain, _d_f_rows(f, domain)):
+    for (idx, key), row in zip(domain, _d_f_rows(f)(domain)):
         c = form.terms[idx].packed[key]
         for column, r in row.items():
             new_idx, new_key = _split_column_key(column, form.nvars, form.degree + 1)
@@ -566,13 +595,15 @@ def truncated_drk_dims(
     # once, in order of coefficient degree, up to the largest cap they are
     # read at: truncation + 1 when they are the image side of degree j + 1.
     # Every dimension below is then read off the pivots of a prefix of that
-    # one pass: columns[i] is the new pivot of row i, or None.
+    # one pass: columns[i] is the new pivot of row i, or None.  The rows of
+    # every slice come from one builder and are streamed, never listed.
+    rows = _d_f_rows(f)
     slices = {}
     for j in set(wanted) | {k - 1 for k in wanted if k >= 1}:
         top = truncation + 1 if j + 1 in wanted else truncation
         domain = _class_basis(nvars, j, modulus, residue, top, weights)
         coeff_degrees = [key_degree(key, nvars) for _, key in domain]
-        slices[j] = (coeff_degrees, pivot_columns(_d_f_rows(f, domain)))
+        slices[j] = (coeff_degrees, pivot_columns(rows(domain)))
 
     levels = []
     forms: Dict[int, int] = {}  # left at the counts of the last cap

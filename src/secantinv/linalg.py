@@ -5,13 +5,14 @@ integer rows and the determinant of a dense rational matrix.
   eliminates them one at a time against the pivot rows found so far, with
   ``row = a*row - b*pivot`` (a, b coprime), and returns each row's new
   pivot column, or None when it reduced to zero: the rank of a prefix is
-  its number of pivots.  Each input row is copied once, dropping zeros,
-  and that copy is reduced in place: every step first divides it by its
-  content, the gcd of its entries, so entries stay small, and drops each
-  entry that cancels.  A row's pivot is its largest column key; on the
-  rows of the twisted differential that is the leading term of the df^
-  part, which keeps fill-in low (structured pivoting of Macaulay-like
-  matrices, Faugere and Lachartre, PASCO 2010).
+  its number of pivots.  The rows are read once each, in order, so they
+  may come from a generator.  Each input row is copied once, dropping
+  zeros if it holds any, and that copy is reduced in place: every step
+  first divides it by its content, the gcd of its entries, so entries stay
+  small, and drops each entry that cancels.  A row's pivot is its largest
+  column key; on the rows of the twisted differential that is the leading
+  term of the df^ part, which keeps fill-in low (structured pivoting of
+  Macaulay-like matrices, Faugere and Lachartre, PASCO 2010).
 * If every column key of B is above every key of A, rank([A|B]) - rank(B)
   of a prefix is its number of pivots in A.  Proof: the stored rows span
   the prefix and never change, and their leading columns are distinct, so
@@ -41,7 +42,10 @@ def _eliminate(
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     columns: List[Optional[Hashable]] = []
     for sparse in rows:
-        row = {key: v for key, v in sparse.items() if v}
+        if 0 in sparse.values():
+            row = {key: v for key, v in sparse.items() if v}
+        else:
+            row = dict(sparse)
         while row:
             content = math.gcd(*row.values())
             if content > 1:
@@ -75,7 +79,8 @@ def pivot_columns(rows: Iterable[Mapping[Hashable, int]]) -> List[Optional[Hasha
     the earlier rows, or None when it reduced to zero.
 
     Column keys must be mutually comparable; only their order matters.
-    The rows are not modified.
+    The rows are read once each, in order: any iterable will do, a one-shot
+    generator included.  The rows are not modified.
     """
     return _eliminate(rows)[1]
 

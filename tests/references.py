@@ -8,11 +8,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from secantinv.cohomtables import RootOfUnity, nearby_vanishing_decomposition
 from secantinv.compositions import composition_parts
-from secantinv.drk import ExtForm, _column_degree, _d_f_rows
+from secantinv.drk import ExtForm
 from secantinv.exactalg import (
     FIELD_BITS,
     MAX_DEGREE,
@@ -23,6 +23,7 @@ from secantinv.exactalg import (
     pack,
     poly_det,
     rational_to_str,
+    unpack,
 )
 from secantinv.hankel import BlockReduction, _hankel
 from secantinv.hodge import _weighted_strata_sum
@@ -276,23 +277,91 @@ def reference_class_basis(
     return domain
 
 
+def reference_d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
+    """dw + df ^ w summed from MultiPoly.derivative, * and +: an oracle for
+    the packed D_f rows.  A log form stores c for the coefficient c / x_v;
+    d(c / x_v) and dc / x_v differ by a multiple of dx_v, which every term
+    already contains, so the same sum applies to the stored coefficients."""
+    nvars = form.nvars
+    if form.degree == nvars:
+        return ExtForm(nvars, nvars)
+    out: Dict[Tuple[int, ...], MultiPoly] = {}
+    for idx, coeff in form.terms.items():
+        for j in range(nvars):
+            if j in idx:
+                continue
+            # dx_j moves left past the indices of I below j.
+            piece = coeff.derivative(j) + f.derivative(j) * coeff
+            if sum(i < j for i in idx) % 2:
+                piece = -piece
+            new_idx = tuple(sorted(idx + (j,)))
+            out[new_idx] = out[new_idx] + piece if new_idx in out else piece
+    return ExtForm(nvars, form.degree + 1, out, form.log_var)
+
+
+def reference_slice(
+    nvars: int, k: int, modulus: int, residue: int, cap: int
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every monomial k-form x^e dx_I of the graded-class slice with
+    coefficient degree <= cap, of every weight, as (I, e) pairs."""
+    return [
+        (indices, expo)
+        for total in range(cap + 1)
+        if (total + k) % modulus == residue
+        for indices in combinations(range(nvars), k)
+        for expo in exponents_of_degree(nvars, total)
+    ]
+
+
+def reference_rows(f: MultiPoly) -> Callable[[Sequence[Tuple]], List[Dict[Hashable, Number]]]:
+    """The function from monomial forms, as (I, e) pairs, to their D_f rows
+    by ``reference_d_f``, keyed by (index tuple, exponent tuple): no packed
+    key or column key is involved.  Each form's row is computed once per
+    function, since the caps of one reference comparison share forms."""
+    nvars = f.nvars
+    memo: Dict[Tuple, Dict[Hashable, Number]] = {}
+
+    def rows(forms: Sequence[Tuple]) -> List[Dict[Hashable, Number]]:
+        out = []
+        for indices, expo in forms:
+            row = memo.get((indices, expo))
+            if row is None:
+                form = ExtForm(nvars, len(indices), {indices: MultiPoly(nvars, {expo: 1})})
+                row = memo[indices, expo] = {
+                    (image_indices, unpack(key, nvars)): c
+                    for image_indices, coeff in reference_d_f(f, form).terms.items()
+                    for key, c in coeff.packed.items()
+                }
+            out.append(row)
+        return out
+
+    return rows
+
+
 def dims_at(
-    f: MultiPoly, modulus: int, residue: int, cap: int, wanted: Sequence[int]
+    f: MultiPoly,
+    modulus: int,
+    residue: int,
+    cap: int,
+    wanted: Sequence[int],
+    rows: Optional[Callable[[Sequence[Tuple]], List[Dict[Hashable, Number]]]] = None,
 ) -> Dict[int, int]:
     """Truncated cohomology dimensions of the class-``residue`` slices at one
-    coefficient-degree cap, rebuilding and ranking every slice on its own:
-    three ``rank`` calls per form degree and cap.  ``truncated_drk_dims``
-    reads the same numbers, at both of its caps, from one elimination per
-    form degree."""
+    coefficient-degree cap, rebuilding and ranking every whole slice on its
+    own, with rows from ``reference_rows(f)`` (or ``rows``, one such
+    function reused): three ``rank`` calls per form degree and cap.
+    ``truncated_drk_dims`` reads the same numbers, at both of its caps, from
+    one elimination per form degree of its weight-0 block."""
     nvars = f.nvars
+    rows = rows or reference_rows(f)
     dims: Dict[int, int] = {}
     for k in wanted:
-        domain = reference_class_basis(nvars, k, modulus, residue, cap, (0,) * nvars)
+        domain = reference_slice(nvars, k, modulus, residue, cap)
         if not domain:
             dims[k] = 0
             continue
         # Kernel of D_f on the slice: full image, no truncation of the target.
-        kernel_dim = len(domain) - rank(_d_f_rows(f, domain))
+        kernel_dim = len(domain) - rank(rows(domain))
 
         # Image inside the truncation: combinations of the (k-1)-forms one
         # coefficient degree above the cap (the exterior derivative lowers
@@ -300,15 +369,7 @@ def dims_at(
         # Their within-cap parts A span the projection onto A of
         # rowspace[A|B] intersected with {B = 0}, of dimension
         # rank([A|B]) - rank(B).
-        prev = (
-            reference_class_basis(nvars, k - 1, modulus, residue, cap + 1, (0,) * nvars)
-            if k >= 1
-            else []
-        )
-        full = _d_f_rows(f, prev)
-        beyond = [
-            {key: c for key, c in row.items() if _column_degree(key, nvars) > cap}
-            for row in full
-        ]
+        full = rows(reference_slice(nvars, k - 1, modulus, residue, cap + 1) if k >= 1 else [])
+        beyond = [{key: c for key, c in row.items() if sum(key[1]) > cap} for row in full]
         dims[k] = kernel_dim - (rank(full) - rank(beyond))
     return dims

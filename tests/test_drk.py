@@ -27,7 +27,13 @@ from secantinv.drk import (
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
 from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack, unpack
 from secantinv.linalg import pivot_columns
-from tests.references import dims_at, proportionality, reference_class_basis
+from tests.references import (
+    dims_at,
+    proportionality,
+    reference_class_basis,
+    reference_d_f,
+    reference_rows,
+)
 
 
 def p(nvars, text):
@@ -58,26 +64,6 @@ def random_form(rng, nvars, degree, coeff_degree=3):
         existing = terms.get(idx)
         terms[idx] = coeff if existing is None else existing + coeff
     return ExtForm(nvars, degree, terms)
-
-
-def reference_d_f(f, form):
-    """dw + df ^ w summed from MultiPoly.derivative, * and +: an oracle for
-    the packed D_f rows.  A log form stores c for the coefficient c / x_v;
-    d(c / x_v) and dc / x_v differ by a multiple of dx_v, which every term
-    already contains, so the same sum applies to the stored coefficients."""
-    nvars = form.nvars
-    if form.degree == nvars:
-        return ExtForm(nvars, nvars)
-    out = {}
-    for idx, coeff in form.terms.items():
-        for j in range(nvars):
-            if j in idx:
-                continue
-            sign = (-1) ** sum(i < j for i in idx)
-            piece = (coeff.derivative(j) + f.derivative(j) * coeff).scale(sign)
-            new_idx = tuple(sorted(idx + (j,)))
-            out[new_idx] = out.get(new_idx, MultiPoly.zero(nvars)) + piece
-    return ExtForm(nvars, form.degree + 1, out, form.log_var)
 
 
 def log_lift(form, v):
@@ -289,10 +275,27 @@ class TestColumnKey:
 
     def test_d_f_rows_have_int_keys_and_entries(self):
         f = hankel_determinant_poly(2)
-        rows = drk._d_f_rows(f, drk._class_basis(5, 3, 3, 1, 4, (0,) * 5))
+        rows = drk._d_f_rows(f)(drk._class_basis(5, 3, 3, 1, 4, (0,) * 5))
         assert all(
             key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
         )
+
+    def test_d_f_takes_only_the_partials_its_wedges_need(self, monkeypatch):
+        # Every term of a 4-form in 5 variables misses one index, x_2 here:
+        # D_f reads df/dx_2 alone.
+        f = hankel_determinant_poly(2)
+        form = ExtForm(5, 4, {(0, 1, 3, 4): p(5, "x0*x2 + x3^2")})
+        expected = reference_d_f(f, form)
+        differentiated = []
+        derivative = MultiPoly.derivative
+
+        def counting(poly, idx):
+            differentiated.append(idx)
+            return derivative(poly, idx)
+
+        monkeypatch.setattr(MultiPoly, "derivative", counting)
+        assert d_f(f, form) == expected
+        assert differentiated == [2]
 
     def test_d_f_past_the_packed_degree_limit_raises(self):
         # x0 * x1 times x0^MAX_DEGREE dx1 would overflow the packed key.
@@ -549,6 +552,24 @@ class TestTruncatedDims:
         assert sorted(eliminated) == sorted(kept)
         assert kept == [10, 22, 30, 10] and full == [70, 150, 210, 50]
 
+    def test_f_is_differentiated_once_per_call(self, monkeypatch):
+        # Slices 1 and 2 of det H_2 share one row builder, which takes each
+        # of f's five partials once; a second call builds its own, as no
+        # table outlives a call.
+        f = hankel_determinant_poly(2)
+        differentiated = []
+        derivative = MultiPoly.derivative
+
+        def counting(poly, idx):
+            differentiated.append(idx)
+            return derivative(poly, idx)
+
+        monkeypatch.setattr(MultiPoly, "derivative", counting)
+        first = truncated_drk_dims(f, 3, 1, 3, [2])
+        assert sorted(differentiated) == [0, 1, 2, 3, 4]
+        assert truncated_drk_dims(f, 3, 1, 3, [2]) == first
+        assert sorted(differentiated) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
     @pytest.mark.parametrize("degrees", [[7], [-1], [1, 4]])
     def test_form_degrees_outside_zero_to_nvars_rejected(self, degrees):
         # A 3-variable f has form degrees 0..3 only.
@@ -564,12 +585,15 @@ class TestTruncatedDims:
             truncated_drk_dims(p(1, "x0^2"), 3, 0, 6)
 
 
-def reference_truncated_dims(f, modulus, residue, truncation, degrees=None):
+def reference_truncated_dims(f, modulus, residue, truncation, degrees=None, rows=None):
     """(dims, stabilized) from the per-cap reference, which rebuilds and
-    ranks every slice at each of the two caps."""
+    ranks every slice at each of the two caps.  ``rows``, a
+    ``reference_rows(f)`` reused across calls on one f, saves recomputing
+    its D_f rows; every rank is still taken anew."""
     wanted = tuple(range(f.nvars + 1)) if degrees is None else tuple(degrees)
-    current = dims_at(f, modulus, residue, truncation, wanted)
-    previous = dims_at(f, modulus, residue, truncation - modulus, wanted)
+    rows = rows or reference_rows(f)
+    current = dims_at(f, modulus, residue, truncation, wanted, rows)
+    previous = dims_at(f, modulus, residue, truncation - modulus, wanted, rows)
     return tuple(sorted(current.items())), current == previous
 
 
@@ -645,11 +669,12 @@ class TestTruncatedDimsAgainstThePerCapReference:
         f = p(nvars, text)
         weighted = tuple(2 * i - (nvars - 1) for i in range(nvars))
         assert drk._weights(f) == (weighted if nvars == 5 else (0,) * nvars)
+        rows = reference_rows(f)
         for truncation in truncations:
             for residue in range(modulus):
                 result = truncated_drk_dims(f, modulus, residue, truncation)
                 assert (result.dims, result.stabilized) == reference_truncated_dims(
-                    f, modulus, residue, truncation
+                    f, modulus, residue, truncation, rows=rows
                 ), (truncation, residue)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -658,11 +683,12 @@ class TestTruncatedDimsAgainstThePerCapReference:
     @example(p(3, "2*x0*x2 + x1^2"))
     def test_random_quadrics_every_class(self, f):
         # Truncations 3 and 4 compare caps 1, 2, 3 and 4.
+        rows = reference_rows(f)
         for truncation in (3, 4):
             for residue in (0, 1):
                 result = truncated_drk_dims(f, 2, residue, truncation)
                 assert (result.dims, result.stabilized) == reference_truncated_dims(
-                    f, 2, residue, truncation
+                    f, 2, residue, truncation, rows=rows
                 ), (truncation, residue)
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -671,11 +697,12 @@ class TestTruncatedDimsAgainstThePerCapReference:
         # Every such f takes the weight-0 block path; truncations 3 and 4
         # compare caps 0, 1, 3 and 4 with the whole-slice reference.
         assert drk._weights(f) == (-4, -2, 0, 2, 4)
+        rows = reference_rows(f)
         for truncation in (3, 4):
             for residue in range(3):
                 result = truncated_drk_dims(f, 3, residue, truncation)
                 assert (result.dims, result.stabilized) == reference_truncated_dims(
-                    f, 3, residue, truncation
+                    f, 3, residue, truncation, rows=rows
                 ), (truncation, residue)
 
 
@@ -813,7 +840,7 @@ class TestEigenvectorPipeline:
             form_weight((idx, key), 5) for idx, coeff in alpha.terms.items() for key in coeff.packed
         } == {0}
         weight_0 = drk._class_basis(5, 4, 3, residue, truncation + 1, drk._weights(f))
-        image = drk._d_f_rows(f, weight_0)
+        image = list(drk._d_f_rows(f)(weight_0))
         row = {
             drk._column_key(idx, key, 5): c
             for idx, coeff in alpha.terms.items()

@@ -143,6 +143,31 @@ class TestRank:
         pivot_columns(given_rows)
         assert given_rows == before
 
+    @SETTINGS
+    @given(
+        st.one_of(matrices(), matrices(entries=st.integers(-3, 3))),
+        st.booleans(),
+    )
+    def test_a_one_shot_generator_gives_the_columns_of_its_list(self, rows, explicit_zeros):
+        # The rows are read once each, in order: a generator of the rows
+        # gives the columns of the list of them, and is used up.
+        given_rows = [
+            integer_row({col: v for col, v in enumerate(row) if explicit_zeros or v != 0})
+            for row in rows
+        ]
+        before = copy.deepcopy(given_rows)
+        stream = (row for row in given_rows)
+        assert pivot_columns(stream) == pivot_columns(given_rows)
+        assert next(stream, None) is None
+        assert given_rows == before
+
+    def test_explicit_zeros_are_never_pivots(self):
+        # A zero at a row's largest key must not lead it: the copy drops it.
+        rows = [{2: 0, 1: 3}, {2: 5, 0: 0}, {1: 0, 0: 0}, {2: 0, 1: 6, 0: 1}]
+        before = copy.deepcopy(rows)
+        assert pivot_columns(rows) == [1, 2, None, 0]
+        assert rows == before
+
     def test_an_integer_row_reduced_with_unit_multiplier_is_not_mutated(self):
         # The second row is reduced as row - pivot, which edits whatever
         # dict the elimination holds: it must be a copy.
@@ -228,7 +253,7 @@ class TestRankAgainstSympy:
         f = hankel_determinant_poly(1)
         for residue in (0, 1):
             for k in range(f.nvars + 1):
-                rows = _d_f_rows(f, _class_basis(f.nvars, k, 2, residue, cap, (0,) * f.nvars))
+                rows = list(_d_f_rows(f)(_class_basis(f.nvars, k, 2, residue, cap, (0,) * f.nvars)))
                 columns = sorted({key for row in rows for key in row})
                 assert rank(rows) == sympy_rank(sympy, rows, columns), (residue, k)
 
@@ -240,7 +265,7 @@ class TestDfSlicePivots:
         # pairs, so the pivots and their fill-in match those of the pair
         # keys: 3772 stored entries either way.
         f = hankel_determinant_poly(2)
-        rows = _d_f_rows(f, _class_basis(f.nvars, 3, 3, 1, 4, (0,) * f.nvars))
+        rows = list(_d_f_rows(f)(_class_basis(f.nvars, 3, 3, 1, 4, (0,) * f.nvars)))
         pair_rows = [
             {_split_column_key(key, f.nvars, 4)[::-1]: c for key, c in row.items()}
             for row in rows
