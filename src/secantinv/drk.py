@@ -27,15 +27,22 @@ orders exactly as the (packed key, index tuple) pair.  The top field of
 a packed key is its total degree, so column keys order by coefficient
 degree first.  ``_column_key``, ``_split_column_key``,
 ``_column_degree`` and the shift of ``_d_f_rows`` are the only code that
-knows this layout.  A caller makes one row builder, ``_d_f_rows(f)``,
-per call: it takes each partial of f at most once and, on first use of
-an index tuple I, tables the column keys of df ^ dx_I and, for each j
-not in I, that of x_j^-1 dx_j ^ dx_I.  Column keys are linear in the
-packed key, so the row of x^e dx_I is that table shifted by x^e's
-column, with one exponent read per j.  ``d_f`` sums the rows of a form's
-monomial forms weighted by its coefficients.  The residue connecting map
+knows this layout.  A row builder, ``_d_f_rows(f)``, takes each partial
+of f at most once and, on first use of an index tuple I, tables the
+column keys of df ^ dx_I and, for each j not in I, that of x_j^-1 dx_j ^
+dx_I.  Column keys are linear in the packed key, so the row of x^e dx_I
+is that table shifted by x^e's column, with one exponent read per j.
+``_d_f`` sums the rows of a form's monomial forms weighted by its
+coefficients, with a given builder; ``d_f`` checks its input and makes
+one.  Builders live within one call and are shared inside it: one per
+``truncated_drk_dims`` call for all its slices, one per
+``connecting_map`` call for its image and its closedness check, and one
+for both seed checks of ``n2_eigenvectors``.  The residue connecting map
 across {x_v = 0} needs no log forms: d(dx_v / x_v) = 0, so it is (D_f(w)
-^ dx_v) / x_v, divided exactly.
+^ dx_v) / x_v, divided exactly.  The images of ``_d_f`` and
+``connecting_map`` and the univariate basis are built with ``_form``,
+which skips ``ExtForm``'s checks: it builds only forms whose terms are
+clean by construction.
 
 Truncated cohomology dimensions (``truncated_drk_dims``) restrict each
 graded slice to a coefficient-degree cap, at the truncation and one
@@ -69,7 +76,9 @@ weight-0 forms are enumerated directly, never filtered out of the slice:
 for each coefficient degree and each weight of dx_I, the monomials of that
 degree and the opposite weight are listed once, in packed-key order,
 skipping every exponent head whose remaining degree cannot reach the
-remaining weight; the basis order is that of the whole slice.
+remaining weight; the basis order is that of the whole slice.  One key
+enumerator per ``truncated_drk_dims`` call keeps these lists for all its
+slices, so slices j and j + N share them.
 
 The univariate complex for g(z) = z^(m+1) has H^0 = 0 and H^1 spanned by
 dz, z dz, ..., z^(m-1) dz (plus dz/z in the log variant); this module
@@ -119,6 +128,8 @@ class CohomologyMismatchError(RuntimeError):
 
 
 IndexTuple = Tuple[int, ...]
+#: A D_f row builder, made by ``_d_f_rows``.
+RowBuilder = Callable[[Iterable[Tuple[IndexTuple, int]]], Iterator[dict]]
 
 
 def _insert_index(indices: IndexTuple, j: int) -> Optional[Tuple[IndexTuple, int]]:
@@ -219,6 +230,18 @@ class ExtForm:
         return f"ExtForm({self.to_str()!r})"
 
 
+def _form(
+    nvars: int, degree: int, terms: Dict[IndexTuple, MultiPoly], log_var: Optional[int] = None
+) -> ExtForm:
+    """Trusted constructor: ``terms`` must already be clean, that is
+    strictly increasing in-range index tuples of length ``degree``, each
+    containing ``log_var`` if given, mapped to nonzero coefficients of
+    arity ``nvars``; ``log_var`` must be None when ``terms`` is empty."""
+    w = object.__new__(ExtForm)
+    w.nvars, w.degree, w.terms, w.log_var = nvars, degree, terms, log_var
+    return w
+
+
 @dataclass(frozen=True)
 class GradedClass:
     """A residue class a mod N of homogeneous degrees."""
@@ -260,9 +283,7 @@ def _column_degree(column: int, nvars: int) -> int:
     return key_degree(column >> (nvars * nvars.bit_length()), nvars)
 
 
-def _d_f_rows(
-    f: MultiPoly,
-) -> Callable[[Iterable[Tuple[IndexTuple, int]]], Iterator[dict]]:
+def _d_f_rows(f: MultiPoly) -> RowBuilder:
     """The D_f row builder of f: a generator function from monomial forms
     x^e dx_I, as (index tuple, packed key) pairs, to their D_f rows, sparse
     rows (of ints when f has integer coefficients) keyed by the column keys
@@ -327,25 +348,37 @@ def _d_f_rows(
 def d_f(f: MultiPoly, form: ExtForm) -> ExtForm:
     """The twisted differential D_f(w) = dw + df ^ w on pole-free forms: the
     coefficient-weighted sum of the D_f rows of the form's monomial forms."""
+    _check_d_f_input(f, form)
+    return _d_f(_d_f_rows(f), form)
+
+
+def _check_d_f_input(f: MultiPoly, form: ExtForm) -> None:
     if form.has_log_pole():
         raise ValueError("D_f is computed on pole-free forms only")
     if f.nvars != form.nvars:
         raise DimensionError("variable count mismatch between f and the form")
-    if form.degree == form.nvars:
-        return ExtForm(form.nvars, form.nvars)
+
+
+def _d_f(rows: RowBuilder, form: ExtForm) -> ExtForm:
+    """``d_f`` with the row builder ``rows`` of f, on a pole-free form of
+    f's arity."""
+    nvars = form.nvars
+    if form.degree == nvars:
+        return _form(nvars, nvars, {})
     domain = [(idx, key) for idx, coeff in form.terms.items() for key in coeff.packed]
     image: Dict[IndexTuple, dict] = {}
-    for (idx, key), row in zip(domain, _d_f_rows(f)(domain)):
+    for (idx, key), row in zip(domain, rows(domain)):
         c = form.terms[idx].packed[key]
         for column, r in row.items():
-            new_idx, new_key = _split_column_key(column, form.nvars, form.degree + 1)
+            new_idx, new_key = _split_column_key(column, nvars, form.degree + 1)
             terms = image.setdefault(new_idx, {})
             terms[new_key] = terms.get(new_key, 0) + c * r
-    return ExtForm(
-        form.nvars,
-        form.degree + 1,
-        {idx: _make(form.nvars, _clean(terms)) for idx, terms in image.items()},
-    )
+    out: Dict[IndexTuple, MultiPoly] = {}
+    for idx, terms in image.items():
+        clean = _clean(terms)
+        if clean:
+            out[idx] = _make(nvars, clean)
+    return _form(nvars, form.degree + 1, out)
 
 
 def homogeneous_class(form: ExtForm, modulus: int) -> GradedClass:
@@ -380,19 +413,23 @@ def connecting_map(f: MultiPoly, form: ExtForm, v: int) -> ExtForm:
     when x_v divides every coefficient of D_f(w) ^ dx_v (otherwise
     PoleSurvivesError).  The result is a D_f-closed form one cohomological
     step up, in the same graded class as ``form``; a form of degree
-    nvars - 1 maps to the zero top form.
+    nvars - 1 maps to the zero top form, with no D_f taken.
     """
     nvars = form.nvars
     if not 0 <= v < nvars:
         raise DimensionError(f"variable index {v} out of range")
+    field = FIELD_BITS * (nvars - 1 - v)
     for indices, coeff in form.terms.items():
-        if v in indices or not coeff.derivative(v).is_zero():
+        if v in indices or any(key >> field & MAX_DEGREE for key in coeff.packed):
             raise ResidueMismatchError(f"form is not a form on the hyperplane x{v} = 0")
-    image = d_f(f, form)
+    _check_d_f_input(f, form)
     if form.degree == nvars - 1:
-        return ExtForm(nvars, nvars)
+        return _form(nvars, nvars, {})
+    if form.degree == nvars:  # the zero top form: no form lies two degrees up
+        raise DimensionError(f"form degree {nvars + 2} out of range for {nvars} variables")
+    rows = _d_f_rows(f)
     out: Dict[IndexTuple, MultiPoly] = {}
-    for indices, coeff in image.terms.items():
+    for indices, coeff in _d_f(rows, form).terms.items():
         if v in indices:
             continue
         if coeff.var_multiplicity(v) < 1:
@@ -401,8 +438,8 @@ def connecting_map(f: MultiPoly, form: ExtForm, v: int) -> ExtForm:
         quotient = coeff.div_var_power(v, 1)
         larger = sum(1 for i in indices if i > v)
         out[tuple(sorted(indices + (v,)))] = quotient if larger % 2 == 0 else -quotient
-    result = ExtForm(nvars, form.degree + 2, out)
-    if not d_f(f, result).is_zero():
+    result = _form(nvars, form.degree + 2, out)
+    if not _d_f(rows, result).is_zero():
         raise CohomologyMismatchError("connecting-map output is not closed")
     return result
 
@@ -441,8 +478,8 @@ def univariate_drk_cohomology(m: int, log: bool = False) -> List[ExtForm]:
 
     out: List[ExtForm] = []
     if log:
-        out.append(ExtForm(1, 1, {(0,): MultiPoly.const(1, 1)}, log_var=0))
-    out.extend(ExtForm(1, 1, {(0,): MultiPoly(1, {(j,): 1})}) for j in range(m))
+        out.append(_form(1, 1, {(0,): _make(1, {0: 1})}, log_var=0))
+    out.extend(_form(1, 1, {(0,): _make(1, {j * _var_key(1, 0): 1})}) for j in range(m))
     return out
 
 
@@ -476,7 +513,7 @@ def _class_basis(
     modulus: int,
     residue: int,
     cap: int,
-    weights: Sequence[int],
+    keys_of: Callable[[int, int], List[int]],
 ) -> List[Tuple[IndexTuple, int]]:
     """Monomial k-form basis of the weight-0 block of the graded-class slice
     with coefficient degree <= cap: pairs (index tuple, packed monomial key)
@@ -484,27 +521,28 @@ def _class_basis(
     prefix, and within one degree index tuples outer, packed keys
     ascending.  Only weight-0 forms are enumerated: x^e dx_I has weight 0
     when x^e has weight minus that of dx_I, and the keys of each (degree,
-    weight) pair are listed once, by ``_weighted_keys``.  With all weights
-    0 every form has weight 0: the whole slice."""
+    weight) pair come from the key enumerator ``keys_of``, made by
+    ``_weighted_keys``, which lists them once.  With all weights 0 every
+    form has weight 0: the whole slice."""
+    weights = keys_of.weights
     index_weights = [
         (indices, sum(weights[i] for i in indices)) for indices in combinations(range(nvars), k)
     ]
-    keys_of = _weighted_keys(weights)
     domain: List[Tuple[IndexTuple, int]] = []
     for total in range(cap + 1):
         if (total + k) % modulus != residue:
             continue
-        keys: Dict[int, List[int]] = {}
         for indices, index_weight in index_weights:
-            if index_weight not in keys:
-                keys[index_weight] = keys_of(total, -index_weight)
-            domain += [(indices, key) for key in keys[index_weight]]
+            domain += [(indices, key) for key in keys_of(total, -index_weight)]
     return domain
 
 
 def _weighted_keys(weights: Sequence[int]) -> Callable[[int, int], List[int]]:
-    """The function (total, target) -> packed keys, ascending, of the
-    monomials x^e of degree ``total`` with sum_i w_i e_i = ``target``.
+    """The key enumerator of ``weights``: the function (total, target) ->
+    packed keys, ascending, of the monomials x^e of degree ``total`` with
+    sum_i w_i e_i = ``target``, with ``weights`` as its attribute.  Each
+    list is built once and kept in the enumerator, which a caller makes
+    per call; callers never mutate the lists.
 
     The exponents are chosen from x_0 on, each ascending, which is
     packed-key order.  A head is skipped when the remaining variables
@@ -516,6 +554,7 @@ def _weighted_keys(weights: Sequence[int]) -> Callable[[int, int], List[int]]:
     shifts = [FIELD_BITS * (nvars - 1 - i) for i in range(nvars)]
     lows = [min(weights[i:]) for i in range(nvars)]
     highs = [max(weights[i:]) for i in range(nvars)]
+    memo: Dict[Tuple[int, int], List[int]] = {}
 
     def tails(i: int, degree: int, weight: int) -> List[int]:
         # The packed fields of the exponents of x_i, x_(i+1), ...
@@ -541,9 +580,13 @@ def _weighted_keys(weights: Sequence[int]) -> Callable[[int, int], List[int]]:
         return out
 
     def keys(total: int, target: int) -> List[int]:
-        top = total << (FIELD_BITS * nvars)
-        return [top | tail for tail in tails(0, total, target)]
+        found = memo.get((total, target))
+        if found is None:
+            top = total << (FIELD_BITS * nvars)
+            found = memo[total, target] = [top | tail for tail in tails(0, total, target)]
+        return found
 
+    keys.weights = tuple(weights)
     return keys
 
 
@@ -589,19 +632,21 @@ def truncated_drk_dims(
     wanted = tuple(range(nvars + 1)) if degrees is None else tuple(degrees)
     if any(not 0 <= k <= nvars for k in wanted):
         raise ValueError(f"form degrees must lie in 0..{nvars}, got {list(wanted)}")
-    weights = _weights(f)
+    keys_of = _weighted_keys(_weights(f))
 
     # The D_f rows of each needed form degree j are built and eliminated
     # once, in order of coefficient degree, up to the largest cap they are
     # read at: truncation + 1 when they are the image side of degree j + 1.
     # Every dimension below is then read off the pivots of a prefix of that
     # one pass: columns[i] is the new pivot of row i, or None.  The rows of
-    # every slice come from one builder and are streamed, never listed.
+    # every slice come from one builder and are streamed, never listed, and
+    # the keys of every slice from one enumerator: slices j and j + N share
+    # their key lists.
     rows = _d_f_rows(f)
     slices = {}
     for j in set(wanted) | {k - 1 for k in wanted if k >= 1}:
         top = truncation + 1 if j + 1 in wanted else truncation
-        domain = _class_basis(nvars, j, modulus, residue, top, weights)
+        domain = _class_basis(nvars, j, modulus, residue, top, keys_of)
         coeff_degrees = [key_degree(key, nvars) for _, key in domain]
         slices[j] = (coeff_degrees, pivot_columns(rows(domain)))
 
@@ -664,9 +709,10 @@ def n2_eigenvectors() -> Tuple[ExtForm, ExtForm]:
 
     outputs: List[ExtForm] = []
     x2 = MultiPoly.variable(5, 2)
+    seed_rows = _d_f_rows(f_w)
     for start_coeff in (MultiPoly.const(5, 1), x2):
         start = ExtForm(5, 1, {(2,): start_coeff})
-        if not d_f(f_w, start).is_zero():
+        if not _d_f(seed_rows, start).is_zero():
             raise CohomologyMismatchError("pipeline seed form is not closed")
         middle = connecting_map(f_z0, start, 1)
         top = connecting_map(f, middle, 0)

@@ -25,7 +25,7 @@ from secantinv.drk import (
     univariate_drk_cohomology,
 )
 from secantinv.cohomtables import RootOfUnity, monodromy_eigentable
-from secantinv.exactalg import MAX_DEGREE, MultiPoly, key_degree, pack, unpack
+from secantinv.exactalg import MAX_DEGREE, DimensionError, MultiPoly, key_degree, pack, unpack
 from secantinv.linalg import pivot_columns
 from tests.references import (
     dims_at,
@@ -179,6 +179,32 @@ class TestSingleKernelAgainstReference:
             assert connecting_map(f, form, v) == expected
 
 
+def assert_revalidated(form):
+    """``form`` equals its copy rebuilt through the validating constructors,
+    down to each coefficient's packed terms and their int or Fraction type."""
+    assert form == ExtForm(form.nvars, form.degree, form.terms, form.log_var)
+    for coeff in form.terms.values():
+        rebuilt = MultiPoly(form.nvars, coeff.terms).packed
+        assert coeff.nvars == form.nvars
+        assert {k: (c, type(c)) for k, c in coeff.packed.items()} == {
+            k: (c, type(c)) for k, c in rebuilt.items()
+        }
+
+
+class TestTrustedForms:
+    @ORACLE_SETTINGS
+    @given(twisted_cases(), log_lift_cases(), st.integers(1, 8), st.booleans())
+    def test_returned_forms_equal_their_revalidated_copies(self, twisted, lifted, m, log):
+        # d_f, connecting_map and univariate_drk_cohomology build their forms
+        # with the trusted constructor: each must pass ExtForm's checks.
+        f, form = twisted
+        assert_revalidated(d_f(f, form))
+        f, form, v = lifted
+        assert_revalidated(connecting_map(f, form, v))
+        for form in univariate_drk_cohomology(m, log):
+            assert_revalidated(form)
+
+
 class TestTwistedDifferential:
     def test_constant_goes_to_c_times_df(self):
         f = p(2, "x0^2*x1")
@@ -275,7 +301,7 @@ class TestColumnKey:
 
     def test_d_f_rows_have_int_keys_and_entries(self):
         f = hankel_determinant_poly(2)
-        rows = drk._d_f_rows(f)(drk._class_basis(5, 3, 3, 1, 4, (0,) * 5))
+        rows = drk._d_f_rows(f)(drk._class_basis(5, 3, 3, 1, 4, drk._weighted_keys((0,) * 5)))
         assert all(
             key.__class__ is int and c.__class__ is int for row in rows for key, c in row.items()
         )
@@ -544,10 +570,11 @@ class TestTruncatedDims:
         # Form degrees 0-2 are read up to truncation + 1 as the image side
         # of the next degree; the top degree only up to the truncation.
         top = [6 + 1] * 3 + [6]
-        weights = drk._weights(f)
-        kept = [len(drk._class_basis(f.nvars, j, 2, 1, cap, weights)) for j, cap in enumerate(top)]
+        weighted = drk._weighted_keys(drk._weights(f))
+        kept = [len(drk._class_basis(f.nvars, j, 2, 1, cap, weighted)) for j, cap in enumerate(top)]
+        unweighted = drk._weighted_keys((0,) * f.nvars)
         full = [
-            len(drk._class_basis(f.nvars, j, 2, 1, cap, (0,) * f.nvars)) for j, cap in enumerate(top)
+            len(drk._class_basis(f.nvars, j, 2, 1, cap, unweighted)) for j, cap in enumerate(top)
         ]
         assert sorted(eliminated) == sorted(kept)
         assert kept == [10, 22, 30, 10] and full == [70, 150, 210, 50]
@@ -734,7 +761,7 @@ class TestWeightBlocks:
         for residue in range(modulus):
             for k in range(nvars + 1):
                 full = reference_class_basis(nvars, k, modulus, residue, 4, (0,) * nvars)
-                kept = drk._class_basis(nvars, k, modulus, residue, 4, weights)
+                kept = drk._class_basis(nvars, k, modulus, residue, 4, drk._weighted_keys(weights))
                 weight_0 = [form for form in full if form_weight(form, nvars) == 0]
                 assert kept == weight_0, (residue, k)
 
@@ -751,8 +778,24 @@ class TestWeightBlocks:
                 expected = reference_class_basis(nvars, k, modulus, residue, 6, weights)
                 degrees = [key_degree(key, nvars) for _, key in expected]
                 for cap in range(7):
-                    kept = drk._class_basis(nvars, k, modulus, residue, cap, weights)
+                    keys_of = drk._weighted_keys(weights)
+                    kept = drk._class_basis(nvars, k, modulus, residue, cap, keys_of)
                     assert kept == expected[: bisect_right(degrees, cap)], (k, residue, cap)
+
+    @pytest.mark.parametrize("kind", ["hankel", "shuffled"])
+    def test_a_shared_key_enumerator_gives_the_basis_of_a_fresh_one(self, kind):
+        # One enumerator serves every (form degree, cap) of a residue, as in
+        # one truncated_drk_dims call; its kept key lists change no basis.
+        nvars, modulus = 5, 3
+        weights = kinds_of_weights(nvars)[kind]
+        for residue in range(modulus):
+            shared = drk._weighted_keys(weights)
+            for j in range(nvars + 1):
+                for cap in (4, 8, 0, 7, 3, 6, 1, 5, 2):
+                    fresh = drk._class_basis(
+                        nvars, j, modulus, residue, cap, drk._weighted_keys(weights)
+                    )
+                    assert drk._class_basis(nvars, j, modulus, residue, cap, shared) == fresh
 
     def test_shuffled_weights_are_not_monotone(self):
         for nvars in range(3, 8):
@@ -798,6 +841,31 @@ class TestConnectingMap:
         with pytest.raises(PoleSurvivesError):
             connecting_map(self.f_z0, start, 1)
 
+    def test_a_form_of_degree_nvars_minus_one_maps_to_the_zero_top_form(self, monkeypatch):
+        # Its image would be a 5-form plus dx_v: no D_f is taken.
+        def no_rows(f):
+            raise AssertionError("D_f rows built for a form of degree nvars - 1")
+
+        monkeypatch.setattr(drk, "_d_f_rows", no_rows)
+        form = ExtForm(5, 4, {(0, 2, 3, 4): p(5, "x0*x2 + x4^3")})
+        assert connecting_map(self.f_z0, form, 1) == ExtForm(5, 5)
+
+    @pytest.mark.parametrize(
+        "form, error",
+        [
+            (ExtForm(5, 4, {(0, 2, 3, 4): MultiPoly.const(5, 1)}, log_var=0), ValueError),
+            (ExtForm(4, 3, {(0, 2, 3): MultiPoly.const(4, 1)}), DimensionError),
+            (ExtForm(5, 4, {(0, 1, 3, 4): MultiPoly.const(5, 1)}), ResidueMismatchError),
+            (ExtForm(5, 4, {(0, 2, 3, 4): p(5, "x1")}), ResidueMismatchError),
+            (ExtForm(5, 5), DimensionError),
+        ],
+        ids=["log pole", "arity", "dx_v", "x_v", "zero top form"],
+    )
+    def test_forms_of_degree_nvars_minus_one_or_more_still_raise(self, form, error):
+        with pytest.raises(error) as raised:
+            connecting_map(self.f_z0, form, 1)
+        assert raised.type is error
+
     def test_output_preserves_graded_class(self):
         start = ExtForm(5, 1, {(2,): MultiPoly.const(5, 1)})
         mid = connecting_map(self.f_z0, start, 1)
@@ -813,6 +881,21 @@ class TestEigenvectorPipeline:
         scale2 = proportionality(alpha2, expected2)
         assert scale1 is not None and scale1 != 0
         assert scale2 is not None and scale2 != 0
+
+    def test_each_connecting_map_differentiates_once(self, monkeypatch):
+        # One row builder for f_w checks both seeds, and each connecting map
+        # uses one for its image and its closedness check: 18 partials (34
+        # with a builder per d_f call and a partial per hyperplane check).
+        differentiated = []
+        derivative = MultiPoly.derivative
+
+        def counting(poly, idx):
+            differentiated.append(idx)
+            return derivative(poly, idx)
+
+        monkeypatch.setattr(MultiPoly, "derivative", counting)
+        n2_eigenvectors()
+        assert len(differentiated) <= 18
 
     def test_outputs_are_closed_and_graded(self):
         f = hankel_determinant_poly(2)
@@ -839,7 +922,8 @@ class TestEigenvectorPipeline:
         assert {
             form_weight((idx, key), 5) for idx, coeff in alpha.terms.items() for key in coeff.packed
         } == {0}
-        weight_0 = drk._class_basis(5, 4, 3, residue, truncation + 1, drk._weights(f))
+        keys_of = drk._weighted_keys(drk._weights(f))
+        weight_0 = drk._class_basis(5, 4, 3, residue, truncation + 1, keys_of)
         image = list(drk._d_f_rows(f)(weight_0))
         row = {
             drk._column_key(idx, key, 5): c

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secantinv.drk import _class_basis, _d_f_rows, _split_column_key, hankel_determinant_poly
+from secantinv.drk import (
+    _class_basis,
+    _d_f_rows,
+    _split_column_key,
+    _weighted_keys,
+    hankel_determinant_poly,
+)
 from secantinv.linalg import _eliminate, det, pivot_columns
 from tests.references import integer_row, random_locus_point, rank
 
@@ -251,9 +257,10 @@ class TestRankAgainstSympy:
         # truncated_drk_dims ranks for det H_1 = x0*x2 - x1^2.
         sympy = pytest.importorskip("sympy")
         f = hankel_determinant_poly(1)
+        keys_of = _weighted_keys((0,) * f.nvars)
         for residue in (0, 1):
             for k in range(f.nvars + 1):
-                rows = list(_d_f_rows(f)(_class_basis(f.nvars, k, 2, residue, cap, (0,) * f.nvars)))
+                rows = list(_d_f_rows(f)(_class_basis(f.nvars, k, 2, residue, cap, keys_of)))
                 columns = sorted({key for row in rows for key in row})
                 assert rank(rows) == sympy_rank(sympy, rows, columns), (residue, k)
 
@@ -265,7 +272,8 @@ class TestDfSlicePivots:
         # pairs, so the pivots and their fill-in match those of the pair
         # keys: 3772 stored entries either way.
         f = hankel_determinant_poly(2)
-        rows = list(_d_f_rows(f)(_class_basis(f.nvars, 3, 3, 1, 4, (0,) * f.nvars)))
+        keys_of = _weighted_keys((0,) * f.nvars)
+        rows = list(_d_f_rows(f)(_class_basis(f.nvars, 3, 3, 1, 4, keys_of)))
         pair_rows = [
             {_split_column_key(key, f.nvars, 4)[::-1]: c for key, c in row.items()}
             for row in rows
