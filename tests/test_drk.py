@@ -239,8 +239,6 @@ class TestTwistedDifferential:
             d_f(f, lifted)
 
     def test_arity_mismatch_rejected(self):
-        from secantinv.exactalg import DimensionError
-
         with pytest.raises(DimensionError):
             d_f(p(3, "x0^2"), ExtForm(2, 0, {(): MultiPoly.const(2, 1)}))
 
