@@ -27,7 +27,7 @@ SCHEMA = "1"
 
 #: Size ceilings of the subcommands whose cost explodes with their size
 #: argument (one run each at the ceiling on a 2-core VM; medians of 7 for
-#: `verify` and `blockreduce`):
+#: `verify` and `blockreduce`, of 5 for `nearby`):
 #: `strata -n 16` writes 65,536 records (about 19 MB of JSON) in about 0.8 s (peak RSS 30 MB),
 #: `verify -n 14` takes about 0.3 s (peak RSS 20 MB); the ceiling is that of
 #: `blockreduce`, whose reductions it checks,
@@ -35,7 +35,7 @@ SCHEMA = "1"
 #: `ih -g 2 -k 4000` takes about 2.4 s (the loop is quadratic in k),
 #: `ih -g 100 -k 4000` takes about 3.7 s and writes 1.0 MB (the binomials
 #: C(2g, j) grow with g),
-#: `nearby -n 500` takes about 0.8 s and writes 10.8 MB (quadratic in n),
+#: `nearby -n 500` takes about 0.55 s (peak RSS 100 MB) and writes 10.8 MB (quadratic in n),
 #: `monodromy -n 100000` takes about 0.4 s and writes 8.0 MB record by record (peak
 #: RSS 41 MB) and `betti --milnor -n 100000` about 0.4 s and 2.9 MB; both grow
 #: linearly in n (`monodromy -n 1000000` took 3.2 s, wrote 83 MB and peaked at 219 MB).

@@ -47,35 +47,44 @@ def primitive_roots(q: int) -> List[RootOfUnity]:
     """The phi(q) primitive q-th roots of unity, numerators ascending."""
     if q < 1:
         raise ValueError("order must be positive")
-    if q == 1:
-        return [RootOfUnity(0, 1)]
-    return [RootOfUnity(p, q) for p in range(1, q) if math.gcd(p, q) == 1]
+    return [RootOfUnity(p, q) for p in range(q) if math.gcd(p, q) == 1]
 
 
 @dataclass(frozen=True)
 class NearbyCycleSummand:
-    """One simple summand of the nearby-cycle decomposition.
+    """One simple summand of the nearby-cycle decomposition of det H_n, held
+    as its eigenvalue and n; the rest is derived.
 
-    The support X_k is the cone over the k-th secant variety, with X_0 the
-    origin by convention.  Every summand has weight 2n; only the eigenvalue-1
-    summand is a (shifted) constant sheaf, everything else is the
-    intersection complex of a rank-1 local system, and the vanishing-cycle
-    part at eigenvalue 1 is zero.
+    A primitive q-th root of unity (1 <= q <= n+1) sits on X_(n+1-q), the
+    cone over the (n+1-q)-th secant variety, with X_0 the origin by
+    convention.  Every summand has rank 1 and weight 2n; only the
+    eigenvalue-1 summand is a (shifted) constant sheaf, everything else is
+    the intersection complex of a rank-1 local system, and the
+    vanishing-cycle part at eigenvalue 1 is zero.
     """
 
     eigenvalue: RootOfUnity
-    support_index: int
-    rank: int
-    weight: int
-    kind: str  # "constant_sheaf" or "IC_of_rank1_local_system"
+    n: int
 
     def __post_init__(self):
-        if self.kind not in ("constant_sheaf", "IC_of_rank1_local_system"):
-            raise ValueError(f"unknown summand kind {self.kind!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.eigenvalue.q != 1 and self.rank != 1:
-            raise ValueError("summands at eigenvalues != 1 have rank 1")
+        if self.n < 1 or not 1 <= self.eigenvalue.q <= self.n + 1:
+            raise ValueError(f"no summand at a root of order {self.eigenvalue.q} for n = {self.n}")
+
+    @property
+    def support_index(self) -> int:
+        return self.n + 1 - self.eigenvalue.q
+
+    @property
+    def rank(self) -> int:
+        return 1
+
+    @property
+    def weight(self) -> int:
+        return 2 * self.n
+
+    @property
+    def kind(self) -> str:
+        return "constant_sheaf" if self.eigenvalue.q == 1 else "IC_of_rank1_local_system"
 
     def to_obj(self) -> dict:
         return {
@@ -172,33 +181,9 @@ def eigentable_betti(n: int) -> BettiTable:
 
 
 def nearby_vanishing_decomposition(n: int) -> List[NearbyCycleSummand]:
-    """Simple-summand table of the nearby cycles of the Hankel determinant.
-
-    One constant-sheaf summand at eigenvalue 1 supported on the full
-    hypersurface cone X_n (its vanishing-cycle part is zero), and for each
-    q in 2..n+1 and each primitive q-th root one rank-1 intersection-complex
-    summand supported on X_{n-q+1}.  All summands have weight 2n.
-    """
+    """Simple-summand table of the nearby cycles of the Hankel determinant:
+    one summand per primitive q-th root of unity, q = 1..n+1, by q and then
+    by numerator (see :class:`NearbyCycleSummand`)."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    out = [
-        NearbyCycleSummand(
-            eigenvalue=RootOfUnity(0, 1),
-            support_index=n,
-            rank=1,
-            weight=2 * n,
-            kind="constant_sheaf",
-        )
-    ]
-    for q in range(2, n + 2):
-        for lam in primitive_roots(q):
-            out.append(
-                NearbyCycleSummand(
-                    eigenvalue=lam,
-                    support_index=n - q + 1,
-                    rank=1,
-                    weight=2 * n,
-                    kind="IC_of_rank1_local_system",
-                )
-            )
-    return out
+    return [NearbyCycleSummand(lam, n) for q in range(1, n + 2) for lam in primitive_roots(q)]

@@ -66,55 +66,46 @@ def enumerate_compositions(n: int) -> List[Composition]:
     return list(map(Composition, composition_parts(n)))
 
 
-def mobius(n: int) -> int:
-    """Moebius function, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"mobius is defined for n >= 1, got {n}")
-    result = 1
+def _prime_factors(n: int) -> List[Tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial division."""
+    factors = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
         p += 1
     if n > 1:
-        result = -result
-    return result
+        factors.append((n, 1))
+    return factors
+
+
+def mobius(n: int) -> int:
+    """Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    if n < 1:
+        raise ValueError(f"mobius is defined for n >= 1, got {n}")
+    factors = _prime_factors(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient, by trial-division factorization."""
+    """Euler totient: the product of (p - 1) * p^(e-1) over n's prime powers."""
     if n < 1:
         raise ValueError(f"euler_phi is defined for n >= 1, got {n}")
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _prime_factors(n))
 
 
 def divisors(n: int) -> List[int]:
     """Positive divisors of n in increasing order."""
     if n < 1:
         raise ValueError(f"divisors are defined for n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _prime_factors(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def count_coprime(n: int) -> int:

@@ -610,11 +610,7 @@ def poly_det(m: Rows) -> LocalizedPoly:
     cleared = [[e.num.mul_var_power(var, top - e.power) for e in row] for row, top in zip(m, tops)]
     # Every term of a minor has degree at most the sum of its rows' degrees.
     _check_degree(sum(max(p.total_degree() for p in row) for row in cleared))
-    # Expand the heaviest rows (most terms) first, so the many small minors
-    # are built over the lightest ones; the stable sort keeps equal rows in order.
-    weight = [sum(len(p.packed) for p in row) for row in cleared]
-    order = sorted(range(size), key=lambda i: -weight[i])
-    rows = [[p.packed for p in cleared[i]] for i in order]
+    rows = [[p.packed for p in row] for row in cleared]
     level: Dict[Tuple[int, ...], Terms] = {(): {0: 1}}
     for s in range(1, size + 1):
         row = rows[size - s]
@@ -631,7 +627,4 @@ def poly_det(m: Rows) -> LocalizedPoly:
                 if minor:
                     level[cols] = minor
     det = level.get(tuple(range(size)), {})
-    inversions = sum(a > b for pos, a in enumerate(order) for b in order[pos + 1 :])
-    if inversions % 2:
-        det = {k: -c for k, c in det.items()}
     return LocalizedPoly(_make(nvars, det), var, sum(tops))

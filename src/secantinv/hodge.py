@@ -106,8 +106,6 @@ def milnor_hodge_bruteforce(n: int) -> MultiPoly:
 def milnor_hodge_closed(n: int) -> MultiPoly:
     """Closed totient form t^(n-1) * sum_{d | n+1} phi((n+1)/d) t^d: the
     quotient by the trivial subgroup, ``quotient_hodge(n, n + 1)``."""
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
     return quotient_hodge(n, n + 1)
 
 

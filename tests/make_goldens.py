@@ -28,17 +28,22 @@ GOLDEN_COMMANDS = [
     ["hodge", "-n", "5", "-d", "3", "--format", "table"],
     ["hodge", "-n", "5", "-d", "3", "--gbundle", "--format", "table"],
     ["hodge", "-n", "3", "--format", "table"],
+    ["hodge", "-n", "11", "-d", "4"],
     ["betti", "--milnor", "-n", "2"],
     ["betti", "--milnor", "-n", "5"],
     ["betti", "--sec2", "-g", "2"],
     ["betti", "--milnor", "-n", "3", "--format", "latex"],
+    ["betti", "--milnor", "-n", "12"],
     ["ih", "-g", "0", "-k", "3"],
     ["ih", "-g", "1", "-k", "2", "--format", "table"],
     ["ih", "-g", "2", "-k", "2", "--format", "latex"],
     ["monodromy", "-n", "4"],
     ["monodromy", "-n", "3", "--format", "table"],
+    ["monodromy", "-n", "12"],
     ["nearby", "-n", "2"],
     ["nearby", "-n", "3", "--format", "table"],
+    ["nearby", "-n", "12"],
+    ["nearby", "-n", "12", "--format", "table"],
     ["eigenvectors"],
     ["eigenvectors", "--format", "table"],
     ["blockreduce", "-n", "2", "-k", "1"],

@@ -82,6 +82,19 @@ def proportionality(a: ExtForm, b: ExtForm) -> Optional[Fraction]:
     return c if a == scaled else None
 
 
+def reference_nearby_summands(n: int) -> List[Tuple[RootOfUnity, int, int, int, str]]:
+    """The nearby-cycle table as (eigenvalue, support_index, rank, weight,
+    kind) tuples, each field written out: first the constant sheaf at
+    eigenvalue 1 on X_n, then for q = 2..n+1 and each numerator 1 <= p < q
+    prime to q one rank-1 intersection complex on X_(n-q+1), all of weight 2n."""
+    out = [(RootOfUnity(0, 1), n, 1, 2 * n, "constant_sheaf")]
+    for q in range(2, n + 2):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                out.append((RootOfUnity(p, q), n - q + 1, 1, 2 * n, "IC_of_rank1_local_system"))
+    return out
+
+
 def origin_eigenvalues(n: int) -> List[Tuple[RootOfUnity, int]]:
     """Restriction of the nearby-cycle table to the origin.
 

@@ -18,7 +18,11 @@ from secantinv.cohomtables import (
 from secantinv.compositions import divisors, euler_phi
 from secantinv.exactalg import MultiPoly
 from secantinv.hodge import milnor_betti
-from tests.references import gbundle_hodge_bruteforce, origin_eigenvalues
+from tests.references import (
+    gbundle_hodge_bruteforce,
+    origin_eigenvalues,
+    reference_nearby_summands,
+)
 
 
 class TestRootOfUnity:
@@ -368,8 +372,25 @@ class TestNearbyVanishing:
             )
             assert restricted == table
 
-    def test_summand_validation(self):
+    @pytest.mark.parametrize(
+        "eigenvalue, n",
+        [
+            (RootOfUnity(1, 4), 2),
+            (RootOfUnity(2, 5), 3),
+            (RootOfUnity(0, 1), 0),
+            (RootOfUnity(0, 1), -1),
+            (RootOfUnity(1, 2), 0),
+        ],
+        ids=lambda v: v.label() if isinstance(v, RootOfUnity) else str(v),
+    )
+    def test_summand_needs_n_at_least_1_and_root_order_at_most_n_plus_1(self, eigenvalue, n):
         with pytest.raises(ValueError):
-            NearbyCycleSummand(RootOfUnity(1, 3), 0, 2, 4, "IC_of_rank1_local_system")
-        with pytest.raises(ValueError):
-            NearbyCycleSummand(RootOfUnity(0, 1), 1, 1, 2, "mystery")
+            NearbyCycleSummand(eigenvalue, n)
+
+    def test_table_matches_the_five_field_reference_up_to_40(self):
+        for n in range(1, 41):
+            got = [
+                (s.eigenvalue, s.support_index, s.rank, s.weight, s.kind)
+                for s in nearby_vanishing_decomposition(n)
+            ]
+            assert got == reference_nearby_summands(n), n

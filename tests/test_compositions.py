@@ -95,6 +95,14 @@ class TestArithmeticFunctions:
         for n in range(1, 60):
             assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
+    def test_divisors_and_mobius_against_their_definitions(self):
+        for n in range(1, 2001):
+            divs = [d for d in range(1, n + 1) if n % d == 0]
+            assert divisors(n) == divs
+            primes = [d for d in divs[1:] if all(d % e for e in range(2, d))]
+            squarefree = all(n % (d * d) for d in divs[1:])
+            assert mobius(n) == ((-1) ** len(primes) if squarefree else 0), n
+
     def test_mobius_summatory_identity(self):
         for n in range(2, 60):
             assert sum(mobius(d) for d in divisors(n)) == 0

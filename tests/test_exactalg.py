@@ -194,12 +194,13 @@ def at_point(m, pt):
 
 
 class TestRowOrder:
-    """poly_det expands the rows with the most terms first and multiplies by
-    the sign of that reordering."""
+    """poly_det takes the rows in the order given, whatever their term
+    counts, and a row permutation changes its result by the permutation's
+    sign."""
 
     def test_every_row_permutation_gives_the_signed_determinant(self):
         # Row i holds entries of i + 1 terms, so the row weights are distinct
-        # and every permutation below is undone by the sort.
+        # and the permutations below put them in every order.
         rng = random.Random(7)
         entries = []
         for i in range(4):
@@ -224,8 +225,8 @@ class TestRowOrder:
         "n, k", [(n, k) for n in range(1, 6) for k in range(n)], ids=lambda v: str(v)
     )
     def test_block_reduction_determinants_against_rational_det(self, n, k):
-        # N and the residual Hankel matrix have rows of unequal weight, so
-        # the sort reorders them and the sign is exercised.
+        # N and the residual Hankel matrix have rows of unequal weight, not
+        # in decreasing order.
         rng = random.Random(100 * n + k)
         r = block_reduce(n, k)
         for m in (r.N_matrix, _hankel(r.y_coords[k + 2 :], n - k)):
